@@ -67,37 +67,52 @@ def log_sinhc(z):
     return float(out) if out.ndim == 0 else out
 
 
+# Above this the six-term asymptotic series of gauss_tail_e is within 3e-13
+# relative; below it the Mills-ratio form loses about alpha^2 ulps.
+_TAIL_E_CUT = 30.0
+
+
+def _tail_e_over_pdf(alpha):
+    """(phi(alpha) - alpha Q(alpha)) / phi(alpha) for alpha > 0.
+
+    1 - alpha R(alpha) with R = Q/phi the Mills ratio (via erfcx, no
+    underflow), or its asymptotic series 1/a^2 - 3/a^4 + 15/a^6 - ... beyond
+    _TAIL_E_CUT, where the difference cancels.
+    """
+    big = alpha > _TAIL_E_CUT
+    ab = np.where(big, alpha, 100.0)   # masked lanes still need a benign series argument
+    inv2 = 1.0 / (ab * ab)
+    series = inv2 * (1.0 - 3.0 * inv2 * (1.0 - 5.0 * inv2 * (1.0 - 7.0 * inv2 * (
+        1.0 - 9.0 * inv2 * (1.0 - 11.0 * inv2)))))
+    mills = 0.5 * SQRT_2PI * special.erfcx(np.where(big, 1.0, alpha) / np.sqrt(2.0))
+    return np.where(big, series, 1.0 - alpha * mills)
+
+
 def gauss_tail_e(alpha):
     """phi(alpha) - alpha * Q(alpha) = integral of the normal survival from alpha.
 
-    Direct evaluation cancels catastrophically for large alpha; switch to the
-    asymptotic series phi(alpha) * (1/a^2 - 3/a^4 + 15/a^6 - 105/a^8) there.
+    Direct evaluation cancels catastrophically for large alpha, so positive
+    alpha goes through _tail_e_over_pdf.
     """
     alpha = np.asarray(alpha, dtype=float)
-    big = alpha > 8.0
-    ab = np.where(big, alpha, 1.0)
-    inv2 = 1.0 / (ab * ab)
-    series = norm_pdf(ab) * inv2 * (1.0 - 3.0 * inv2 * (1.0 - 5.0 * inv2 * (1.0 - 7.0 * inv2)))
+    pos = alpha > 0.0
     direct = norm_pdf(alpha) - alpha * norm_sf(alpha)
-    out = np.where(big, series, direct)
+    out = np.where(pos, norm_pdf(alpha) * _tail_e_over_pdf(np.where(pos, alpha, 1.0)), direct)
     return float(out) if out.ndim == 0 else out
 
 
 def log_gauss_tail_e(alpha):
     """log(phi(alpha) - alpha*Q(alpha)), stable for alpha -> +inf.
 
-    The large-alpha branch logs the asymptotic series directly; going through
-    the linear value would underflow once alpha^2/2 exceeds ~708.
+    Positive alpha is assembled on the log scale; going through the linear
+    value would underflow once alpha^2/2 exceeds ~708.
     """
     alpha = np.asarray(alpha, dtype=float)
-    big = alpha > 8.0
-    ab = np.where(big, alpha, 100.0)   # masked lanes still need a benign series argument
-    inv2 = 1.0 / (ab * ab)
-    series = -0.5 * ab * ab - np.log(SQRT_2PI * ab * ab) \
-        + np.log1p(-3.0 * inv2 * (1.0 - 5.0 * inv2 * (1.0 - 7.0 * inv2)))
-    with np.errstate(divide="ignore"):
-        direct = np.log(gauss_tail_e(np.where(big, 0.0, alpha)))
-    out = np.where(big, series, direct)
+    pos = alpha > 0.0
+    ap = np.where(pos, alpha, 1.0)
+    pos_val = -0.5 * ap * ap - np.log(SQRT_2PI) + np.log(_tail_e_over_pdf(ap))
+    neg_val = np.log(gauss_tail_e(np.where(pos, 0.0, alpha)))
+    out = np.where(pos, pos_val, neg_val)
     return float(out) if out.ndim == 0 else out
 
 

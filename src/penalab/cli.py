@@ -201,19 +201,21 @@ def _cmd_expansion(args, verdicts):
 def _cmd_bessel(args, verdicts):
     rng = RngStream(args.seed)
     ts = [float(t) for t in args.t.split(",")]
-    if args.trivial:
-        f52 = lambda b, j: np.exp(-b) * (j <= 1.0)
-        rep = bessel_penalization_check(0.0, 0.0, args.u, ts, args.n, rng, f52=f52)
-    else:
-        rep = bessel_penalization_check(args.lam, args.mu, args.u, ts, args.n, rng)
-    vs = [abs_verdict(f"bessel[t={row['t']},b={row['b']}]", row["value"],
-                      row["target"], row["tol"], "penalized Bessel(3) vs target")
-          for row in rep["rows"]]
+    rep = bessel_penalization_check(args.lam, args.mu, args.u, ts, args.n, rng,
+                                    trivial=args.trivial)
+    vs = []
+    for row in rep["rows"]:
+        where = f"t={row['t']},b={row['b']}"
+        vs.append(abs_verdict(f"bessel[{where}]", row["value"], row["target"], row["tol"],
+                              f"penalized Bessel(3) vs exact finite-t, ess {row['ess']:.0f}"))
+        vs.append(abs_verdict(f"bessel-limit[{where}]", row["value"], row["limit"], row["tol"],
+                              "penalized Bessel(3) vs the t -> inf limit"))
     _emit(vs, verdicts)
     _write_csv(args.out, "bessel.csv",
-               ["penalty", "t", "b", "value", "stderr", "n", "target", "target_source"],
-               [(r["penalty"], r["t"], r["b"], r["value"], r["stderr"], r["n"],
-                 r["target"], r["target_source"]) for r in rep["rows"]])
+               ["penalty", "t", "b", "value", "stderr", "n", "ess", "target", "target_source",
+                "limit"],
+               [(r["penalty"], r["t"], r["b"], r["value"], r["stderr"], r["n"], r["ess"],
+                 r["target"], r["target_source"], r["limit"]) for r in rep["rows"]])
 
 
 def _cmd_verify(args, verdicts):
@@ -292,10 +294,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda", dest="lam", type=float, default=-1.0)
     p.add_argument("--mu", type=float, default=-1.0)
     p.add_argument("--u", type=float, default=1.0)
-    p.add_argument("--t", default="16")
+    p.add_argument("--t", default="128")
     p.add_argument("--n", type=int, default=30000)
     p.add_argument("--trivial", action="store_true",
-                   help="use the trivial-limit weight f(X, J) instead")
+                   help="use the trivial-limit weight e^{-R_t} 1{J_t <= 1} instead")
     common(p)
     p.set_defaults(fn=_cmd_bessel)
 

@@ -21,16 +21,17 @@ import numpy as np
 
 from .exact_laws import DensitySpec
 from .martingales import f1_lambda_phi_xs, f1_phi_xs, m_kennedy_xs, m_phi_xs
-from .penalized_mc import PhiOfMax, KennedyWeight, penalized_estimate
+from .penalized_mc import ExpLinear, KennedyWeight, PhiOfMax, penalized_estimate
 from .quadrature import RectEvent, expect_on_event, q_phi_limit
 from .samplers import RngStream
-from .weights import g_kennedy_bar, g_phi_hat
+from .weights import g_kennedy_bar, g_phi_hat, log_g_explinear
 
 __all__ = [
     "RateFit",
     "fit_rate",
     "phi_series_value",
     "kennedy_series_value",
+    "explinear_series_value",
     "f1_coefficient_check",
     "f1_kennedy_check",
 ]
@@ -106,7 +107,8 @@ def phi_series_value(phi: DensitySpec, ev: RectEvent, t: float) -> float:
     u = ev.u
     if t <= u:
         raise ValueError("horizon must exceed the event time")
-    num = expect_on_event(ev, lambda x, s: g_phi_hat(x, s, t - u, phi))
+    num = expect_on_event(ev, lambda x, s: g_phi_hat(x, s, t - u, phi),
+                          points=(phi.effective_upper(),))
     den = float(g_phi_hat(np.array([0.0]), np.array([0.0]), t, phi)[0])
     return math.sqrt(t / (t - u)) * num / den
 
@@ -116,9 +118,25 @@ def kennedy_series_value(lam: float, psi: DensitySpec, ev: RectEvent, t: float) 
     u = ev.u
     if t <= u:
         raise ValueError("horizon must exceed the event time")
-    num = expect_on_event(ev, lambda x, s: g_kennedy_bar(x, s, t - u, lam, psi))
+    num = expect_on_event(ev, lambda x, s: g_kennedy_bar(x, s, t - u, lam, psi),
+                          points=(psi.effective_upper(),))
     den = float(g_kennedy_bar(np.array([0.0]), np.array([0.0]), t, lam, psi)[0])
     return math.exp(-lam * lam * u / 2.0) * num / den
+
+
+def explinear_series_value(pen: ExpLinear, ev: RectEvent, t: float,
+                           w_max: float = math.inf) -> float:
+    """Exact penalized probability at horizon t for the exponential weight
+    e^{lam S_t + mu X_t} 1{S_t <= cap}, on the event further restricted to
+    {2 S_u - X_u <= w_max}."""
+    u = ev.u
+    if t <= u:
+        raise ValueError("horizon must exceed the event time")
+    zero = np.zeros(1)
+    log_den = float(log_g_explinear(zero, zero, t, pen.lam, pen.mu, pen.cap)[0])
+    return expect_on_event(
+        ev, lambda x, s: np.exp(log_g_explinear(x, s, t - u, pen.lam, pen.mu, pen.cap) - log_den),
+        w_max=w_max, points=(pen.cap,))
 
 
 # ---------------------------------------------------------------------------
@@ -154,8 +172,10 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
         raise ValueError("the first-order expansion needs a finite fifth moment")
     series = [(t, phi_series_value(phi, ev, t)) for t in t_list]
     fit = fit_rate(series, model="poly")
-    target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi))
-    target_variant = expect_on_event(ev, lambda x, s: _f1_cubic_variant_xs(x, s, u, phi))
+    end = (phi.effective_upper(),)
+    target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi), points=end)
+    target_variant = expect_on_event(ev, lambda x, s: _f1_cubic_variant_xs(x, s, u, phi),
+                                     points=end)
     limit = q_phi_limit(phi, ev)
 
     t_arr = np.array([row[0] for row in series])
@@ -194,8 +214,10 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
     u = ev.u
     series = [(t, kennedy_series_value(lam, psi, ev, t)) for t in t_list]
     fit = fit_rate(series, model="discounted", lam=lam)
-    target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi))
-    limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi, check=False))
+    end = (psi.effective_upper(),)
+    target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi), points=end)
+    limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi, check=False),
+                            points=end)
 
     # scaled residual diagnostics: (V - L) sqrt(t) e^{lam^2 t/2} t -> c1
     t_arr = np.array([row[0] for row in series])

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._stable import log_sinhc, sinhc
+from ._stable import SQRT_2PI, log_sinhc, sinhc
 from .exact_laws import (
     BivariatePenalty,
     DensitySpec,
@@ -36,9 +36,6 @@ __all__ = [
     "f1_phi",
     "f1_lambda_phi",
 ]
-
-SQRT_2PI = math.sqrt(2.0 * math.pi)
-
 
 @dataclass(frozen=True)
 class PathState:

@@ -44,6 +44,7 @@ __all__ = [
     "penalized_estimate",
     "band_conditional",
     "regime_limit_check",
+    "bessel_weight",
     "bessel_penalization_check",
     "bridge_convergence_check",
 ]
@@ -63,8 +64,11 @@ class BivariateF:
 
 @dataclass(frozen=True)
 class ExpLinear:
+    """The weight e^{lam S_t + mu X_t} 1{S_t <= cap}."""
+
     lam: float
     mu: float
+    cap: float = math.inf
 
 
 @dataclass(frozen=True)
@@ -83,10 +87,14 @@ PenaltyKind = PhiOfMax | BivariateF | ExpLinear | KennedyWeight
 
 @dataclass(frozen=True)
 class Estimate:
+    """A ratio estimate; ``ess`` is the Kish effective sample size
+    (sum w)^2 / sum w^2 of its weights."""
+
     value: float
     stderr: float
     n: int
     seed: tuple[int, int]
+    ess: float
 
 
 def _normalize_penalty(pen: PenaltyKind) -> PenaltyKind:
@@ -100,7 +108,7 @@ def _log_weight_terminal(pen: PenaltyKind, xt, st):
         if isinstance(pen, PhiOfMax):
             return np.log(pen.phi.pdf(st))
         if isinstance(pen, ExpLinear):
-            return pen.lam * st + pen.mu * xt
+            return np.where(st <= pen.cap, pen.lam * st + pen.mu * xt, -np.inf)
         if isinstance(pen, KennedyWeight):
             return np.log(pen.psi.pdf(st)) + pen.lam * (st - xt)
         if isinstance(pen, BivariateF):
@@ -116,14 +124,15 @@ def _log_weight_conditional(pen: PenaltyKind, xu, su, r: float):
     if isinstance(pen, PhiOfMax):
         return log_g_phi(xu, su, r, pen.phi)
     if isinstance(pen, ExpLinear):
-        return log_g_explinear(xu, su, r, pen.lam, pen.mu)
+        return log_g_explinear(xu, su, r, pen.lam, pen.mu, pen.cap)
     if isinstance(pen, KennedyWeight):
         return log_g_kennedy(xu, su, r, pen.lam, pen.psi)
     raise TypeError(f"no conditional kernel for {pen!r}; use mode='terminal'")
 
 
 def _ratio_with_stderr(vals: np.ndarray, logw: np.ndarray):
-    """Self-normalized ratio with a delta-method standard error."""
+    """Self-normalized ratio with a delta-method standard error and the
+    Kish effective sample size of the weights."""
     n = vals.size
     shift = float(np.max(logw))
     if not math.isfinite(shift):
@@ -135,11 +144,12 @@ def _ratio_with_stderr(vals: np.ndarray, logw: np.ndarray):
     vw = vals * w
     r = float(np.sum(vw)) / sw
     wbar = sw / n
+    w2bar = float(np.mean(w * w))
     var_vw = float(np.mean(vw * vw)) - (float(np.mean(vw))) ** 2
-    var_w = float(np.mean(w * w)) - wbar ** 2
+    var_w = w2bar - wbar ** 2
     cov = float(np.mean(vw * w)) - float(np.mean(vw)) * wbar
     var_r = (var_vw - 2.0 * r * cov + r * r * var_w) / (n * wbar * wbar)
-    return r, math.sqrt(max(var_r, 0.0))
+    return r, math.sqrt(max(var_r, 0.0)), n * wbar * wbar / w2bar
 
 
 def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
@@ -189,8 +199,8 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
 
     vals = np.concatenate(vals_parts)
     logw = np.concatenate(logw_parts)
-    r, se = _ratio_with_stderr(vals, logw)
-    return Estimate(r, se, n, (rng.seed, rng.stream_id))
+    r, se, ess = _ratio_with_stderr(vals, logw)
+    return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
 
 
 def band_conditional(g: Callable, y: float, eps: float, u: float, n: int,
@@ -228,7 +238,7 @@ def band_conditional(g: Callable, y: float, eps: float, u: float, n: int,
     var_den = p_band * (1.0 - p_band)
     cov = (value * p_band) - (value * p_band) * p_band
     var = (var_num - 2.0 * value * cov + value * value * var_den) / (n * p_band * p_band)
-    return Estimate(value, math.sqrt(max(var, 0.0)), n, (rng.seed, rng.stream_id))
+    return Estimate(value, math.sqrt(max(var, 0.0)), n, (rng.seed, rng.stream_id), float(hits))
 
 
 # ---------------------------------------------------------------------------
@@ -264,90 +274,58 @@ def regime_limit_check(lam: float, mu: float, u: float, t_list: Sequence[float],
     return {"region": region, "rows": rows, "all_pass": all(r["pass"] for r in rows)}
 
 
-def _bessel_radii(gen, u: float, t: float, m: int):
-    """Exact Bessel(3) radii at times u and t (one Gaussian step each)."""
-    g = gen.standard_normal((3, m)) * math.sqrt(u)
-    ru = np.sqrt(np.sum(g * g, axis=0))
-    g2 = gen.standard_normal((3, m)) * math.sqrt(t - u)
-    rt = np.sqrt((ru + g2[0]) ** 2 + g2[1] ** 2 + g2[2] ** 2)
-    return ru, rt
+def bessel_weight(lam: float, mu: float, trivial: bool = False) -> ExpLinear:
+    """A Bessel(3) penalization as an exponential weight on (X_t, S_t).
 
-
-def _future_infimum(gen, r0: np.ndarray, fine_step: float, fine_span: float,
-                    coarse_step: float, coarse_span: float):
-    """Grid infimum of Bessel(3) started at r0, with the exact uniform tail
-    closure for the infimum beyond the simulated window."""
-    m = r0.size
-    pos = np.zeros((3, m))
-    pos[0] = r0
-    jmin = r0.copy()
-
-    for step, span in ((fine_step, fine_span), (coarse_step, coarse_span)):
-        k = int(round(span / step))
-        root = math.sqrt(step)
-        for _ in range(k):
-            pos += gen.standard_normal((3, m)) * root
-            np.minimum(jmin, np.sqrt(np.sum(pos * pos, axis=0)), out=jmin)
-    rho = np.sqrt(np.sum(pos * pos, axis=0))
-    beyond = rho * gen.random(m)
-    return np.minimum(jmin, beyond)
+    By Pitman's theorem R = 2S - X is a Bessel(3) process and its future
+    infimum J_t = inf_{v >= t} R_v equals S_t pathwise, so
+    exp(mu R_t + lam J_t) = exp((lam + 2 mu) S_t - mu X_t), and the trivial
+    family e^{-R_t} 1{J_t <= 1} = exp(-2 S_t + X_t) 1{S_t <= 1}.
+    """
+    if trivial:
+        return ExpLinear(-2.0, 1.0, cap=1.0)
+    return ExpLinear(lam + 2.0 * mu, -mu)
 
 
 def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[float],
                               n: int, rng: RngStream, b_levels: Sequence[float] = (0.8, 1.6),
-                              f52: Callable | None = None,
-                              fine_step: float = 0.005, fine_span: float = 8.0,
-                              coarse_step: float = 0.1, coarse_span: float = 24.0,
-                              chunk: int = 16384) -> dict:
-    """Bessel(3) paths penalized by exp(mu X_t + lam J_t) (J on a truncated
-    horizon plus the exact closure of the infimum beyond it).
+                              trivial: bool = False) -> dict:
+    """Bessel(3) paths penalized by exp(mu R_t + lam J_t), or with ``trivial``
+    by e^{-R_t} 1{J_t <= 1}, on the events {R_u <= b}.
 
-    With ``f52`` given, the weight is f52(X_t, J_t) instead and the target is
-    the unpenalized Bessel(3) law.  Targets are quadrature integrals of the
-    limit martingale against the Bessel marginal on {X_u <= b}.
+    Through ``bessel_weight`` and {R_u <= b} = {2 S_u - X_u <= b} each row is
+    a ``penalized_estimate``, compared at 3 stderr with the exact finite-t
+    value.  Each row also carries the t -> inf limit: the integral of m_bar
+    against the Bessel(3) marginal, or the plain Bessel(3) law for the
+    trivial family.
     """
-    if f52 is None:
+    from .expansion import explinear_series_value   # expansion imports this module
+
+    if trivial:
+        density = lambda r: p_bessel3(u, r)
+    else:
         # raises for parameters outside the supported branches
         m_bar_xs(np.array([1.0]), u, lam, mu)
-
-    targets = {}
-    for b in b_levels:
-        if f52 is None:
-            f_t = lambda x: m_bar_xs(x, u, lam, mu) * p_bessel3(u, x)
-        else:
-            f_t = lambda x: p_bessel3(u, x)
-        v, _ = integrate.quad(f_t, 0.0, b, epsabs=1e-12, epsrel=1e-10, limit=200)
-        targets[b] = v / 1.0
+        density = lambda r: m_bar_xs(r, u, lam, mu) * p_bessel3(u, r)
+    limits = {b: integrate.quad(density, 0.0, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
+              for b in b_levels}
+    pen = bessel_weight(lam, mu, trivial)
+    label = "exp(-R) 1{J <= 1}" if trivial else f"exp({mu} R + {lam} J)"
 
     rows = []
     for k, t in enumerate(t_list):
-        ru_all, logw_all = [], []
-        done, ci = 0, 0
-        while done < n:
-            m = min(chunk, n - done)
-            gen = rng.generator(7000 + k, ci)
-            ru, rt = _bessel_radii(gen, u, t, m)
-            j = _future_infimum(gen, rt, fine_step, fine_span, coarse_step, coarse_span)
-            if f52 is None:
-                logw = mu * rt + lam * j
-            else:
-                with np.errstate(divide="ignore"):
-                    logw = np.log(np.maximum(np.asarray(f52(rt, j), dtype=float), 0.0))
-            ru_all.append(ru)
-            logw_all.append(logw)
-            done += m
-            ci += 1
-        ru = np.concatenate(ru_all)
-        logw = np.concatenate(logw_all)
         for b in b_levels:
-            est, se = _ratio_with_stderr((ru <= b).astype(float), logw)
-            tol = 3.0 * se
+            # the same draws for every b
+            est = penalized_estimate(pen, (u, lambda x, s, b=b: 2.0 * s - x <= b), t, n,
+                                     rng.substream(7000 + k))
+            target = explinear_series_value(pen, RectEvent(u), t, w_max=b)
+            tol = 3.0 * est.stderr
             rows.append({
-                "penalty": "f52" if f52 is not None else f"exp({mu} X + {lam} J)",
-                "event": (u, b), "t": t, "b": b,
-                "value": est, "stderr": se, "n": n,
-                "target": targets[b], "target_source": "quadrature", "tol": tol,
-                "pass": bool(abs(est - targets[b]) <= tol),
+                "penalty": label, "event": (u, b), "t": t, "b": b,
+                "value": est.value, "stderr": est.stderr, "n": est.n, "ess": est.ess,
+                "target": target, "target_source": "finite-t quadrature", "tol": tol,
+                "limit": limits[b],
+                "pass": bool(abs(est.value - target) <= tol),
             })
     return {"rows": rows, "all_pass": all(r["pass"] for r in rows)}
 

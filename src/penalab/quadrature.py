@@ -175,7 +175,9 @@ def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> floa
         return 0.0
     if route == "mixture":
         first = (y - a) * q_y_limit(y, ev)
-        second, _ = integrate.quad(lambda z: q_y_limit(z, ev), 0.0, y,
+        # q_y_limit(z, ev) has kinks at z = c and z = b
+        pts = sorted({p for p in (c, b) if 0.0 < p < y}) or None
+        second, _ = integrate.quad(lambda z: q_y_limit(z, ev), 0.0, y, points=pts,
                                    epsabs=1e-11, epsrel=1e-10, limit=400)
         return (first + second) / (2.0 * y - a)
     if route != "direct":
@@ -262,7 +264,10 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
         raise ValueError("q_a_phi_limit requires a finite first moment of phi")
     ap = max(a, 0.0)
     denom = 2.0 * phi.tail_moment(1, ap) - a * phi.tail_moment(0, ap)
-    hi = phi.effective_upper(1e-13) + 1.0
+    if denom <= 0.0:
+        raise ValueError(f"q_a_phi_limit needs a below the end of phi's support: the "
+                         f"normaliser 2 E[Y; Y > a+] - a P(Y > a+) is {denom} at a = {a}")
+    hi = phi.effective_upper(1e-13)
 
     if route == "bridge":
         def f16(y):
@@ -294,11 +299,11 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
     route="martingale" oracle computes the weighted expectation of the
     associated martingale on the event instead.
     """
-    hi = phi.effective_upper(1e-13) + 1.0
+    hi = phi.effective_upper(1e-13)
     if route == "martingale":
         from .martingales import m_phi_xs
 
-        return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi))
+        return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi,))
     if route != "mixture":
         raise ValueError("route must be 'mixture' or 'martingale'")
 
@@ -318,12 +323,15 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
 # generic rectangle-weighted expectations
 # ---------------------------------------------------------------------------
 
-def expect_on_event(ev: RectEvent, g, gl_nodes: int = 96) -> float:
-    """Integral of g(x, s) p_joint(u, x, s) over the rectangle event.
+def expect_on_event(ev: RectEvent, g, gl_nodes: int = 96, w_max: float = math.inf,
+                    points=()) -> float:
+    """Integral of g(x, s) p_joint(u, x, s) over the rectangle event, further
+    restricted to {2s - x <= w_max}.
 
     g must accept numpy arrays for x at a scalar s.  The inner position
     integral uses Gauss-Legendre in the reflected variable w = 2s - x; the
-    outer max integral is adaptive.
+    outer max integral is adaptive, with a breakpoint at b and at each of
+    ``points`` (where g jumps in s, e.g. at the end of a density's support).
     """
     u, b, c = ev.u, ev.b, ev.c
     if b == -math.inf:
@@ -335,18 +343,21 @@ def expect_on_event(ev: RectEvent, g, gl_nodes: int = 96) -> float:
     def inner(s):
         x_hi = min(b, s)
         w0 = 2.0 * s - x_hi
-        w1 = w0 + GAUSS_CUT * root_u
+        w1 = min(w0 + GAUSS_CUT * root_u, w_max)
+        if w1 <= w0:
+            return 0.0
         w = w0 + (w1 - w0) * nodes
         x = 2.0 * s - w
         dens = pref * w * np.exp(-w * w / (2.0 * u))
         vals = np.asarray(g(x, s), dtype=float)
         return float(np.dot(weights, vals * dens)) * (w1 - w0)
 
-    s_hi = min(c, (max(b, 0.0) + GAUSS_CUT * root_u) / 2.0 if math.isfinite(b)
+    # w = 2s - x >= s on the support, so the cap on w caps s as well
+    s_hi = min(c, w_max, (max(b, 0.0) + GAUSS_CUT * root_u) / 2.0 if math.isfinite(b)
                else GAUSS_CUT * root_u)
     if s_hi <= 0.0:
         return 0.0
-    pts = [b] if (math.isfinite(b) and 0.0 < b < s_hi) else None
+    pts = sorted({p for p in (b, *points) if 0.0 < p < s_hi}) or None
     # tabulated densities give the inner integral micro-kinks; 1e-10 absolute
     # keeps the adaptive refinement from chasing roundoff
     val, _ = integrate.quad(inner, 0.0, s_hi, points=pts,

@@ -87,8 +87,44 @@ def log_g_phi(x, s, r: float, phi: DensitySpec):
 # exponential weights e^{lam S_t + mu X_t}
 # ---------------------------------------------------------------------------
 
-def log_g_explinear(x, s, r: float, lam: float, mu: float):
-    """log E[e^{lam S_t + mu X_t} | X_u = x, S_u = s], r = t - u.
+def _log_ndtr_diff(lo, hi):
+    """log(Phi(hi) - Phi(lo)) for lo <= hi, without cancellation in either tail."""
+    upper = lo + hi > 0.0
+    a = np.where(upper, -hi, lo)     # on the upper tail, Q(lo) - Q(hi)
+    b = np.where(upper, -lo, hi)
+    lb = log_norm_cdf(b)
+    with np.errstate(divide="ignore"):
+        return lb + np.log1p(-np.exp(log_norm_cdf(a) - lb))
+
+
+def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float):
+    """Signed log-pieces of e^{(lam+mu) x} (G2(d) - G2(cap - x)) (see
+    log_g_explinear).  The (lam+mu) terms of the difference form one normal
+    interval probability: G2(d) and G2(cap - x) can each exceed it by a factor
+    e^{(lam+mu)^2 r/2}."""
+    sr = math.sqrt(r)
+    th = lam + 2.0 * mu
+    nu = lam + mu
+    d_hi = np.maximum(cap - x, d)
+    pieces = []
+    if th == 0.0 or nu != 0.0:
+        # on the diagonal th = 0 (lam = -2 mu) the coefficient tends to 2
+        coef, sign = (abs(2.0 * nu / th), math.copysign(1.0, nu / th)) if th != 0.0 else (2.0, 1.0)
+        pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0
+                       + _log_ndtr_diff((d - nu * r) / sr, (d_hi - nu * r) / sr), sign))
+    if mu != 0.0:
+        for dd, sign in ((d, 1.0), (d_hi, -1.0)) if math.isfinite(cap) else ((d, 1.0),):
+            if th != 0.0:
+                pieces.append((nu * x + math.log(abs(2.0 * mu / th)) + th * dd + mu * mu * r / 2.0
+                               + log_norm_sf((dd + mu * r) / sr), sign * math.copysign(1.0, mu / th)))
+            else:
+                pieces.append((nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
+                               + log_gauss_tail_e((dd + mu * r) / sr), sign * math.copysign(1.0, -mu)))
+    return pieces
+
+
+def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf):
+    """log E[e^{lam S_t + mu X_t} 1{S_t <= cap} | X_u = x, S_u = s], r = t - u.
 
     Assembled from signed log-pieces of the two closed forms
 
@@ -98,47 +134,27 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float):
               = 2 (lam+mu)/th e^{(lam+mu)^2 r/2} Q((d - (lam+mu) r)/sr)
                 + 2 mu/th e^{th d + mu^2 r/2} Q((d + mu r)/sr),      th = lam + 2 mu,
 
-    as  g = e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} G2(s - x); the
-    th = 0 diagonal is handled by its analytic limit.
+    as  g = e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} (G2(s - x) - G2(cap - x));
+    the th = 0 diagonal is handled by its analytic limit, and g = 0 (log -inf)
+    where s > cap.
     """
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
     d = s - x
     sr = math.sqrt(r)
-    th = lam + 2.0 * mu
-    nu = lam + mu
-
-    logs = []
-    signs = []
 
     base1 = lam * s + mu * x + mu * mu * r / 2.0
-    logs.append(base1 + log_norm_cdf((d - mu * r) / sr))
-    signs.append(np.ones_like(d))
-    logs.append(base1 + 2.0 * mu * d + log_norm_sf((d + mu * r) / sr))
-    signs.append(-np.ones_like(d))
+    pieces = [(base1 + log_norm_cdf((d - mu * r) / sr), 1.0),
+              (base1 + 2.0 * mu * d + log_norm_sf((d + mu * r) / sr), -1.0)]
+    pieces += _g2_log_pieces(x, d, r, lam, mu, cap)
 
-    if th != 0.0:
-        if nu != 0.0:
-            logs.append(nu * x + math.log(abs(2.0 * nu / th)) + nu * nu * r / 2.0
-                        + log_norm_sf((d - nu * r) / sr))
-            signs.append(np.full_like(d, math.copysign(1.0, nu / th)))
-        if mu != 0.0:
-            logs.append(nu * x + math.log(abs(2.0 * mu / th)) + th * d + mu * mu * r / 2.0
-                        + log_norm_sf((d + mu * r) / sr))
-            signs.append(np.full_like(d, math.copysign(1.0, mu / th)))
-    else:
-        # lam = -2 mu, mu != 0
-        logs.append(nu * x + math.log(2.0) + nu * nu * r / 2.0
-                    + log_norm_sf((d - nu * r) / sr))
-        signs.append(np.ones_like(d))
-        logs.append(nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
-                    + log_gauss_tail_e((d + mu * r) / sr))
-        signs.append(np.full_like(d, math.copysign(1.0, -mu)))
-
-    out, sgn = logsumexp_signed(np.stack(logs), np.stack(signs), axis=0)
-    if np.any(sgn <= 0.0):
+    logs = np.stack([np.broadcast_to(lg, d.shape) for lg, _ in pieces])
+    signs = np.stack([np.full(d.shape, sg) for _, sg in pieces])
+    out, sgn = logsumexp_signed(logs, signs, axis=0)
+    above = s > cap
+    # an exact 0 (log -inf) is the value at x = s = cap
+    if np.any(sgn[~above] < 0.0):
         raise FloatingPointError("conditional exponential weight lost positivity")
-    return out
+    return np.where(above, -np.inf, out)
 
 
 # ---------------------------------------------------------------------------

@@ -83,10 +83,13 @@ class TestSubcommands:
 
     def test_bessel_subcommand(self, capsys):
         code, out = run_cli(capsys, "bessel", "--lambda", "-1", "--mu", "-1",
-                            "--t", "16", "--n", "8000", "--seed", "5")
+                            "--t", "128", "--n", "8000", "--seed", "5")
         assert code == 0
-        for line in out.strip().splitlines():
-            assert json.loads(line)["pass"]
+        recs = [json.loads(line) for line in out.strip().splitlines()]
+        # one verdict against the exact finite-t law, one against the limit, per b
+        assert [r["name"] for r in recs] == ["bessel[t=128.0,b=0.8]", "bessel-limit[t=128.0,b=0.8]",
+                                             "bessel[t=128.0,b=1.6]", "bessel-limit[t=128.0,b=1.6]"]
+        assert all(r["pass"] for r in recs)
 
     def test_verify_subset(self, capsys):
         code, out = run_cli(capsys, "verify", "--only", "5,8", "--seed", "1")

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from penalab.exact_laws import DensitySpec, ExponentialBivariate, p_joint, p_max
+from penalab.exact_laws import DensitySpec, ExponentialBivariate, p_bessel3, p_joint, p_max
+from penalab.expansion import explinear_series_value
 from penalab.martingales import m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from penalab.penalized_mc import (
     BivariateF,
@@ -13,6 +14,7 @@ from penalab.penalized_mc import (
     PhiOfMax,
     band_conditional,
     bessel_penalization_check,
+    bessel_weight,
     bridge_convergence_check,
     penalized_estimate,
     regime_limit_check,
@@ -94,6 +96,21 @@ class TestRatioEstimator:
         est2 = penalized_estimate(ExpLinear(-2.0, 1.0), EV, 64.0, 20000, RngStream(10))
         assert est1.value == est2.value
 
+    def test_ess_is_n_for_flat_weights(self):
+        est = penalized_estimate(ExpLinear(0.0, 0.0), EV, 8.0, 3000, RngStream(31),
+                                 mode="terminal")
+        assert est.ess == pytest.approx(3000.0, rel=1e-12)
+
+    def test_ess_is_kish_of_the_weights(self):
+        from penalab.samplers import exact_two_time_state
+
+        # n below one chunk: the estimator draws from generator(0)
+        est = penalized_estimate(ExpLinear(-2.0, 1.0), EV, 16.0, 4000, RngStream(32),
+                                 mode="terminal")
+        _, _, xt, st = exact_two_time_state(1.0, 16.0, 4000, RngStream(32).generator(0))
+        w = np.exp(-2.0 * st + xt)
+        assert est.ess == pytest.approx(w.sum() ** 2 / np.sum(w * w), rel=1e-9)
+
     def test_degenerate_weights_raise(self):
         narrow = DensitySpec.uniform(1e-9)
         with pytest.raises(ValueError):
@@ -155,11 +172,43 @@ class TestBesselPenalization:
     def test_branch1_returns_plain_bessel(self):
         rep = bessel_penalization_check(-1.0, -1.0, 1.0, [16.0], 20000, RngStream(19))
         assert rep["all_pass"], rep["rows"]
+        for row in rep["rows"]:
+            assert row["ess"] > 0.3 * row["n"]
 
     def test_trivial_family_returns_plain_bessel(self):
-        f52 = lambda b, j: np.exp(-b) * (j <= 1.0)
-        rep = bessel_penalization_check(0.0, 0.0, 1.0, [16.0], 20000, RngStream(20), f52=f52)
+        rep = bessel_penalization_check(0.0, 0.0, 1.0, [16.0], 20000, RngStream(20),
+                                        trivial=True)
         assert rep["all_pass"], rep["rows"]
+        for row in rep["rows"]:
+            assert row["ess"] > 0.3 * row["n"]
+
+    def test_limits_are_the_plain_bessel_law(self):
+        rep = bessel_penalization_check(-1.0, -1.0, 1.0, [4.0], 2000, RngStream(22))
+        for row in rep["rows"]:
+            law, _ = integrate.quad(lambda r: p_bessel3(1.0, r), 0.0, row["b"])
+            assert row["limit"] == pytest.approx(law, abs=1e-10)
+            # at t = 4 the finite-t law is far from its limit
+            assert abs(row["target"] - row["limit"]) > 0.01
+
+    def test_pitman_cross_oracle(self):
+        # with R = 2S - X, m_mu_lambda(-3, 1) on {R_u <= b} prices the plain
+        # Bessel(3) law: S | R = r is uniform on (0, r)
+        u = 1.0
+        for b in (0.8, 1.6, 3.0):
+            val = expect_on_event(RectEvent(u), lambda x, s: m_mu_lambda_xs(x, s, u, -3.0, 1.0),
+                                  w_max=b)
+            law, _ = integrate.quad(lambda r: p_bessel3(u, r), 0.0, b, epsabs=1e-13)
+            assert val == pytest.approx(law, abs=1e-10)
+
+    def test_terminal_mode_honours_the_cap(self):
+        # raw terminal weights e^{-R_t} 1{J_t <= 1} against the exact finite-t
+        # value, an independent check of the capped conditional kernel
+        pen = bessel_weight(0.0, 0.0, trivial=True)
+        t, b = 4.0, 0.8
+        est = penalized_estimate(pen, (1.0, lambda x, s: 2.0 * s - x <= b), t, 200000,
+                                 RngStream(23), mode="terminal")
+        exact = explinear_series_value(pen, RectEvent(1.0), t, w_max=b)
+        assert abs(est.value - exact) <= 4.0 * est.stderr
 
     def test_unsupported_branch_configuration(self):
         # every (lam, mu) is covered by a branch, so the guard only trips on
@@ -202,3 +251,52 @@ class TestConditionalWeightKernels:
             l0 = float(log_g_explinear(np.array([0.0]), np.array([0.0]), 20000.0, lam, mu)[0])
             mm = m_mu_lambda_xs(xs, ss, 0.0, lam, mu)
             assert np.max(np.abs(np.exp(lg - l0) - mm) / mm) < 1e-3
+
+    @staticmethod
+    def _brute_capped(x, s, r, lam, mu, cap):
+        # E[e^{lam max(s, x + M) + mu (x + B)} 1{max(s, x + M) <= cap}] over the
+        # joint law of (B, M), the endpoint and maximum of a Brownian motion on [0, r]
+        def inner(m):
+            sv = max(s, x + m)
+            lo = m - 30.0 * math.sqrt(r) - 4.0 * abs(mu) * r
+            v, _ = integrate.quad(lambda b: math.exp(lam * sv + mu * (x + b)) * p_joint(r, b, m),
+                                  lo, m, epsabs=0.0, epsrel=1e-12, limit=200)
+            return v
+
+        d = s - x
+        pts = [d] if 0.0 < d < cap - x else None
+        v, _ = integrate.quad(inner, 0.0, cap - x, points=pts, epsabs=0.0, epsrel=1e-12,
+                              limit=200)
+        return v
+
+    @pytest.mark.parametrize("lam,mu,cap", [(-2.0, 1.0, 1.0), (-3.0, 1.0, 1.5),
+                                            (1.0, -0.5, 2.0), (0.5, 0.25, 1.2)])
+    def test_capped_kernel_vs_brute_force(self, lam, mu, cap):
+        from penalab.weights import log_g_explinear
+
+        for x, s, r in [(-0.5, 0.3, 2.0), (0.9, 1.0, 3.0)]:
+            g = float(np.exp(log_g_explinear(np.array([x]), np.array([s]), r, lam, mu, cap))[0])
+            assert g == pytest.approx(self._brute_capped(x, s, r, lam, mu, cap), rel=1e-9)
+
+    @pytest.mark.parametrize("lam,mu,cap", [(-2.0, 1.0, 1.0), (-3.0, 1.0, 1.5),
+                                            (1.0, -0.5, 2.0), (0.5, 0.25, 1.2)])
+    def test_capped_kernel_positive_below_cap_and_zero_at_or_above_it(self, lam, mu, cap):
+        from penalab.weights import log_g_explinear
+
+        gen = RngStream(40).generator()
+        s = cap * gen.random(200000) ** 0.25     # crowd the states near the cap
+        x = s - gen.exponential(0.5, s.size) * gen.random(s.size)
+        for r in (0.5, 31.0, 2000.0):
+            assert np.all(np.isfinite(log_g_explinear(x, s, r, lam, mu, cap)))
+        zero = log_g_explinear(np.array([0.0, 1.0, cap]), np.array([cap + 0.1, cap + 2.0, cap]),
+                               4.0, lam, mu, cap)
+        assert np.all(zero == -np.inf)
+
+    def test_uncapped_kernel_is_smooth_on_the_diagonal(self):
+        # lam + 2 mu = 0 goes through the integrated normal tail, whose
+        # evaluation used to jump by ~5e-5 relative at argument 8
+        from penalab.weights import log_g_explinear
+
+        x = np.linspace(-0.3, 0.3, 61)
+        lg = log_g_explinear(x, np.full_like(x, 0.5), 63.0, -2.0, 1.0)
+        assert np.max(np.abs(np.diff(lg, 3))) < 1e-5     # 2e-3 with the jump

@@ -179,11 +179,40 @@ class TestQaPhiLimit:
         d = 2 * UNIFORM.tail_moment(1, 0.0) - 0.0 * UNIFORM.tail_moment(0, 0.0)
         assert d == pytest.approx(1.0, abs=1e-14)
 
+    def test_a_past_the_support_end_is_a_domain_error(self):
+        for a in (1.0, 1.5):
+            with pytest.raises(ValueError, match="support"):
+                q_a_phi_limit(a, UNIFORM, FULL)
+
     def test_routes_agree(self):
         for a in (-0.8, 0.0, 0.4):
             s = q_a_phi_limit(a, UNIFORM, EV, route="single")
             b = q_a_phi_limit(a, UNIFORM, EV, route="bridge")
             assert s == pytest.approx(b, abs=1e-6)
+
+
+class TestSupportEndBreakpoints:
+    # phi with compact support jumps to 0 at its end; these missed that jump
+    def test_q_phi_limit_mass_small_uniform_support(self):
+        phi, full = DensitySpec.uniform(0.50263), RectEvent(1.93542)
+        assert q_phi_limit(phi, full) == pytest.approx(1.0, abs=1e-9)
+        assert q_phi_limit(phi, full, route="martingale") == pytest.approx(1.0, abs=1e-9)
+
+    def test_q_ay_limit_mixture_breaks_at_event_bounds(self):
+        ev = RectEvent(1.032, 0.1440, 0.7963)
+        assert q_ay_limit(0.3523, 1.5919, ev, route="mixture") == pytest.approx(
+            q_ay_limit(0.3523, 1.5919, ev), abs=1e-9)
+
+    def test_expect_on_event_extra_points(self):
+        val = expect_on_event(FULL, lambda x, s: np.full_like(x, float(s <= 0.5)),
+                              points=(0.5,))
+        assert val == pytest.approx(rect_prob(RectEvent(1.0, c=0.5)), abs=1e-10)
+
+    def test_expect_on_event_reflected_cap(self):
+        # {2S - X <= w} has the chi(3) law of the reflected path
+        for w in (0.8, 1.6, 3.0):
+            val = expect_on_event(FULL, lambda x, s: np.ones_like(x), w_max=w)
+            assert val == pytest.approx(stats.chi(3).cdf(w), abs=1e-10)
 
 
 class TestQphiLimit:
