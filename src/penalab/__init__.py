@@ -70,9 +70,9 @@ from .penalized_mc import (
     KennedyWeight,
     PenaltyKind,
     PhiOfMax,
-    band_conditional,
     bessel_penalization_check,
     bridge_convergence_check,
+    max_conditional,
     penalized_estimate,
     regime_limit_check,
 )

@@ -35,7 +35,7 @@ from .penalized_mc import (
 )
 from .quadrature import (
     RectEvent,
-    atom_weight,
+    expect_on_event,
     q_a_phi_limit,
     q_ay_finite,
     q_ay_limit,
@@ -44,7 +44,14 @@ from .quadrature import (
     q_y_limit,
 )
 from .report import Verdict, abs_verdict, ks_test
-from .samplers import RngStream, draw_penalty_pairs, exact_bm_state, q_level_terminal_batch
+from .samplers import (
+    RngStream,
+    draw_penalty_pairs,
+    exact_bm_state,
+    level_event_frequency,
+    mixture_levels,
+    q_level_terminal_batch,
+)
 
 EVENT = RectEvent(1.0, b=0.0, c=0.5)
 EVENT2 = RectEvent(1.0, b=0.25, c=1.0)
@@ -60,26 +67,11 @@ def _chi3_cdf(z):
     return stats.chi(3).cdf(z)
 
 
-def _mixture_levels(a: float, y: float, n: int, gen) -> np.ndarray:
-    w = atom_weight(a, y)
-    pick = gen.random(n) < w
-    z = y * (1.0 - gen.random(n))
-    return np.where(pick, y, z)
-
-
-def _event_freq(levels, ev: RectEvent, step: float, gen):
-    out = q_level_terminal_batch(levels, ev.u, step, gen)
-    ind = (out["x"] <= ev.b) & (out["s"] <= ev.c)
-    p = float(np.mean(ind))
-    se = math.sqrt(max(p * (1.0 - p), 1e-12) / levels.size)
-    return p, se, out
-
-
 def criterion_1_density_oracles(seed: int, scale: float = 1.0) -> list[Verdict]:
     """Simulated max, Bessel(3) and reflected-path marginals vs closed forms."""
     n = max(int(100000 * scale), 1000)
     rng = RngStream(seed, 1)
-    x, s = exact_bm_state(1.0, n, rng.generator(0), steps=1000)   # step 1e-3, bridge max on
+    x, s = exact_bm_state(1.0, n, rng.generator(0))
     v1 = ks_test(np.sort(s), lambda z: h_cdf(1.0, np.maximum(z, 0.0)),
                  name="ks-running-max", provenance="max law at t=1")
     coords = rng.generator(1).standard_normal((3, 16, n)) * math.sqrt(1.0 / 16)
@@ -109,7 +101,7 @@ def criterion_2_unit_means(seed: int, scale: float = 1.0) -> list[Verdict]:
     verdicts = []
     k = 0
     for u in (0.5, 1.0, 2.0):
-        x, s = exact_bm_state(u, n, rng.generator(k), steps=32)
+        x, s = exact_bm_state(u, n, rng.generator(k))
         k += 1
         for tag, fn in cases:
             vals = np.asarray(fn(x, s, u), dtype=float)
@@ -122,22 +114,21 @@ def criterion_2_unit_means(seed: int, scale: float = 1.0) -> list[Verdict]:
 def criterion_3_limit_cross_oracle(seed: int, scale: float = 1.0) -> list[Verdict]:
     """Sampler frequencies vs quadrature limit laws; total-mass self-checks."""
     n = max(int(100000 * scale), 2000)
-    step = 1e-3
     rng = RngStream(seed, 3)
     verdicts = []
 
-    p, se, _ = _event_freq(np.full(n, 1.0), EVENT, step, rng.generator(0))
+    p, se = level_event_frequency(np.full(n, 1.0), EVENT, rng.generator(0))
     verdicts.append(abs_verdict("sampler-vs-q_y_limit", p, q_y_limit(1.0, EVENT),
                                 3.0 * se, "mc-oracle"))
 
-    levels = _mixture_levels(0.0, 1.0, n, rng.generator(1))
-    p, se, _ = _event_freq(levels, EVENT, step, rng.generator(2))
+    levels = mixture_levels(0.0, 1.0, n, rng.generator(1))
+    p, se = level_event_frequency(levels, EVENT, rng.generator(2))
     verdicts.append(abs_verdict("sampler-vs-q_ay_limit", p, q_ay_limit(0.0, 1.0, EVENT),
                                 3.0 * se, "mc-oracle"))
 
     levels = PHI_UNIFORM.ppf(rng.generator(3).random(n))
     levels = np.maximum(levels, 1e-9)
-    p, se, _ = _event_freq(levels, EVENT, step, rng.generator(4))
+    p, se = level_event_frequency(levels, EVENT, rng.generator(4))
     verdicts.append(abs_verdict("sampler-vs-q_phi_limit", p, q_phi_limit(PHI_UNIFORM, EVENT),
                                 3.0 * se, "mc-oracle"))
 
@@ -156,8 +147,8 @@ def criterion_4_atom_weight(seed: int, scale: float = 1.0) -> list[Verdict]:
     """Fraction of bridge-law paths whose total supremum sits at the pinned level."""
     n = max(int(100000 * scale), 2000)
     rng = RngStream(seed, 4)
-    levels = _mixture_levels(0.0, 1.0, n, rng.generator(0))
-    out = q_level_terminal_batch(levels, 1.0, 1e-3, rng.generator(1))
+    levels = mixture_levels(0.0, 1.0, n, rng.generator(0))
+    out = q_level_terminal_batch(levels, 1.0, rng.generator(1))
     frac = float(np.mean(np.abs(out["sup_total"] - 1.0) <= 1e-9))
     se = math.sqrt(0.25 / n)
     return [abs_verdict("atom-weight(0,1)", frac, 0.5, 3.0 * se, "mc vs closed form 1/2")]
@@ -178,21 +169,25 @@ def criterion_5_finite_t_convergence(seed: int, scale: float = 1.0) -> list[Verd
 
 
 def criterion_6_regime_table(seed: int, scale: float = 1.0) -> list[Verdict]:
-    """Exponential-weight estimates at t=512 vs the regime quadrature targets."""
-    from .quadrature import expect_on_event
-
+    """Exponential-weight estimates at t=512 vs the exact finite-t law, which
+    lies within 2/t of the regime limit."""
     n = max(int(1000000 * scale), 10000)
     t = 512.0
     rng = RngStream(seed, 6)
     verdicts = []
     for i, (lam, mu) in enumerate([(-2.0, 1.0), (1.0, 1.0), (0.0, -1.0)]):
+        pen = ExpLinear(lam, mu)
         for j, ev in enumerate((EVENT, EVENT2)):
-            target = expect_on_event(ev, lambda x, s: m_mu_lambda_xs(x, s, ev.u, lam, mu))
-            est = penalized_estimate(ExpLinear(lam, mu), ev, t, n, rng.substream(10 * i + j))
-            tol = 3.0 * est.stderr + 2.0 / t
+            target = explinear_series_value(pen, ev, t)
+            limit = expect_on_event(ev, lambda x, s: m_mu_lambda_xs(x, s, ev.u, lam, mu))
+            est = penalized_estimate(pen, ev, t, n, rng.substream(10 * i + j))
             verdicts.append(abs_verdict(
-                f"regime({lam},{mu})-ev{j}", est.value, target, tol,
-                f"mc vs quadrature target, stderr {est.stderr:.2e}"))
+                f"regime({lam},{mu})-ev{j}", est.value, target, 3.0 * est.stderr,
+                f"mc vs exact finite-t, stderr {est.stderr:.2e}, ess {est.ess:.0f} of {est.n}, "
+                f"limit {limit:.6f}"))
+            verdicts.append(abs_verdict(
+                f"finite-t-regime({lam},{mu})-ev{j}-gap", abs(target - limit), 0.0, 2.0 / t,
+                "exact finite-t law vs the regime limit"))
     return verdicts
 
 
@@ -222,7 +217,7 @@ def criterion_7_f_reduction(seed: int, scale: float = 1.0) -> list[Verdict]:
     levels = np.where(gen.random(n) < (y_arr - a_arr) / (2.0 * y_arr - a_arr),
                       y_arr, y_arr * (1.0 - gen.random(n)))
     levels = np.maximum(levels, 1e-9)
-    p, se, _ = _event_freq(levels, EVENT, 1e-3, rng.generator(2))
+    p, se = level_event_frequency(levels, EVENT, rng.generator(2))
     verdicts.append(abs_verdict("sample_Q_f-vs-q_phi_limit", p, q_phi_limit(phi, EVENT),
                                 3.0 * se, "mc-oracle"))
     return verdicts
@@ -260,7 +255,7 @@ def criterion_10_pitman_regression(seed: int, scale: float = 1.0) -> list[Verdic
     """Binned regression of the max on the reflected level: E[S | R=r] = r/2."""
     n = max(int(1000000 * scale), 10000)
     rng = RngStream(seed, 10)
-    x, s = exact_bm_state(1.0, n, rng.generator(0), steps=32)
+    x, s = exact_bm_state(1.0, n, rng.generator(0))
     r = 2.0 * s - x
     verdicts = []
     for r0 in (1.0, 2.0, 3.0):

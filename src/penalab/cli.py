@@ -26,8 +26,7 @@ from .martingales import m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from .penalized_mc import bessel_penalization_check
 from .quadrature import RectEvent, q_ay_finite, q_ay_limit, q_phi_limit, q_y_finite, q_y_limit
 from .report import Verdict, abs_verdict, ks_test
-from .samplers import RngStream, exact_bm_state, sample_Q_y
-from .acceptance import _event_freq, _mixture_levels
+from .samplers import RngStream, exact_bm_state, level_event_frequency, mixture_levels, sample_Q_y
 
 __all__ = ["main", "ks_test", "Verdict"]
 
@@ -133,14 +132,14 @@ def _cmd_limit(args, verdicts):
         target = q_phi_limit(phi, ev)
         tag = f"phi:{args.phi}"
     elif args.a is not None:
-        levels = _mixture_levels(args.a, args.y, args.n, rng.generator(0))
+        levels = mixture_levels(args.a, args.y, args.n, rng.generator(0))
         target = q_ay_limit(args.a, args.y, ev)
         tag = f"a={args.a},y={args.y}"
     else:
         levels = np.full(args.n, args.y)
         target = q_y_limit(args.y, ev)
         tag = f"y={args.y}"
-    p, se, _ = _event_freq(levels, ev, args.step, rng.generator(1))
+    p, se = level_event_frequency(levels, ev, rng.generator(1))
     _emit([abs_verdict(f"limit[{tag}]", p, target, 3.0 * se, "sampler vs quadrature")],
           verdicts)
     if args.dump_paths:
@@ -267,7 +266,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--phi", help="uniform:A or exp:RATE")
     p.add_argument("--event", required=True, help="u=1,b=0,c=0.5 (b,c optional)")
     p.add_argument("--n", type=int, default=20000)
-    p.add_argument("--step", type=float, default=1e-3)
+    p.add_argument("--step", type=float, default=1e-3,
+                   help="grid step of the --dump-paths trajectories; the verdict "
+                        "samples the time-u state exactly, with no grid")
     p.add_argument("--dump-paths", type=int, default=0,
                    help="also write this many sample paths as CSV (t, x, s)")
     common(p)

@@ -42,7 +42,7 @@ __all__ = [
     "PenaltyKind",
     "Estimate",
     "penalized_estimate",
-    "band_conditional",
+    "max_conditional",
     "regime_limit_check",
     "bessel_weight",
     "bessel_penalization_check",
@@ -153,8 +153,7 @@ def _ratio_with_stderr(vals: np.ndarray, logw: np.ndarray):
 
 
 def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
-                       mode: str = "auto", chunk: int = CHUNK,
-                       steps: int = 32) -> Estimate:
+                       mode: str = "auto", chunk: int = CHUNK) -> Estimate:
     """Ratio estimator of the penalized probability (or functional mean).
 
     ``ev`` is a RectEvent, or a pair (u, g) with g a vectorized functional
@@ -185,10 +184,10 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
         m = min(chunk, n - done)
         gen = rng.generator(ci)
         if mode == "conditional":
-            xu, su = exact_bm_state(u, m, gen, steps=steps)
+            xu, su = exact_bm_state(u, m, gen)
             logw = _log_weight_conditional(pen, xu, su, t - u)
         elif mode == "terminal":
-            xu, su, xt, st = exact_two_time_state(u, t, m, gen, steps=steps)
+            xu, su, xt, st = exact_two_time_state(u, t, m, gen)
             logw = _log_weight_terminal(pen, xt, st)
         else:
             raise ValueError("mode must be 'auto', 'conditional' or 'terminal'")
@@ -203,42 +202,20 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
     return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
 
 
-def band_conditional(g: Callable, y: float, eps: float, u: float, n: int,
-                     rng: RngStream, chunk: int = CHUNK, steps: int = 32) -> Estimate:
-    """Band surrogate for conditioning on {S_u = y}: E[g | S_u in (y-eps, y]].
+def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> Estimate:
+    """E[g(X_u, S_u) | S_u = y], a plain mean over exact draws.
 
-    Bias is O(eps); g must be vectorized over (x, s) arrays.
+    Given S_u = y, 2 y - X_u = sqrt(y^2 - 2 u log U) with U uniform; g must
+    be vectorized over (x, s) arrays.
     """
-    if eps <= 0.0 or y - eps <= 0.0:
-        raise ValueError("need eps > 0 and y - eps > 0")
-    gsum = 0.0
-    g2sum = 0.0
-    hits = 0
-    done = 0
-    ci = 0
-    gxs = []
-    while done < n:
-        m = min(chunk, n - done)
-        gen = rng.generator(ci)
-        x, s = exact_bm_state(u, m, gen, steps=steps)
-        mask = (s > y - eps) & (s <= y)
-        if np.any(mask):
-            gv = np.asarray(g(x[mask], s[mask]), dtype=float)
-            gxs.append(gv)
-            hits += int(mask.sum())
-        done += m
-        ci += 1
-    if hits == 0:
-        raise ValueError("insufficient data: no samples fell in the conditioning band")
-    gv = np.concatenate(gxs) if gxs else np.empty(0)
-    p_band = hits / n
-    value = float(np.mean(gv))
-    # delta-method error for the ratio of means over all n draws
-    var_num = (float(np.mean(gv * gv)) * p_band) - (value * p_band) ** 2
-    var_den = p_band * (1.0 - p_band)
-    cov = (value * p_band) - (value * p_band) * p_band
-    var = (var_num - 2.0 * value * cov + value * value * var_den) / (n * p_band * p_band)
-    return Estimate(value, math.sqrt(max(var, 0.0)), n, (rng.seed, rng.stream_id), float(hits))
+    if y <= 0.0 or u <= 0.0:
+        raise ValueError("need y > 0 and u > 0")
+    if n < 2:
+        raise ValueError("need at least two samples")
+    x = 2.0 * y - np.sqrt(y * y - 2.0 * u * np.log(1.0 - rng.generator().random(n)))
+    vals = np.asarray(g(x, np.full(n, y)), dtype=float)
+    return Estimate(float(np.mean(vals)), float(np.std(vals)) / math.sqrt(n), n,
+                    (rng.seed, rng.stream_id), float(n))
 
 
 # ---------------------------------------------------------------------------
@@ -248,27 +225,31 @@ def band_conditional(g: Callable, y: float, eps: float, u: float, n: int,
 def regime_limit_check(lam: float, mu: float, u: float, t_list: Sequence[float],
                        n: int, rng: RngStream, events: Sequence[RectEvent] | None = None,
                        mode: str = "auto") -> dict:
-    """Penalized estimates for the exponential weight vs the regime target.
+    """Penalized estimates for the exponential weight vs the exact finite-t law.
 
-    The target for each event is the weighted expectation of the regime
-    martingale on the event, computed by quadrature; a row passes when the
-    estimate is within 3 stderr + 2/t of it.
+    A row passes when the estimate is within 3 stderr of the exact finite-t
+    value; each row also carries the t -> inf limit, the weighted
+    expectation of the regime martingale on the event.
     """
+    from .expansion import explinear_series_value   # expansion imports this module
+
     if events is None:
         events = [RectEvent(u, 0.0, 0.5), RectEvent(u, 0.25, 1.0)]
     region = classify_region(lam, mu).value
+    pen = ExpLinear(lam, mu)
     rows = []
     for ev in events:
-        target = expect_on_event(ev, lambda x, s: m_mu_lambda_xs(x, s, u, lam, mu))
+        limit = expect_on_event(ev, lambda x, s: m_mu_lambda_xs(x, s, u, lam, mu))
         for k, t in enumerate(t_list):
-            est = penalized_estimate(ExpLinear(lam, mu), ev, t, n,
-                                     rng.substream(1000 + k), mode=mode)
-            tol = 3.0 * est.stderr + 2.0 / t
+            est = penalized_estimate(pen, ev, t, n, rng.substream(1000 + k), mode=mode)
+            target = explinear_series_value(pen, ev, t)
+            tol = 3.0 * est.stderr
             rows.append({
                 "penalty": f"explinear({lam},{mu})", "region": region,
                 "event": (ev.u, ev.b, ev.c), "t": t,
-                "value": est.value, "stderr": est.stderr, "n": est.n,
-                "target": target, "target_source": "quadrature", "tol": tol,
+                "value": est.value, "stderr": est.stderr, "n": est.n, "ess": est.ess,
+                "target": target, "target_source": "finite-t quadrature", "tol": tol,
+                "limit": limit,
                 "pass": bool(abs(est.value - target) <= tol),
             })
     return {"region": region, "rows": rows, "all_pass": all(r["pass"] for r in rows)}

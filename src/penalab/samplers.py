@@ -1,10 +1,20 @@
 """Seeded path simulation and exact samplers for the limit laws.
 
-The Brownian stepping is plain Gaussian increments.  Wherever the law of the
-running maximum matters, the per-step maximum is drawn exactly from the
-Brownian-bridge crossing law (one extra uniform per step), which removes the
-O(sqrt(step)) late-detection bias of grid crossings and makes terminal
-(position, maximum) pairs exact at any step size.
+Two kinds of sampler live here.  The path samplers (``bm_path``,
+``bessel3_path``, ``sample_Q_*``) store a trajectory on a uniform grid, for
+CSV dumps and path-level tests; where the running maximum matters, each
+step's maximum is drawn from the Brownian-bridge crossing law, so first
+passages are not detected late.  The state samplers (``exact_bm_state``,
+``exact_two_time_state``, ``q_level_terminal_batch``) draw the time-u state
+in one shot from its closed-form law and have no time grid at all:
+
+* (X_t, S_t) of Brownian motion with drift nu: X_t = sqrt(t) Z + nu t, and
+  S_t is the maximum of the bridge from 0 to X_t over time t,
+  P(S_t >= m | X_t = x) = exp(-2 m (m - x) / t), whatever the drift;
+* the limit law pinned at terminal maximum y (Brownian motion up to the
+  first passage T_y = y^2 / Z^2, then y minus a Bessel(3) process): on
+  {T_y <= u}, X_u = y - sqrt(u - T_y) chi_3; on {T_y > u}, S_u is half-normal
+  truncated to [0, y) and, given S_u = s, 2 s - X_u = sqrt(s^2 - 2 u log U).
 
 Streams are counter-based (Philox keyed by seed and stream id): identical
 (seed, stream_id) reproduce identical paths bit for bit, distinct stream ids
@@ -17,8 +27,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import special
 
 from .exact_laws import DensitySpec, BivariatePenalty, ExponentialBivariate, SeparableIndicator, TabulatedGrid, fbar
+from .quadrature import RectEvent, atom_weight
 
 __all__ = [
     "RareEventError",
@@ -34,6 +46,8 @@ __all__ = [
     "exact_bm_state",
     "exact_two_time_state",
     "q_level_terminal_batch",
+    "mixture_levels",
+    "level_event_frequency",
 ]
 
 
@@ -165,31 +179,26 @@ def bessel3_path(horizon: float, step: float, rng: RngStream | None = None,
 
 
 # ---------------------------------------------------------------------------
-# exact terminal-state sampling (any step count gives the exact law)
+# exact state sampling, one draw per path and no time grid
 # ---------------------------------------------------------------------------
 
-def exact_bm_state(t: float, n: int, gen: np.random.Generator,
-                   drift: float = 0.0, steps: int = 32):
-    """n exact draws of (X_t, S_t) via per-step bridge maxima."""
-    dt = t / steps
-    x = np.zeros(n)
-    s = np.zeros(n)
-    root = math.sqrt(dt)
-    for _ in range(steps):
-        x1 = x + gen.standard_normal(n) * root + drift * dt
-        m = _bridge_maxima(x, x1, dt, gen.random(n))
-        np.maximum(s, m, out=s)
-        x = x1
+def exact_bm_state(t: float, n: int, gen: np.random.Generator, drift: float = 0.0):
+    """n exact draws of (X_t, S_t) for Brownian motion with the stated drift.
+
+    One bridge step: the drift moves X_t but not the law of the bridge
+    maximum given X_t.
+    """
+    x = gen.standard_normal(n) * math.sqrt(t) + drift * t
+    s = _bridge_maxima(0.0, x, t, gen.random(n))
     return x, s
 
 
-def exact_two_time_state(u: float, t: float, n: int, gen: np.random.Generator,
-                         steps: int = 32):
+def exact_two_time_state(u: float, t: float, n: int, gen: np.random.Generator):
     """n exact draws of (X_u, S_u, X_t, S_t) for 0 < u < t."""
     if not 0.0 < u < t:
         raise ValueError("need 0 < u < t")
-    xu, su = exact_bm_state(u, n, gen, steps=steps)
-    x2, s2 = exact_bm_state(t - u, n, gen, steps=steps)
+    xu, su = exact_bm_state(u, n, gen)
+    x2, s2 = exact_bm_state(t - u, n, gen)
     xt = xu + x2
     st = np.maximum(su, xu + s2)
     return xu, su, xt, st
@@ -421,54 +430,62 @@ def pitman_transform(p: Path) -> Path:
 # batched limit-law terminal states (the engine behind the oracle tests)
 # ---------------------------------------------------------------------------
 
-def q_level_terminal_batch(levels, horizon: float, step: float,
-                           gen: np.random.Generator):
-    """Vectorized evolution of n level-pinned paths on [0, horizon].
+def q_level_terminal_batch(levels, horizon: float, gen: np.random.Generator):
+    """Exact time-u states of n level-pinned paths, u = ``horizon``.
 
-    Returns a dict with the states at the end of the window (positions,
-    bridge-exact running maxima), hit bookkeeping and the exact total
-    supremum.  The per-step draw schedule is fixed (3 normals + 1 uniform
-    per path per step) so results do not depend on the hit pattern.
+    Path i is Brownian motion up to its first passage T = y_i^2 / Z^2 of
+    y_i = levels[i], then y_i minus a Bessel(3) process.  The state is drawn
+    from its closed-form law: on {T <= u}, S_u = y_i and X_u = y_i -
+    sqrt(u - T) chi_3; on {T > u}, S_u is half-normal truncated to [0, y_i)
+    and X_u = 2 S_u - sqrt(S_u^2 - 2 u log U).  Every array is drawn for all
+    n paths, so the draws do not depend on which paths hit.
+
+    Returns a dict with the positions ``x``, the running maxima ``s``, the
+    ``hit`` flags, the exact first-passage times ``hit_time`` (beyond u, the
+    residual passage from X_u, drawn afresh) and the total supremum
+    ``sup_total``, which is the level.
     """
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0.0):
         raise ValueError("levels must be positive")
+    if horizon <= 0.0:
+        raise ValueError("horizon must be positive")
     n = levels.size
-    n_steps = _check_grid(horizon, step)
-    root = math.sqrt(step)
-
-    x = np.zeros(n)
-    s = np.zeros(n)
-    hit = np.zeros(n, dtype=bool)
-    hit_step = np.full(n, -1, dtype=np.int64)
-    b = np.zeros((3, n))
-
-    for k in range(n_steps):
-        z = gen.standard_normal((3, n))
-        ustep = gen.random(n)
-        post = hit.copy()                 # hit on an earlier step
-        x1 = x + z[0] * root
-        m = _bridge_maxima(x, x1, step, ustep)
-        newly = ~hit & (m >= levels)
-        cont = ~hit & ~newly
-        b = np.where(post[None, :], b + z * root, b)
-        xb = levels - np.sqrt(np.sum(b * b, axis=0))
-        x = np.where(cont, x1, np.where(newly, levels, np.where(post, xb, x)))
-        s = np.where(cont, np.maximum(s, m), np.where(newly, levels, s))
-        hit_step = np.where(newly, k + 1, hit_step)
-        b = np.where(newly[None, :], 0.0, b)
-        hit |= newly
-
+    u = horizon
+    z = gen.standard_normal(n)
+    z[z == 0.0] = 1.0
+    passage = levels ** 2 / (z * z)
+    hit = passage <= u
+    chi3 = np.sqrt(gen.chisquare(3, n))
+    root_2u = math.sqrt(2.0 * u)
+    s_free = root_2u * special.erfinv(gen.random(n) * special.erf(levels / root_2u))
+    s_free = np.minimum(s_free, np.nextafter(levels, 0.0))
+    # 1 - U lies in (0, 1], so its log is finite
+    x_free = 2.0 * s_free - np.sqrt(s_free * s_free - 2.0 * u * np.log(1.0 - gen.random(n)))
     z_tail = gen.standard_normal(n)
     z_tail[z_tail == 0.0] = 1.0
-    t_rem = (levels - x) ** 2 / (z_tail * z_tail)
-    hit_time = np.where(hit, hit_step * step, n_steps * step + t_rem)
+
+    x = np.where(hit, levels - np.sqrt(np.maximum(u - passage, 0.0)) * chi3, x_free)
     return {
         "x": x,
-        "s": s,
+        "s": np.where(hit, levels, s_free),
         "hit": hit,
-        "hit_step": hit_step,
-        "hit_time": hit_time,
+        "hit_time": np.where(hit, passage, u + (levels - x) ** 2 / (z_tail * z_tail)),
         "sup_total": levels.copy(),
-        "window_max": s.copy(),
     }
+
+
+def mixture_levels(a: float, y: float, n: int, gen: np.random.Generator) -> np.ndarray:
+    """n terminal maxima of the limiting bridge law Q^(a,y): the level y with
+    the atom weight, else uniform on (0, y]."""
+    pick = gen.random(n) < atom_weight(a, y)
+    z = y * (1.0 - gen.random(n))
+    return np.where(pick, y, z)
+
+
+def level_event_frequency(levels, ev: RectEvent, gen: np.random.Generator):
+    """(p, stderr): the frequency of ``ev`` among level-pinned paths and its
+    binomial standard error."""
+    out = q_level_terminal_batch(levels, ev.u, gen)
+    p = float(np.mean(ev.indicator(out["x"], out["s"])))
+    return p, math.sqrt(max(p * (1.0 - p), 1e-12) / out["x"].size)

@@ -5,17 +5,17 @@ import pytest
 from scipy import integrate
 
 from penalab.exact_laws import DensitySpec, ExponentialBivariate, p_bessel3, p_joint, p_max
-from penalab.expansion import explinear_series_value
+from penalab.expansion import explinear_series_value, phi_series_value
 from penalab.martingales import m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from penalab.penalized_mc import (
     BivariateF,
     ExpLinear,
     KennedyWeight,
     PhiOfMax,
-    band_conditional,
     bessel_penalization_check,
     bessel_weight,
     bridge_convergence_check,
+    max_conditional,
     penalized_estimate,
     regime_limit_check,
 )
@@ -41,10 +41,10 @@ class TestRatioEstimator:
         assert est.stderr == 0.0
 
     def test_phi_estimate_matches_weighted_expectation(self):
-        target = expect_on_event(EV, lambda x, s: m_phi_xs(x, s, UNIFORM))
         t = 100.0
+        target = phi_series_value(UNIFORM, EV, t)
         est = penalized_estimate(PhiOfMax(UNIFORM), EV, t, 60000, RngStream(2))
-        assert abs(est.value - target) <= 3 * est.stderr + 2.0 / t
+        assert abs(est.value - target) <= 3 * est.stderr
 
     def test_terminal_and_conditional_agree(self):
         t = 16.0
@@ -128,28 +128,21 @@ class TestUnitMeanInvariant:
             assert abs(float(np.mean(vals)) - 1.0) <= 4 * se
 
 
-class TestBandConditional:
+class TestMaxConditional:
     def test_unit_functional(self):
-        est = band_conditional(lambda x, s: np.ones_like(x), 1.0, 0.05, 1.0, 20000, RngStream(13))
-        assert est.value == 1.0
+        est = max_conditional(lambda x, s: np.ones_like(x), 1.0, 1.0, 20000, RngStream(13))
+        assert est.value == 1.0 and est.stderr == 0.0
 
     def test_against_density_ratio_oracle(self):
         num, _ = integrate.quad(lambda a: (1.0 - a) * p_joint(1.0, a, 1.0), -12, 1.0, limit=200)
         oracle = num / p_max(1.0, 1.0)
-        est = band_conditional(lambda x, s: 1.0 - x, 1.0, 0.02, 1.0, 400000, RngStream(14))
-        assert abs(est.value - oracle) <= 4 * est.stderr + 0.05 * 0.02 * 20
+        est = max_conditional(lambda x, s: 1.0 - x, 1.0, 1.0, 400000, RngStream(14))
+        assert abs(est.value - oracle) <= 4 * est.stderr
 
-    def test_linear_bias_halves_with_eps(self):
-        num, _ = integrate.quad(lambda a: (1.0 - a) * p_joint(1.0, a, 1.0), -12, 1.0, limit=200)
-        oracle = num / p_max(1.0, 1.0)
-        b1 = band_conditional(lambda x, s: 1.0 - x, 1.0, 0.4, 1.0, 400000, RngStream(15))
-        b2 = band_conditional(lambda x, s: 1.0 - x, 1.0, 0.2, 1.0, 400000, RngStream(16))
-        g1, g2 = abs(b1.value - oracle), abs(b2.value - oracle)
-        assert g1 / g2 == pytest.approx(2.0, rel=0.45)
-
-    def test_empty_band(self):
-        with pytest.raises(ValueError):
-            band_conditional(lambda x, s: x, 30.0, 0.001, 1.0, 2000, RngStream(17))
+    def test_nonpositive_level_is_a_domain_error(self):
+        for y in (0.0, -1.0):
+            with pytest.raises(ValueError):
+                max_conditional(lambda x, s: x, y, 1.0, 2000, RngStream(17))
 
 
 class TestRegimeCheck:
@@ -157,6 +150,9 @@ class TestRegimeCheck:
         for lam, mu in [(-2.0, 1.0), (1.0, 1.0), (0.0, -1.0)]:
             rep = regime_limit_check(lam, mu, 1.0, [256.0], 100000, RngStream(18))
             assert rep["all_pass"], rep["rows"]
+            for row in rep["rows"]:
+                # the exact finite-t law sits within O(1/t) of the limit
+                assert abs(row["target"] - row["limit"]) <= 2.0 / row["t"]
 
     def test_r1_reduces_to_density_weight(self):
         # R1 target equals the reduced-density martingale expectation

@@ -45,8 +45,8 @@ class TestReproducibility:
         assert not np.array_equal(p1.values, p2.values)
 
     def test_batch_reproducible(self):
-        o1 = q_level_terminal_batch(np.full(100, 1.0), 0.5, 1e-2, RngStream(5).generator())
-        o2 = q_level_terminal_batch(np.full(100, 1.0), 0.5, 1e-2, RngStream(5).generator())
+        o1 = q_level_terminal_batch(np.full(100, 1.0), 0.5, RngStream(5).generator())
+        o2 = q_level_terminal_batch(np.full(100, 1.0), 0.5, RngStream(5).generator())
         assert np.array_equal(o1["x"], o2["x"]) and np.array_equal(o1["hit_time"], o2["hit_time"])
 
 
@@ -79,8 +79,23 @@ class TestBmPath:
 
     def test_bridge_max_matches_analytic_law(self):
         n = 40000
-        x, s = exact_bm_state(1.0, n, RngStream(3).generator(), steps=64)
+        x, s = exact_bm_state(1.0, n, RngStream(3).generator())
         v = ks_test(np.sort(s), lambda z: h_cdf(1.0, np.maximum(z, 0.0)), level=KS_LEVEL)
+        assert v.passed, v.provenance
+
+    @pytest.mark.parametrize("nu", [0.7, -0.5])
+    def test_drifted_max_matches_analytic_law(self, nu):
+        # P(S_t <= m) = Phi((m - nu t)/sqrt(t)) - e^{2 nu m} Phi((-m - nu t)/sqrt(t))
+        t, n = 2.0, 40000
+        _, s = exact_bm_state(t, n, RngStream(27).generator(), drift=nu)
+        rt = math.sqrt(t)
+
+        def cdf(m):
+            m = np.maximum(m, 0.0)
+            return special.ndtr((m - nu * t) / rt) - np.exp(2.0 * nu * m) * special.ndtr(
+                (-m - nu * t) / rt)
+
+        v = ks_test(np.sort(s), cdf, level=KS_LEVEL)
         assert v.passed, v.provenance
 
     def test_grid_max_bias_shrinks_with_step(self):
@@ -130,8 +145,7 @@ class TestSampleQy:
 
     def test_hit_time_law_conditioned_on_window(self):
         W = 4.0
-        out = q_level_terminal_batch(np.full(20000, 1.0), W, 1e-3,
-                                     RngStream(11).generator())
+        out = q_level_terminal_batch(np.full(20000, 1.0), W, RngStream(11).generator())
         ht = np.sort(out["hit_time"][out["hit"]])
         fw = 2 * special.ndtr(-1.0 / math.sqrt(W))
         cdf = lambda t: 2 * special.ndtr(-1.0 / np.sqrt(np.maximum(t, 1e-12))) / fw
@@ -139,16 +153,33 @@ class TestSampleQy:
 
     def test_event_frequency_matches_quadrature(self):
         n = 30000
-        out = q_level_terminal_batch(np.full(n, 1.0), 1.0, 1e-3, RngStream(12).generator())
+        out = q_level_terminal_batch(np.full(n, 1.0), 1.0, RngStream(12).generator())
         p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
         target = q_y_limit(1.0, EV)
         se = math.sqrt(target * (1 - target) / n)
         assert abs(p - target) <= 3 * se
 
+    def test_hit_branch_is_level_minus_bessel3(self):
+        # after the passage at T <= u, (y - X_u) / sqrt(u - T) is chi_3
+        u = 2.0
+        out = q_level_terminal_batch(np.full(40000, 1.0), u, RngStream(29).generator())
+        h = out["hit"]
+        scaled = (1.0 - out["x"][h]) / np.sqrt(u - out["hit_time"][h])
+        assert ks_test(np.sort(scaled), chi3_cdf, level=KS_LEVEL).passed
+
+    def test_batch_state_invariants(self):
+        levels = RngStream(30).generator().exponential(1.0, 20000) + 1e-3
+        out = q_level_terminal_batch(levels, 1.5, RngStream(31).generator())
+        x, s, hit = out["x"], out["s"], out["hit"]
+        assert np.all(x <= s) and np.all(s >= 0.0) and np.all(s <= levels)
+        assert np.all(s[hit] == levels[hit]) and np.all(s[~hit] < levels[~hit])
+        assert np.all(out["hit_time"][hit] <= 1.5) and np.all(out["hit_time"][~hit] > 1.5)
+        assert np.array_equal(out["sup_total"], levels)
+
     def test_exact_tail_passage_law(self):
         # beyond-window hit times follow the residual first-passage law
         gen = RngStream(13).generator()
-        out = q_level_terminal_batch(np.full(30000, 2.5), 1.0, 1e-2, gen)
+        out = q_level_terminal_batch(np.full(30000, 2.5), 1.0, gen)
         m = ~out["hit"]
         t_rem = out["hit_time"][m] - 1.0
         d = 2.5 - out["x"][m]
@@ -186,7 +217,7 @@ class TestSampleQay:
         w = 0.5
         pick = gen.random(n) < w
         levels = np.where(pick, 1.0, 1.0 - gen.random(n))
-        out = q_level_terminal_batch(levels, 1.0, 1e-3, gen)
+        out = q_level_terminal_batch(levels, 1.0, gen)
         p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
         target = q_ay_limit(0.0, 1.0, EV)
         se = math.sqrt(target * (1 - target) / n)
@@ -213,7 +244,7 @@ class TestSampleQphi:
         n = 30000
         gen = RngStream(19).generator()
         levels = np.maximum(self.PHI.ppf(gen.random(n)), 1e-9)
-        out = q_level_terminal_batch(levels, 1.0, 1e-3, gen)
+        out = q_level_terminal_batch(levels, 1.0, gen)
         p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
         target = q_phi_limit(self.PHI, EV)
         se = math.sqrt(target * (1 - target) / n)
@@ -251,12 +282,12 @@ class TestPitman:
 
     def test_marginal_is_bessel3(self):
         n = 30000
-        x, s = exact_bm_state(1.0, n, RngStream(23).generator(), steps=64)
+        x, s = exact_bm_state(1.0, n, RngStream(23).generator())
         assert ks_test(np.sort(2 * s - x), chi3_cdf, level=KS_LEVEL).passed
 
     def test_conditional_mean_of_max_given_reflected_level(self):
         n = 400000
-        x, s = exact_bm_state(1.0, n, RngStream(24).generator(), steps=32)
+        x, s = exact_bm_state(1.0, n, RngStream(24).generator())
         r = 2 * s - x
         mask = np.abs(r - 2.0) < 0.05
         assert float(np.mean(s[mask])) == pytest.approx(1.0, rel=0.03)
@@ -276,7 +307,7 @@ class TestDriftedGapLaw:
         # diffusion; by t = 8 it is indistinguishable from its stationary
         # exponential law with rate 2 nu
         nu = 1.0
-        x, s = exact_bm_state(8.0, 30000, RngStream(26).generator(), drift=nu, steps=256)
+        x, s = exact_bm_state(8.0, 30000, RngStream(26).generator(), drift=nu)
         gap = np.sort(s - x)
         assert ks_test(gap, lambda d: 1.0 - np.exp(-2.0 * nu * np.maximum(d, 0.0)),
                        level=KS_LEVEL).passed
