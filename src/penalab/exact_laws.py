@@ -613,16 +613,22 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
         col = np.sum(m0, axis=0)
         tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
         grid = yr
-        raw = np.empty_like(grid)
-        for j, yv in enumerate(grid):
-            row = np.where(yv >= np.maximum(a, 0.0), table[:, j], 0.0)
-            r_slope = np.diff(row) / np.diff(a)
-            r_alpha = row[:-1] - a[:-1] * r_slope
-            hi = np.minimum(a[1:], yv)
-            lo = np.minimum(a[:-1], yv)
-            wedge = yv * _poly_segment_integral(0, r_alpha, r_slope, lo, hi) \
-                - _poly_segment_integral(1, r_alpha, r_slope, lo, hi)
-            raw[j] = (tail[j] + float(np.sum(wedge))) / total
+        # wedge integral of (y - a) f(a, y) over a < y at every knot y, as
+        # (a-segment, knot) arrays of the piecewise-linear rows; blocks of
+        # 256 knots keep those arrays smaller than the cell tables above
+        a_col = a[:, None]
+        wedge = np.empty_like(grid)
+        for k in range(0, grid.size, 256):
+            cols = slice(k, k + 256)
+            yv = grid[None, cols]
+            rows = np.where(yv >= np.maximum(a_col, 0.0), table[:, cols], 0.0)
+            r_slope = np.diff(rows, axis=0) / np.diff(a_col, axis=0)
+            r_alpha = rows[:-1] - a_col[:-1] * r_slope
+            hi = np.minimum(a_col[1:], yv)
+            lo = np.minimum(a_col[:-1], yv)
+            wedge[cols] = np.sum(yv * _poly_segment_integral(0, r_alpha, r_slope, lo, hi)
+                                 - _poly_segment_integral(1, r_alpha, r_slope, lo, hi), axis=0)
+        raw = (tail + wedge) / total
         if grid[0] > 1e-8:
             # below the table's y-floor the upper tail is flat and the wedge
             # vanishes: the reduced density is constant there, with a genuine

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._stable import GAUSS_CUT, gauss_legendre, norm_sf
+from ._stable import GAUSS_CUT, gauss_legendre, norm_cdf, norm_sf
 from .exact_laws import DensitySpec, h_cdf, p_joint, p_max
 
 __all__ = [
@@ -69,30 +69,17 @@ def _check_bridge_point(a: float, y: float) -> None:
 # ---------------------------------------------------------------------------
 
 def rect_prob(ev: RectEvent) -> float:
-    """P0(X_u <= b, S_u <= c), by integrating the joint density.
+    """P0(X_u <= b, S_u <= c), by the reflection principle.
 
-    The inner position integral is closed-form; the outer max integral is
-    adaptive with Gaussian-tail truncation.
+    With b' = min(b, c), P(X_u <= b', S_u > c) = P(X_u >= 2c - b'), so the
+    probability is Phi(b'/sqrt(u)) - Phi((b' - 2c)/sqrt(u)).  The second
+    argument is negative, so nothing cancels; b = -inf makes both terms 0.
     """
-    u, b, c = ev.u, ev.b, ev.c
-    if b == -math.inf:
-        return 0.0
-    root_u = math.sqrt(u)
-    if math.isfinite(b):
-        s_trunc = max(GAUSS_CUT * root_u, (b + GAUSS_CUT * root_u) / 2.0)
-    else:
-        s_trunc = GAUSS_CUT * root_u
-    hi = min(c, s_trunc)
-    if hi <= 0.0:
-        return 0.0
-
-    def integrand(s):
-        w = 2.0 * s - min(b, s)
-        return math.exp(-w * w / (2.0 * u))
-
-    pts = [b] if (math.isfinite(b) and 0.0 < b < hi) else None
-    val, _ = integrate.quad(integrand, 0.0, hi, points=pts, **_QUAD_OPTS)
-    return math.sqrt(2.0 / (math.pi * u)) * val
+    root_u = math.sqrt(ev.u)
+    if ev.c == math.inf:
+        return float(norm_cdf(ev.b / root_u))
+    bb = min(ev.b, ev.c)
+    return float(norm_cdf(bb / root_u) - norm_cdf((bb - 2.0 * ev.c) / root_u))
 
 
 def _cond_mean_block(u: float, y: float, b: float) -> float:

@@ -13,6 +13,8 @@ from penalab.exact_laws import (
     Regime,
     SeparableIndicator,
     TabulatedGrid,
+    _poly_segment_integral,
+    _tabgrid_cell_moments,
     classify_region,
     drift_max_tail,
     fbar,
@@ -210,6 +212,31 @@ class TestBivariatePenalties:
         tab = TabulatedGrid(a, y, np.exp(aa - yy))
         phi = phi_from_f(tab)
         assert phi.mass() == pytest.approx(1.0, abs=1e-12)
+
+    def test_phi_from_f_tabulated_matches_per_knot_loop(self):
+        # the table reaches past the diagonal but vanishes within 0.5 of it,
+        # so the support mask and the a < y cut both act
+        a = np.linspace(-2.0, 1.0, 31)
+        y = np.linspace(0.0, 3.0, 31)
+        aa, yy = np.meshgrid(a, y, indexing="ij")
+        tab = TabulatedGrid(a, y, np.where(yy - aa >= 0.5, np.exp(aa - yy), 0.0))
+        m0, _, _, yr, table = _tabgrid_cell_moments(tab, y_refine=32)
+        col = np.sum(m0, axis=0)
+        tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
+        ref = np.empty_like(yr)
+        for j, yv in enumerate(yr):
+            row = np.where(yv >= np.maximum(a, 0.0), table[:, j], 0.0)
+            slope = np.diff(row) / np.diff(a)
+            alpha = row[:-1] - a[:-1] * slope
+            hi = np.minimum(a[1:], yv)
+            lo = np.minimum(a[:-1], yv)
+            wedge = yv * _poly_segment_integral(0, alpha, slope, lo, hi) \
+                - _poly_segment_integral(1, alpha, slope, lo, hi)
+            ref[j] = tail[j] + float(np.sum(wedge))
+        phi = phi_from_f(tab)
+        assert np.array_equal(phi.grid, yr)
+        # only the summation order differs from the loop
+        assert np.max(np.abs(phi.values - ref / np.trapezoid(ref, yr))) < 1e-14
 
 
 class TestKennedyTransforms:

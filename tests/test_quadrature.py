@@ -55,6 +55,17 @@ class TestRectProb:
         assert rect_prob(RectEvent(u, b, c)) == pytest.approx(
             reflection_rect_prob(u, b, c), abs=1e-9)
 
+    @given(u=st.floats(0.05, 20.0),
+           b=st.one_of(st.floats(-6.0, 8.0), st.sampled_from([-math.inf, math.inf])),
+           c=st.one_of(st.floats(1e-3, 8.0), st.just(math.inf)))
+    @settings(max_examples=60, deadline=None)
+    def test_matches_integrated_joint_density(self, u, b, c):
+        # the closed form against quadrature of the joint density: an
+        # independent oracle pair
+        ev = RectEvent(u, b, c)
+        assert rect_prob(ev) == pytest.approx(
+            expect_on_event(ev, lambda x, s: np.ones_like(x)), abs=1e-9)
+
     def test_monotone_in_bounds(self):
         bs = [-1.0, -0.2, 0.5, 1.5, math.inf]
         vals = [rect_prob(RectEvent(1.0, b, 0.8)) for b in bs]

@@ -4,7 +4,14 @@ import numpy as np
 import pytest
 from scipy import special, stats
 
-from penalab.exact_laws import DensitySpec, ExponentialBivariate, h_cdf
+from penalab.exact_laws import (
+    DensitySpec,
+    ExponentialBivariate,
+    SeparableIndicator,
+    TabulatedGrid,
+    h_cdf,
+    phi_from_f,
+)
 from penalab.quadrature import RectEvent, q_ay_limit, q_phi_limit, q_y_limit
 from penalab.report import ks_test
 from penalab.samplers import (
@@ -13,6 +20,7 @@ from penalab.samplers import (
     RngStream,
     bessel3_path,
     bm_path,
+    draw_penalty_pair,
     draw_penalty_pairs,
     exact_bm_state,
     exact_two_time_state,
@@ -270,6 +278,87 @@ class TestSampleQf:
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValueError):
             sample_Q_f(ExponentialBivariate(0.0, -1.0), 1.0, 1e-2, rng=RngStream(0))
+
+
+def separable_penalty():
+    g = np.linspace(-12.0, 1.0, 3000)
+    return SeparableIndicator(g, np.exp(g), 1.0)
+
+
+def tabulated_penalty():
+    # support kept off the diagonal, as in the reduction tests
+    a = np.linspace(-3.0, -0.5, 41)
+    y = np.linspace(0.5, 3.0, 41)
+    aa, yy = np.meshgrid(a, y, indexing="ij")
+    return TabulatedGrid(a, y, np.exp(aa - yy))
+
+
+TABLE_PENALTIES = [pytest.param(separable_penalty(), id="separable"),
+                   pytest.param(tabulated_penalty(), id="tabulated")]
+
+
+def reference_penalty_pair(f, gen):
+    """One (a, y) draw per call, rebuilding the table each time: the scalar
+    form of the table-family draws, kept as the reference for the batched
+    sampler."""
+    if isinstance(f, SeparableIndicator):
+        A = f.cutoff
+        g = f.f1_grid
+        fine = np.linspace(g[0], g[-1], 8193)
+        dens = (A - fine) * f.f1(fine)
+        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))))
+        cdf /= cdf[-1]
+        av = float(np.interp(gen.random(), cdf, fine))
+        q = gen.random()
+        yv = 0.5 * (av + math.sqrt(av * av + 4.0 * q * A * (A - av)))
+        return av, min(yv, A)
+    a, yg = f.a_grid, f.y_grid
+    aa, yy = np.meshgrid(0.5 * (a[:-1] + a[1:]), 0.5 * (yg[:-1] + yg[1:]), indexing="ij")
+    da = np.diff(a)[:, None]
+    dy = np.diff(yg)[None, :]
+    supported = yy >= np.maximum(aa, 0.0)
+    mass = np.where(supported, (2.0 * yy - aa) * f._bilinear(aa, yy) * da * dy, 0.0)
+    flat = mass.ravel()
+    idx = int(np.searchsorted(np.cumsum(flat) / flat.sum(), gen.random()))
+    ia, iy = np.unravel_index(min(idx, flat.size - 1), mass.shape)
+    av = a[ia] + gen.random() * (a[ia + 1] - a[ia])
+    yv = yg[iy] + gen.random() * (yg[iy + 1] - yg[iy])
+    return av, max(yv, max(av, 0.0) + 1e-12)
+
+
+class TestTablePenaltyDraws:
+    @pytest.mark.parametrize("f", TABLE_PENALTIES)
+    @pytest.mark.parametrize("n", [1, 7, 1000])
+    def test_batch_matches_per_draw_reference_bit_for_bit(self, f, n):
+        stream = RngStream(12345, 800).substream(0)
+        gen_ref, gen = stream.generator(), stream.generator()
+        ref = [reference_penalty_pair(f, gen_ref) for _ in range(n)]
+        a, y = draw_penalty_pairs(f, n, gen)
+        assert np.array_equal(a, [p[0] for p in ref])
+        assert np.array_equal(y, [p[1] for p in ref])
+        # both consumed the same uniforms
+        assert np.array_equal(gen.random(4), gen_ref.random(4))
+
+    @pytest.mark.parametrize("f", TABLE_PENALTIES)
+    def test_single_draw_is_the_first_batch_row(self, f):
+        pair = draw_penalty_pair(f, RngStream(32).generator())
+        a, y = draw_penalty_pairs(f, 3, RngStream(32).generator())
+        assert pair == (a[0], y[0])
+        assert isinstance(pair[0], float) and isinstance(pair[1], float)
+
+    @pytest.mark.parametrize("f", TABLE_PENALTIES)
+    def test_levels_follow_reduced_density(self, f):
+        n = 100000
+        gen = RngStream(33).generator()
+        a, y = draw_penalty_pairs(f, n, gen)
+        assert np.all(y >= np.maximum(a, 0.0))
+        atom = gen.random(n) < (y - a) / (2.0 * y - a)
+        levels = np.where(atom, y, y * (1.0 - gen.random(n)))
+        assert ks_test(np.sort(levels), phi_from_f(f).cdf, level=KS_LEVEL).passed
+
+    def test_unsupported_penalty_rejected(self):
+        with pytest.raises(TypeError):
+            draw_penalty_pairs(DensitySpec.uniform(1.0), 3, RngStream(0).generator())
 
 
 class TestPitman:
