@@ -53,7 +53,6 @@ from .quadrature import (
 )
 from .samplers import (
     Path,
-    RareEventError,
     RngStream,
     bessel3_path,
     bm_path,
@@ -75,6 +74,7 @@ from .penalized_mc import (
     max_conditional,
     penalized_estimate,
     regime_limit_check,
+    terminal_conditional,
 )
 from .expansion import RateFit, f1_coefficient_check, f1_kennedy_check, fit_rate
 from .report import Verdict, ks_test

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from ._stable import SQRT_2_OVER_PI
+from ._stable import SQRT_2_OVER_PI, gauss_legendre
 
 __all__ = [
     "DegeneracyError",
@@ -518,8 +518,10 @@ def fbar(f: BivariatePenalty) -> float:
 def _tabgrid_cell_moments(f: TabulatedGrid, y_refine: int = 8):
     """Per-cell integrals of f, a*f and eta*f over {eta >= max(a, 0)}.
 
-    Exact for the bilinear interpolant on cells that do not straddle the
-    support boundary; straddling cells are handled by midpoint subdivision.
+    Exact for the bilinear interpolant on every cell.  On a cell that straddles
+    the support boundary the eta-integrals run from the boundary and the
+    a-integrals use 3-node Gauss-Legendre on the pieces where the boundary is
+    linear, which is exact for the degree-4 polynomials they integrate.
     The y-grid is refined (keeping the original knots, which reproduces the
     interpolant exactly) so downstream tabulations are dense enough.
     """
@@ -550,18 +552,32 @@ def _tabgrid_cell_moments(f: TabulatedGrid, y_refine: int = 8):
     y_hi = yr[1:][None, :]
     supported = y0 >= np.maximum(a_hi, 0.0)
     empty = y_hi <= np.maximum(a0, 0.0)
-    straddle = ~supported & ~empty
-    if np.any(straddle & ((F00 > 0) | (F10 > 0) | (F01 > 0) | (F11 > 0))):
-        ii, jj = np.nonzero(straddle)
-        for i, j in zip(ii, jj):
-            pa = a[i] + (np.arange(8) + 0.5) / 8.0 * (a[i + 1] - a[i])
-            py = yr[j] + (np.arange(8) + 0.5) / 8.0 * (yr[j + 1] - yr[j])
-            paa, pyy = np.meshgrid(pa, py, indexing="ij")
-            vals = np.where(pyy >= np.maximum(paa, 0.0), f._bilinear(paa, pyy), 0.0)
-            w = (a[i + 1] - a[i]) * (yr[j + 1] - yr[j]) / 64.0
-            m0[i, j] = float(np.sum(vals)) * w
-            ma[i, j] = float(np.sum(paa * vals)) * w
-            my[i, j] = float(np.sum(pyy * vals)) * w
+    ii, jj = np.nonzero(~supported & ~empty)
+    if ii.size:
+        lo_a, hi_a, lo_y, hi_y = a[ii], a[ii + 1], yr[jj], yr[jj + 1]
+        # the boundary eta = max(a, 0), clipped to the cell, bends at a = 0, y0, y1
+        cuts = np.sort(np.clip(np.stack([lo_a, np.zeros_like(lo_a), lo_y, hi_y, hi_a], axis=1),
+                               lo_a[:, None], hi_a[:, None]), axis=1)
+        nodes, wts = gauss_legendre(3)
+        width = np.diff(cuts, axis=1)[:, :, None]
+        pa = cuts[:, :-1, None] + width * nodes
+        wa = width * wts
+
+        def cell(v):
+            return v[:, None, None]
+
+        p = (pa - cell(lo_a)) / cell(hi_a - lo_a)
+        f_lo = cell(F00[ii, jj]) + cell(F10[ii, jj] - F00[ii, jj]) * p
+        f_hi = cell(F01[ii, jj]) + cell(F11[ii, jj] - F01[ii, jj]) * p
+        # on each a-node f is alpha + beta eta in eta
+        beta = (f_hi - f_lo) / cell(hi_y - lo_y)
+        alpha = f_lo - beta * cell(lo_y)
+        lo_eta = np.clip(np.maximum(pa, 0.0), cell(lo_y), cell(hi_y))
+        i0 = _poly_segment_integral(0, alpha, beta, lo_eta, cell(hi_y))
+        i1 = _poly_segment_integral(1, alpha, beta, lo_eta, cell(hi_y))
+        m0[ii, jj] = np.sum(wa * i0, axis=(1, 2))
+        ma[ii, jj] = np.sum(wa * pa * i0, axis=(1, 2))
+        my[ii, jj] = np.sum(wa * i1, axis=(1, 2))
     m0 = np.where(empty, 0.0, m0)
     ma = np.where(empty, 0.0, ma)
     my = np.where(empty, 0.0, my)
@@ -614,14 +630,15 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
         tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
         grid = yr
         # wedge integral of (y - a) f(a, y) over a < y at every knot y, as
-        # (a-segment, knot) arrays of the piecewise-linear rows; blocks of
-        # 256 knots keep those arrays smaller than the cell tables above
+        # (a-segment, knot) arrays of the piecewise-linear rows, cut at a = y
+        # by the segment bounds; blocks of 256 knots keep those arrays
+        # smaller than the cell tables above
         a_col = a[:, None]
         wedge = np.empty_like(grid)
         for k in range(0, grid.size, 256):
             cols = slice(k, k + 256)
             yv = grid[None, cols]
-            rows = np.where(yv >= np.maximum(a_col, 0.0), table[:, cols], 0.0)
+            rows = table[:, cols]
             r_slope = np.diff(rows, axis=0) / np.diff(a_col, axis=0)
             r_alpha = rows[:-1] - a_col[:-1] * r_slope
             hi = np.minimum(a_col[1:], yv)

@@ -8,9 +8,13 @@ for exponential weights at t ~ 10^3, where raw terminal weighting has an
 effective sample size of order n e^{-ct}).  The raw terminal estimator is
 kept as mode="terminal" for cross-checks at small t.
 
-Results are accumulated in fixed-size chunks with per-chunk substreams, so
-the output is a deterministic function of (seed, chunk size) regardless of
-how the work is scheduled.
+Conditioning on the terminal state is exact too: ``max_conditional`` samples
+the law given S_u = y, and ``terminal_conditional`` the law given S_t = y, or
+given (X_t, S_t) = (a, y), at a finite horizon t.
+
+``penalized_estimate`` draws in fixed-size chunks of ``CHUNK`` states, one
+substream each, so its output is a deterministic function of (seed, n) however
+the work is scheduled.
 """
 
 from __future__ import annotations
@@ -22,12 +26,16 @@ from typing import Callable, Sequence
 import numpy as np
 from scipy import integrate
 
+from ._stable import norm_pdf
 from .exact_laws import (
     BivariatePenalty,
     DensitySpec,
     ExponentialBivariate,
     classify_region,
+    h_cdf,
     p_bessel3,
+    p_joint,
+    p_max,
 )
 from .martingales import m_bar_xs, m_mu_lambda_xs
 from .quadrature import RectEvent, expect_on_event, rect_prob, q_ay_finite, q_ay_limit, atom_weight
@@ -43,6 +51,7 @@ __all__ = [
     "Estimate",
     "penalized_estimate",
     "max_conditional",
+    "terminal_conditional",
     "regime_limit_check",
     "bessel_weight",
     "bessel_penalization_check",
@@ -152,8 +161,16 @@ def _ratio_with_stderr(vals: np.ndarray, logw: np.ndarray):
     return r, math.sqrt(max(var_r, 0.0)), n * wbar * wbar / w2bar
 
 
+def _event_values(ev):
+    """(u, vals) for a RectEvent or a pair (u, g): vals(x, s) as a float array."""
+    if isinstance(ev, RectEvent):
+        return ev.u, lambda x, s: ev.indicator(x, s).astype(float)
+    u, g = ev
+    return u, lambda x, s: np.asarray(g(x, s), dtype=float)
+
+
 def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
-                       mode: str = "auto", chunk: int = CHUNK) -> Estimate:
+                       mode: str = "auto") -> Estimate:
     """Ratio estimator of the penalized probability (or functional mean).
 
     ``ev`` is a RectEvent, or a pair (u, g) with g a vectorized functional
@@ -162,12 +179,7 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
     "terminal" evaluates F_t at an exact draw of (X_t, S_t); "auto" picks
     "conditional" when a kernel exists.
     """
-    if isinstance(ev, RectEvent):
-        u = ev.u
-        val_fn = lambda x, s: ev.indicator(x, s).astype(float)
-    else:
-        u, g = ev
-        val_fn = lambda x, s: np.asarray(g(x, s), dtype=float)
+    u, val_fn = _event_values(ev)
     if t <= u:
         raise ValueError("horizon t must exceed the observation time u")
     pen = _normalize_penalty(pen)
@@ -181,7 +193,7 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
     done = 0
     ci = 0
     while done < n:
-        m = min(chunk, n - done)
+        m = min(CHUNK, n - done)
         gen = rng.generator(ci)
         if mode == "conditional":
             xu, su = exact_bm_state(u, m, gen)
@@ -216,6 +228,54 @@ def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> 
     vals = np.asarray(g(x, np.full(n, y)), dtype=float)
     return Estimate(float(np.mean(vals)), float(np.std(vals)) / math.sqrt(n), n,
                     (rng.seed, rng.stream_id), float(n))
+
+
+def terminal_conditional(ev, t: float, y: float, n: int, rng: RngStream,
+                         a: float | None = None) -> Estimate:
+    """P(G | S_t = y), or with ``a`` P(G | X_t = a, S_t = y), for an event or
+    functional G at time u < t, as in ``penalized_estimate``.
+
+    Given the time-u state (x, s) and r = t - u, the terminal state has a
+    closed-form density, which splits the conditional law into two exact
+    parts, each a plain mean over n draws:
+
+    * A, on {s < y}: free draws of (X_u, S_u) weighted by the density of S_t
+      at y, p_max(r, y - x), or of (X_t, S_t) at (a, y), p_joint(r, a - x, y - x);
+    * B, on {s = y}: draws of X_u given S_u = y (``max_conditional``) weighted
+      by p_max(u, y) P(S_r < y - x), or by p_max(u, y) times the reflected
+      normal density phi_r(a - x) - phi_r(2 y - x - a).
+
+    Their sum is divided by p_max(t, y), or p_joint(t, a, y).  These are the
+    integrands of ``q_y_finite`` and ``q_ay_finite``.  ``ess`` is the Kish
+    number of the part-A weights.
+    """
+    u, val_fn = _event_values(ev)
+    if t <= u:
+        raise ValueError("horizon t must exceed the observation time u")
+    if y <= 0.0 or (a is not None and y <= a):
+        # at y = a the density of the terminal state vanishes
+        raise ValueError("terminal conditioning requires y > max(a, 0)")
+    if n < 2:
+        raise ValueError("need at least two samples")
+    r = t - u
+    xu, su = exact_bm_state(u, n, rng.generator(0))
+    if a is None:
+        dens = p_max(r, y - xu)
+        kernel = lambda x: h_cdf(r, y - x)
+        denom = p_max(t, y)
+    else:
+        sr = math.sqrt(r)
+        dens = p_joint(r, a - xu, y - xu)
+        kernel = lambda x: (norm_pdf((a - x) / sr) - norm_pdf((2.0 * y - x - a) / sr)) / sr
+        denom = p_joint(t, a, y)
+    dens = np.where(su < y, dens, 0.0)
+    part_a = val_fn(xu, su) * dens
+    atom = p_max(u, y)
+    part_b = max_conditional(lambda x, s: val_fn(x, s) * kernel(x), y, u, n, rng)
+    value = (float(np.mean(part_a)) + atom * part_b.value) / denom
+    stderr = math.hypot(float(np.std(part_a)) / math.sqrt(n), atom * part_b.stderr) / denom
+    s1, s2 = float(np.sum(dens)), float(np.sum(dens * dens))
+    return Estimate(value, stderr, n, (rng.seed, rng.stream_id), s1 * s1 / s2 if s2 > 0.0 else 0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,44 +372,19 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
 
 
 def bridge_convergence_check(a: float, y: float, ev: RectEvent,
-                             t_list: Sequence[float], n: int, rng: RngStream,
-                             eps: tuple[float, float] = (0.2, 0.15),
-                             chunk: int = CHUNK) -> dict:
+                             t_list: Sequence[float], n: int, rng: RngStream) -> dict:
     """Cross-validate the doubly conditioned law three ways.
 
-    (i) finite-horizon quadrature over t_list, (ii) band Monte Carlo
-    conditioning on X_t and S_t jointly, (iii) the limit value; plus the
-    atom-weight and unpenalized-bridge sanity rows.
+    (i) finite-horizon quadrature over t_list, (ii) the exact Monte Carlo of
+    the same finite-t law (``terminal_conditional``), (iii) the limit value;
+    plus the atom-weight and unpenalized-bridge sanity rows.
     """
     limit = q_ay_limit(a, y, ev)
-    eps_x, eps_s = eps
     rows = []
     for k, t in enumerate(t_list):
-        quad_val = q_ay_finite(a, y, ev, t)
-        hits = 0
-        good = 0
-        x_hits = 0
-        x_good = 0
-        done, ci = 0, 0
-        while done < n:
-            m = min(chunk, n - done)
-            gen = rng.generator(8000 + k, ci)
-            xu, su, xt, st = exact_two_time_state(ev.u, t, m, gen)
-            band = (np.abs(xt - a) <= eps_x) & (st > y - eps_s) & (st <= y)
-            inside = ev.indicator(xu, su)
-            hits += int(band.sum())
-            good += int((band & inside).sum())
-            bandx = np.abs(xt - a) <= eps_x
-            x_hits += int(bandx.sum())
-            x_good += int((bandx & inside).sum())
-            done += m
-            ci += 1
-        mc_val = good / hits if hits else None
-        mc_se = math.sqrt(mc_val * (1 - mc_val) / hits) if hits and mc_val is not None else None
-        rows.append({"t": t, "quadrature": quad_val, "band_mc": mc_val,
-                     "band_n": hits, "band_stderr": mc_se,
-                     "bridge_only_mc": x_good / x_hits if x_hits else None,
-                     "bridge_only_n": x_hits})
+        est = terminal_conditional(ev, t, y, n, rng.substream(8000 + k), a=a)
+        rows.append({"t": t, "quadrature": q_ay_finite(a, y, ev, t), "mc": est.value,
+                     "stderr": est.stderr, "n": est.n})
     gaps = [abs(r["quadrature"] - limit) for r in rows]
     trend_ok = all(g2 <= g1 * 1.05 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
     baseline = rect_prob(ev)

@@ -32,6 +32,7 @@ __all__ = [
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
+GL_NODES = 96     # Gauss-Legendre nodes of the inner integral of expect_on_event
 
 
 @dataclass(frozen=True)
@@ -310,8 +311,7 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
 # generic rectangle-weighted expectations
 # ---------------------------------------------------------------------------
 
-def expect_on_event(ev: RectEvent, g, gl_nodes: int = 96, w_max: float = math.inf,
-                    points=()) -> float:
+def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> float:
     """Integral of g(x, s) p_joint(u, x, s) over the rectangle event, further
     restricted to {2s - x <= w_max}.
 
@@ -324,7 +324,7 @@ def expect_on_event(ev: RectEvent, g, gl_nodes: int = 96, w_max: float = math.in
     if b == -math.inf:
         return 0.0
     root_u = math.sqrt(u)
-    nodes, weights = gauss_legendre(gl_nodes)
+    nodes, weights = gauss_legendre(GL_NODES)
     pref = math.sqrt(2.0 / (math.pi * u ** 3))
 
     def inner(s):

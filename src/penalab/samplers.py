@@ -33,7 +33,6 @@ from .exact_laws import DensitySpec, BivariatePenalty, ExponentialBivariate, Sep
 from .quadrature import RectEvent, atom_weight
 
 __all__ = [
-    "RareEventError",
     "RngStream",
     "Path",
     "bm_path",
@@ -49,14 +48,6 @@ __all__ = [
     "mixture_levels",
     "level_event_frequency",
 ]
-
-
-class RareEventError(RuntimeError):
-    """A required first passage did not happen within the configured cap."""
-
-    def __init__(self, message: str, attempts: int):
-        super().__init__(f"{message} (attempts: {attempts})")
-        self.attempts = attempts
 
 
 @dataclass(frozen=True)
@@ -150,31 +141,14 @@ def bm_path(horizon: float, step: float, drift: float = 0.0,
     return Path(step=step, values=values, runmax=runmax, cont_max=cont)
 
 
-def bessel3_path(horizon: float, step: float, rng: RngStream | None = None,
-                 method: str = "norm") -> Path:
-    """Bessel(3) path started at 0.
-
-    method="norm" takes the Euclidean norm of three independent Brownian
-    paths (exact in law at the grid times); method="sde" is an Euler scheme
-    for dR = dt/R + dW after one exact first step, kept as a cross-check.
-    """
+def bessel3_path(horizon: float, step: float, rng: RngStream | None = None) -> Path:
+    """Bessel(3) path started at 0: the Euclidean norm of three independent
+    Brownian paths, exact in law at the grid times."""
     n = _check_grid(horizon, step)
     gen = (rng or RngStream(0)).generator()
-    if method == "norm":
-        inc = gen.standard_normal((3, n)) * math.sqrt(step)
-        coords = np.cumsum(inc, axis=1)
-        values = np.concatenate(([0.0], np.sqrt(np.sum(coords * coords, axis=0))))
-    elif method == "sde":
-        g0 = gen.standard_normal(3)
-        values = np.empty(n + 1)
-        values[0] = 0.0
-        values[1] = math.sqrt(step) * math.sqrt(float(np.sum(g0 * g0)))
-        g = gen.standard_normal(n - 1)
-        for k in range(1, n):
-            r = values[k]
-            values[k + 1] = abs(r + step / r + math.sqrt(step) * g[k - 1])
-    else:
-        raise ValueError("method must be 'norm' or 'sde'")
+    inc = gen.standard_normal((3, n)) * math.sqrt(step)
+    coords = np.cumsum(inc, axis=1)
+    values = np.concatenate(([0.0], np.sqrt(np.sum(coords * coords, axis=0))))
     return Path(step=step, values=values, runmax=np.maximum.accumulate(values))
 
 
@@ -235,17 +209,13 @@ def _simulate_to_level(level: float, n_steps: int, step: float,
 
 
 def sample_Q_y(y: float, horizon: float, step: float, rng: RngStream | None = None,
-               gen: np.random.Generator | None = None,
-               require_hit: bool = False, cap: float | None = None) -> Path:
+               gen: np.random.Generator | None = None) -> Path:
     """One path of the limit law pinned at terminal maximum y.
 
     Brownian until the first (bridge-corrected) crossing of y, then y minus
     an independent Bessel(3) started at 0.  If the crossing has not happened
     by the stored horizon, the residual first-passage time is drawn exactly
-    from (y - X)^2 / Z^2 and recorded in ``hit_time``; with require_hit=True
-    the pre-hit phase is extended until the crossing instead, and a
-    RareEventError is raised when the cap (default 100 y^2 time units) is
-    exhausted.
+    from (y - X)^2 / Z^2 and recorded in ``hit_time``.
     """
     if y <= 0.0:
         raise ValueError("sample_Q_y requires y > 0")
@@ -253,37 +223,6 @@ def sample_Q_y(y: float, horizon: float, step: float, rng: RngStream | None = No
     if gen is None:
         gen = (rng or RngStream(0)).generator()
     values, j = _simulate_to_level(y, n, step, gen)
-
-    if j is None and require_hit:
-        cap_time = 100.0 * y * y if cap is None else cap
-        block = max(n, 1024)
-        attempts = 1
-        total = n
-        x_last = values[-1]
-        chunks = [values]
-        while True:
-            if total * step >= cap_time:
-                raise RareEventError(
-                    f"first passage to {y} not reached within cap {cap_time}", attempts)
-            attempts += 1
-            root = math.sqrt(step)
-            inc = gen.standard_normal(block) * root
-            seg = x_last + np.cumsum(inc)
-            m = _bridge_maxima(np.concatenate(([x_last], seg[:-1])), seg, step,
-                               gen.random(block))
-            crossed = np.nonzero(m >= y)[0]
-            if crossed.size:
-                k = int(crossed[0])
-                seg = seg[:k + 1]
-                seg[-1] = y
-                chunks.append(seg)
-                values = np.concatenate(chunks)
-                j = values.size - 1
-                break
-            chunks.append(seg)
-            x_last = float(seg[-1])
-            total += block
-        n = values.size - 1
 
     if j is None:
         z = gen.standard_normal()

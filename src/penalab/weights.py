@@ -38,12 +38,16 @@ __all__ = [
     "log_g_kennedy",
 ]
 
+# fixed Gauss-Legendre nodes of the tabulated-phi tail and the Kennedy kernel
+PHI_GL_NODES = 96
+KENNEDY_GL_NODES = 64
+
 
 # ---------------------------------------------------------------------------
 # phi(S_t) weights
 # ---------------------------------------------------------------------------
 
-def g_phi_hat(x, s, r: float, phi: DensitySpec, gl_nodes: int = 96):
+def g_phi_hat(x, s, r: float, phi: DensitySpec):
     """ghat(x, s, r) with E[phi(S_t) | X_u, S_u] = sqrt(2/(pi r)) ghat.
 
     ghat = phi(s) * int_0^{s-x} e^{-z^2/2r} dz
@@ -68,7 +72,7 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec, gl_nodes: int = 96):
             norm_sf((s - x) / sr) - norm_sf((A - x) / sr), 0.0)
         tail = np.where(s >= A, 0.0, tail)
     else:
-        nodes, wts = gauss_legendre(gl_nodes)
+        nodes, wts = gauss_legendre(PHI_GL_NODES)
         lo = np.maximum(s, phi.grid[0])
         hi = phi.grid[-1]
         span = np.maximum(hi - lo, 0.0)
@@ -168,7 +172,7 @@ def _h_bar(z, r: float, lam: float):
     return 2.0 * lam * norm_sf(alpha) + math.sqrt(2.0 / (math.pi * r)) * np.exp(-0.5 * alpha * alpha)
 
 
-def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec, gl_nodes: int = 64):
+def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
     """gbar with E[psi(S_t) e^{lam (S_t - X_t)} | X_u, S_u] = e^{lam^2 r/2} gbar.
 
     gbar(x, s, r) = psi(s) e^{lam d} int_0^d e^{-2 lam z} hbar(z) dz
@@ -177,7 +181,7 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec, gl_nodes: int = 
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     d = s - x
-    nodes, wts = gauss_legendre(gl_nodes)
+    nodes, wts = gauss_legendre(KENNEDY_GL_NODES)
 
     # flat part (only where psi(s) > 0)
     z1 = d[..., None] * nodes

@@ -239,6 +239,44 @@ class TestBivariatePenalties:
         assert np.max(np.abs(phi.values - ref / np.trapezoid(ref, yr))) < 1e-14
 
 
+def _diagonal_table():
+    # nonzero on both sides of the diagonal y = a
+    a = np.linspace(-1.0, 2.0, 31)
+    y = np.linspace(0.0, 3.0, 31)
+    aa, yy = np.meshgrid(a, y, indexing="ij")
+    return TabulatedGrid(a, y, np.exp(-aa ** 2 - yy))
+
+
+def _brute_tail(tab, g, floor, n=2001):
+    """Trapezoid integral of g(a, eta) f(a, eta) over eta >= max(a, 0, floor),
+    on n a-nodes and n eta-nodes per a."""
+    top = tab.y_grid[-1]
+    av = np.linspace(tab.a_grid[0], tab.a_grid[-1], n)
+    lo = np.minimum(np.maximum(np.maximum(av, 0.0), floor), top)
+    eta = lo[:, None] + (top - lo)[:, None] * np.linspace(0.0, 1.0, n)
+    aa = np.broadcast_to(av[:, None], eta.shape)
+    inner = np.trapezoid(g(aa, eta) * tab._bilinear(aa, eta), eta, axis=1)
+    return float(np.trapezoid(inner, av))
+
+
+class TestTabulatedAcrossTheDiagonal:
+    def test_fbar_matches_brute_force(self):
+        tab = _diagonal_table()
+        brute = _brute_tail(tab, lambda a, e: 2.0 * e - a, 0.0)
+        assert fbar(tab) == pytest.approx(brute, rel=1e-6)     # 2.3e-6 off with the 8 x 8 rule
+
+    def test_reduces_and_matches_brute_force_density(self):
+        tab = _diagonal_table()
+        phi = phi_from_f(tab)      # rejected with mass 0.999916 before
+        assert phi.mass() == pytest.approx(1.0, abs=1e-12)
+        total = fbar(tab)
+        for yv in (0.3, 0.95, 1.6, 2.4):
+            av = np.linspace(-1.0, min(yv, 2.0), 20001)
+            wedge = np.trapezoid((yv - av) * tab._bilinear(av, np.full_like(av, yv)), av)
+            tail = _brute_tail(tab, lambda a, e: np.ones_like(e), yv, n=801)
+            assert float(phi.pdf(yv)) == pytest.approx((tail + wedge) / total, rel=1e-5)
+
+
 class TestKennedyTransforms:
     LAM = 1.0
     PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)

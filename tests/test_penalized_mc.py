@@ -18,8 +18,9 @@ from penalab.penalized_mc import (
     max_conditional,
     penalized_estimate,
     regime_limit_check,
+    terminal_conditional,
 )
-from penalab.quadrature import RectEvent, expect_on_event, rect_prob
+from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite, rect_prob
 from penalab.samplers import RngStream
 
 UNIFORM = DensitySpec.uniform(1.0)
@@ -226,9 +227,37 @@ class TestBridgeConvergence:
         assert rep["trend_decreasing"]
         assert rep["atom_weight"] == 0.5
         assert rep["wiener_baseline"] == pytest.approx(rect_prob(EV), abs=1e-9)
-        row = rep["rows"][0]
-        assert row["band_n"] > 100
-        assert abs(row["band_mc"] - row["quadrature"]) <= 4 * row["band_stderr"] + 0.05
+        assert [row["t"] for row in rep["rows"]] == [4.0, 16.0, 64.0]
+        for row in rep["rows"]:
+            assert row["n"] == 200000
+            assert row["quadrature"] == q_ay_finite(0.0, 1.0, EV, row["t"])
+            assert abs(row["mc"] - row["quadrature"]) <= 4 * row["stderr"]
+
+
+class TestTerminalConditional:
+    @pytest.mark.parametrize("ev", [EV, RectEvent(1.0, b=0.25, c=1.5)])
+    def test_max_pinned_matches_finite_t_quadrature(self, ev):
+        # with c >= y the atom {S_u = y} (part B) contributes
+        for k, t in enumerate([2.0, 16.0]):
+            est = terminal_conditional(ev, t, 1.0, 200000, RngStream(24, k))
+            assert abs(est.value - q_y_finite(1.0, ev, t)) <= 4 * est.stderr
+
+    def test_functional_form_matches_event_form(self):
+        rng = RngStream(25)
+        a = terminal_conditional(EV, 4.0, 1.0, 1000, rng, a=0.3)
+        b = terminal_conditional((EV.u, EV.indicator), 4.0, 1.0, 1000, rng, a=0.3)
+        assert (a.value, a.stderr) == (b.value, b.stderr)
+
+    def test_full_space_is_one_in_mean(self):
+        est = terminal_conditional(RectEvent(1.0), 8.0, 0.7, 200000, RngStream(26), a=-0.5)
+        assert abs(est.value - 1.0) <= 4 * est.stderr
+        assert 0.0 < est.ess <= est.n
+
+    @pytest.mark.parametrize("t,y,a", [(1.0, 1.0, None), (0.5, 1.0, 0.0), (4.0, 0.0, None),
+                                       (4.0, -1.0, None), (4.0, 0.5, 1.0), (4.0, 0.5, 0.5)])
+    def test_domain(self, t, y, a):
+        with pytest.raises(ValueError):
+            terminal_conditional(EV, t, y, 100, RngStream(0), a=a)
 
 
 class TestConditionalWeightKernels:

@@ -201,6 +201,16 @@ class TestQaPhiLimit:
             b = q_a_phi_limit(a, UNIFORM, EV, route="bridge")
             assert s == pytest.approx(b, abs=1e-6)
 
+    @given(top=st.floats(0.2, 4.0), frac=st.floats(-3.0, 0.99), u=st.floats(0.1, 5.0),
+           b=st.one_of(st.floats(-3.0, 5.0), st.sampled_from([-math.inf, math.inf])),
+           c=st.one_of(st.floats(0.05, 5.0), st.just(math.inf)))
+    @settings(max_examples=40, deadline=None)
+    def test_uniform_phi_bridge_identity(self, top, frac, u, b, c):
+        # for phi uniform on [0, A] the bridge endpoint a < A drops out of the limit law
+        phi = DensitySpec.uniform(top)
+        ev = RectEvent(u, b, c)
+        assert q_a_phi_limit(frac * top, phi, ev) == pytest.approx(q_phi_limit(phi, ev), abs=1e-9)
+
 
 class TestSupportEndBreakpoints:
     # phi with compact support jumps to 0 at its end; these missed that jump

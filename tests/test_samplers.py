@@ -16,7 +16,6 @@ from penalab.quadrature import RectEvent, q_ay_limit, q_phi_limit, q_y_limit
 from penalab.report import ks_test
 from penalab.samplers import (
     Path,
-    RareEventError,
     RngStream,
     bessel3_path,
     bm_path,
@@ -132,11 +131,6 @@ class TestBessel3:
                         for s in range(4000)])
         assert ks_test(vals, chi3_cdf, level=KS_LEVEL).passed
 
-    def test_sde_route_agrees_in_law(self):
-        vals = np.sort([bessel3_path(1.0, 1 / 256, rng=RngStream(s), method="sde").values[-1]
-                        for s in range(3000)])
-        assert ks_test(vals, chi3_cdf, level=KS_LEVEL).passed
-
 
 class TestSampleQy:
     def test_path_caps_at_level_exactly(self):
@@ -194,10 +188,6 @@ class TestSampleQy:
         z = d / np.sqrt(t_rem)
         # d/sqrt(T) ~ |N(0,1)| by construction
         assert ks_test(np.sort(z), lambda v: 2 * stats.norm.cdf(v) - 1, level=KS_LEVEL).passed
-
-    def test_require_hit_cap(self):
-        with pytest.raises(RareEventError):
-            sample_Q_y(4.0, 1.0, 1e-2, rng=RngStream(14), require_hit=True, cap=2.0)
 
     def test_domain(self):
         with pytest.raises(ValueError):
