@@ -56,10 +56,9 @@ from .samplers import (
     RngStream,
     bessel3_path,
     bm_path,
+    draw_penalty_pairs,
+    mixture_levels,
     pitman_transform,
-    sample_Q_ay,
-    sample_Q_f,
-    sample_Q_phi,
     sample_Q_y,
 )
 from .penalized_mc import (

@@ -213,10 +213,7 @@ def criterion_7_f_reduction(seed: int, scale: float = 1.0) -> list[Verdict]:
                                 "dual route, 100 random states"))
 
     gen = rng.generator(1)
-    a_arr, y_arr = draw_penalty_pairs(f, n, gen)
-    levels = np.where(gen.random(n) < (y_arr - a_arr) / (2.0 * y_arr - a_arr),
-                      y_arr, y_arr * (1.0 - gen.random(n)))
-    levels = np.maximum(levels, 1e-9)
+    levels = np.maximum(mixture_levels(*draw_penalty_pairs(f, n, gen), n, gen), 1e-9)
     p, se = level_event_frequency(levels, EVENT, rng.generator(2))
     verdicts.append(abs_verdict("sample_Q_f-vs-q_phi_limit", p, q_phi_limit(phi, EVENT),
                                 3.0 * se, "mc-oracle"))

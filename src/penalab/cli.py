@@ -43,26 +43,16 @@ def _parse_event(text: str) -> RectEvent:
     return RectEvent(vals["u"], vals.get("b", math.inf), vals.get("c", math.inf))
 
 
-def _parse_phi(text: str) -> DensitySpec:
+def _parse_density(text: str, laplace_lambda: float | None = None) -> DensitySpec:
     parts = text.split(":")
     if parts[0] == "phi":
         parts = parts[1:]
     family = parts[0]
     if family in ("uniform", "uni"):
-        return DensitySpec.uniform(float(parts[1]))
+        return DensitySpec.uniform(float(parts[1]), laplace_lambda=laplace_lambda)
     if family in ("exp", "exponential"):
-        return DensitySpec.exponential(float(parts[1]))
+        return DensitySpec.exponential(float(parts[1]), laplace_lambda=laplace_lambda)
     raise SystemExit(f"unsupported density spec {text!r} (use uniform:A or exp:RATE)")
-
-
-def _parse_psi(text: str, lam: float) -> DensitySpec:
-    parts = text.split(":")
-    family = parts[0]
-    if family in ("uniform", "uni"):
-        return DensitySpec.uniform(float(parts[1]), laplace_lambda=lam)
-    if family in ("exp", "exponential"):
-        return DensitySpec.exponential(float(parts[1]), laplace_lambda=lam)
-    raise SystemExit(f"unsupported shape spec {text!r}")
 
 
 def _emit(verdicts, out: "list[Verdict]"):
@@ -106,13 +96,13 @@ def _cmd_martingale_check(args, verdicts):
     x, s = exact_bm_state(args.u, args.n, gen)
     parts = args.family.split(":")
     if parts[0] == "phi":
-        phi = _parse_phi(":".join(parts[1:]))
+        phi = _parse_density(":".join(parts[1:]))
         vals = m_phi_xs(x, s, phi)
     elif parts[0] == "explinear":
         vals = m_mu_lambda_xs(x, s, args.u, float(parts[1]), float(parts[2]))
     elif parts[0] == "kennedy":
         lam = float(parts[1])
-        psi = _parse_psi(":".join(parts[2:]), lam)
+        psi = _parse_density(":".join(parts[2:]), lam)
         vals = m_kennedy_xs(x, s, args.u, lam, psi)
     else:
         raise SystemExit(f"unknown martingale family {args.family!r}")
@@ -126,7 +116,7 @@ def _cmd_limit(args, verdicts):
     ev = _parse_event(args.event)
     rng = RngStream(args.seed)
     if args.phi is not None:
-        phi = _parse_phi(args.phi)
+        phi = _parse_density(args.phi)
         levels = phi.ppf(rng.generator(0).random(args.n))
         levels = np.maximum(levels, 1e-9)
         target = q_phi_limit(phi, ev)
@@ -178,13 +168,13 @@ def _cmd_converge(args, verdicts):
 def _cmd_expansion(args, verdicts):
     ev = _parse_event(args.event)
     if args.mode == "poly":
-        rep = f1_coefficient_check(_parse_phi(args.phi), ev)
+        rep = f1_coefficient_check(_parse_density(args.phi), ev)
         _emit([abs_verdict("expansion-poly-rel-err", rep["rel_err"], 0.0, 0.10,
                            f"fit {rep['fit'].c1:.6g} target {rep['target']:.6g} "
                            f"(cubic-variant {rep['target_cubic_variant']:.6g})")], verdicts)
     else:
         lam = args.lam
-        psi = _parse_psi(args.psi, lam)
+        psi = _parse_density(args.psi, lam)
         rep = f1_kennedy_check(lam, psi, ev)
         _emit([abs_verdict("expansion-kennedy-rel-err", rep["rel_err"], 0.0, 0.15,
                            f"fit {rep['fit'].c1:.6g} target {rep['target']:.6g}")], verdicts)
@@ -303,7 +293,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_bessel)
 
     p = sub.add_parser("verify", help="run the acceptance suite")
-    p.add_argument("--suite", default="core")
     p.add_argument("--scale", type=float, default=1.0)
     p.add_argument("--only", help="comma-separated criterion numbers")
     common(p)

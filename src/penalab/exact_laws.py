@@ -584,77 +584,57 @@ def _tabgrid_cell_moments(f: TabulatedGrid, y_refine: int = 8):
     return m0, ma, my, yr, table
 
 
-def _phi_from_f_grid(f: BivariatePenalty) -> np.ndarray:
-    if isinstance(f, ExponentialBivariate):
-        beta = -(f.lam + f.mu)
-        ymax = max(26.0 / beta, 21.0)
-        return np.linspace(0.0, ymax, 2 ** 14 + 1)
-    if isinstance(f, SeparableIndicator):
-        return np.linspace(0.0, f.cutoff, 2 ** 12 + 1)
-    return np.linspace(0.0, float(f.y_grid[-1]), 2 ** 11 + 1)
-
-
 def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     """Reduce a bivariate penalty to its equivalent max-density.
 
     phi(y) = f* [ integral of f(a, eta) over {eta > y v a+}
-                  + integral of f(a, y) (y - a) over a < y ],
-    returned as a tabulated density.  The mass is checked to be 1 within 1e-6
-    before the (exact) renormalization that tabulation applies.
+                  + integral of f(a, y) (y - a) over a < y ].
+
+    The two closed-form families reduce exactly: for the exponential family
+    both terms are multiples of e^{(lam + mu) y}, so phi is exponential with
+    rate -(lam + mu); for the separable indicator the bracket is the integral
+    of (A - a) f1(a) over a < A for every y in [0, A], so phi is uniform on
+    [0, A].  A tabulated grid is returned as a tabulated density; its mass is
+    checked to be 1 within 1e-6 before the (exact) renormalization that
+    tabulation applies.
     """
     total = fbar(f)
-    if not math.isfinite(total):
-        raise ValueError("phi_from_f requires a finite fbar(f)")
-    grid = _phi_from_f_grid(f)
-
+    if not 0.0 < total < math.inf:
+        raise ValueError("phi_from_f requires a finite, positive fbar(f)")
     if isinstance(f, ExponentialBivariate):
-        lam, mu = f.lam, f.mu
-        expo = np.exp((lam + mu) * grid)
-        tail_term = expo * (1.0 / ((-lam) * mu) + 1.0 / ((-lam) * (-(lam + mu))))
-        wedge_term = expo / mu ** 2
-        raw = (tail_term + wedge_term) / total
-    elif isinstance(f, SeparableIndicator):
-        A = f.cutoff
-        p0_y = f._prefix(0, grid)
-        p1_y = f._prefix(1, grid)
-        p0_A = f._prefix(0, A)
-        p1_A = f._prefix(1, A)
-        tail = (A - grid) * p0_y + A * (p0_A - p0_y) - (p1_A - p1_y)
-        wedge = np.where(grid <= A, grid * p0_y - p1_y, 0.0)
-        raw = (np.maximum(tail, 0.0) + wedge) / total
-    else:
-        m0, _, _, yr, table = _tabgrid_cell_moments(f, y_refine=32)
-        a = f.a_grid
-        # upper-tail mass of f above each refined knot (exact cell suffix sums)
-        col = np.sum(m0, axis=0)
-        tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
-        grid = yr
-        # wedge integral of (y - a) f(a, y) over a < y at every knot y, as
-        # (a-segment, knot) arrays of the piecewise-linear rows, cut at a = y
-        # by the segment bounds; blocks of 256 knots keep those arrays
-        # smaller than the cell tables above
-        a_col = a[:, None]
-        wedge = np.empty_like(grid)
-        for k in range(0, grid.size, 256):
-            cols = slice(k, k + 256)
-            yv = grid[None, cols]
-            rows = table[:, cols]
-            r_slope = np.diff(rows, axis=0) / np.diff(a_col, axis=0)
-            r_alpha = rows[:-1] - a_col[:-1] * r_slope
-            hi = np.minimum(a_col[1:], yv)
-            lo = np.minimum(a_col[:-1], yv)
-            wedge[cols] = np.sum(yv * _poly_segment_integral(0, r_alpha, r_slope, lo, hi)
-                                 - _poly_segment_integral(1, r_alpha, r_slope, lo, hi), axis=0)
-        raw = (tail + wedge) / total
-        if grid[0] > 1e-8:
-            # below the table's y-floor the upper tail is flat and the wedge
-            # vanishes: the reduced density is constant there, with a genuine
-            # jump at the floor (where the table switches on) pinned by an
-            # epsilon knot
-            head = np.linspace(0.0, grid[0], 65, endpoint=False)
-            head = np.append(head, grid[0] - 1e-9 * max(grid[0], 1.0))
-            grid = np.concatenate((head, grid))
-            raw = np.concatenate((np.full(head.size, tail[0] / total), raw))
+        return DensitySpec.exponential(-(f.lam + f.mu))
+    if isinstance(f, SeparableIndicator):
+        return DensitySpec.uniform(f.cutoff)
+    m0, _, _, grid, table = _tabgrid_cell_moments(f, y_refine=32)
+    # upper-tail mass of f above each refined knot (exact cell suffix sums)
+    col = np.sum(m0, axis=0)
+    tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
+    # wedge integral of (y - a) f(a, y) over a < y at every knot y, as
+    # (a-segment, knot) arrays of the piecewise-linear rows, cut at a = y
+    # by the segment bounds; blocks of 256 knots keep those arrays
+    # smaller than the cell tables above
+    a_col = f.a_grid[:, None]
+    wedge = np.empty_like(grid)
+    for k in range(0, grid.size, 256):
+        cols = slice(k, k + 256)
+        yv = grid[None, cols]
+        rows = table[:, cols]
+        r_slope = np.diff(rows, axis=0) / np.diff(a_col, axis=0)
+        r_alpha = rows[:-1] - a_col[:-1] * r_slope
+        hi = np.minimum(a_col[1:], yv)
+        lo = np.minimum(a_col[:-1], yv)
+        wedge[cols] = np.sum(yv * _poly_segment_integral(0, r_alpha, r_slope, lo, hi)
+                             - _poly_segment_integral(1, r_alpha, r_slope, lo, hi), axis=0)
+    raw = (tail + wedge) / total
+    if grid[0] > 1e-8:
+        # below the table's y-floor the upper tail is flat and the wedge
+        # vanishes: the reduced density is constant there, with a genuine
+        # jump at the floor (where the table switches on) pinned by an
+        # epsilon knot
+        head = np.linspace(0.0, grid[0], 65, endpoint=False)
+        head = np.append(head, grid[0] - 1e-9 * max(grid[0], 1.0))
+        grid = np.concatenate((head, grid))
+        raw = np.concatenate((np.full(head.size, tail[0] / total), raw))
     raw = np.maximum(raw, 0.0)
     mass = float(np.trapezoid(raw, grid))
     if abs(mass - 1.0) > 1e-6:

@@ -172,14 +172,16 @@ def _m_exp_bivariate(x: float, s: float, f: ExponentialBivariate, fstar: float) 
     span = 45.0 / mu
     lo = -span - abs(s - x)
     hi = 45.0 / (-(lam + mu)) + abs(s - x) + 1.0
-    val, _ = integrate.quad(inner, lo, hi, epsabs=1e-12, epsrel=1e-10, limit=300)
+    # inner has kinks where a+ and ystar switch branch
+    val, _ = integrate.quad(inner, lo, hi, points=sorted({0.0, s - x}),
+                            epsabs=1e-12, epsrel=1e-10, limit=300)
     return fstar * val
 
 
 def m_phi_from_f_xs(x: float, s: float, f: BivariatePenalty) -> float:
     total = fbar(f)
-    if not math.isfinite(total):
-        raise ValueError("m_phi_from_f requires a finite fbar(f)")
+    if not 0.0 < total < math.inf:
+        raise ValueError("m_phi_from_f requires a finite, positive fbar(f)")
     fstar = 1.0 / total
     if isinstance(f, ExponentialBivariate):
         return _m_exp_bivariate(x, s, f, fstar)

@@ -195,7 +195,9 @@ def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> floa
 
 def q_ay_finite(a: float, y: float, ev: RectEvent, t: float) -> float:
     """P0(event | X_t = a, S_t = y) at a finite horizon t > u."""
-    _check_bridge_point(a, y)
+    if y <= max(a, 0.0):
+        # at y = a the terminal density p_joint(t, a, y) vanishes
+        raise ValueError("q_ay_finite requires y > max(a, 0)")
     u, b, c = ev.u, ev.b, ev.c
     if t <= u:
         raise ValueError("horizon t must exceed the observation time u")

@@ -1,10 +1,11 @@
 """Seeded path simulation and exact samplers for the limit laws.
 
 Two kinds of sampler live here.  The path samplers (``bm_path``,
-``bessel3_path``, ``sample_Q_*``) store a trajectory on a uniform grid, for
-CSV dumps and path-level tests; where the running maximum matters, each
-step's maximum is drawn from the Brownian-bridge crossing law, so first
-passages are not detected late.  The state samplers (``exact_bm_state``,
+``bessel3_path``, ``sample_Q_y``) store a trajectory on a uniform grid, for
+CSV dumps and path-level tests; ``sample_Q_y`` builds its path from the exact
+first-passage time, so the grid only stores it.  A path of any limit law is
+``sample_Q_y`` at a level from ``mixture_levels``, ``DensitySpec.ppf`` or
+``draw_penalty_pairs``.  The state samplers (``exact_bm_state``,
 ``exact_two_time_state``, ``q_level_terminal_batch``) draw the time-u state
 in one shot from its closed-form law and have no time grid at all:
 
@@ -29,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special
 
-from .exact_laws import DensitySpec, BivariatePenalty, ExponentialBivariate, SeparableIndicator, TabulatedGrid, fbar
-from .quadrature import RectEvent, atom_weight
+from .exact_laws import BivariatePenalty, ExponentialBivariate, SeparableIndicator, TabulatedGrid, fbar
+from .quadrature import RectEvent
 
 __all__ = [
     "RngStream",
@@ -38,9 +39,7 @@ __all__ = [
     "bm_path",
     "bessel3_path",
     "sample_Q_y",
-    "sample_Q_ay",
-    "sample_Q_phi",
-    "sample_Q_f",
+    "draw_penalty_pairs",
     "pitman_transform",
     "exact_bm_state",
     "exact_two_time_state",
@@ -70,19 +69,16 @@ class RngStream:
 class Path:
     """A discretely sampled trajectory on the uniform grid 0, step, 2*step, ...
 
-    ``runmax`` is the running maximum of the stored values.  ``hit_index`` is
-    the first grid index at which the designated level was reached (None when
-    the hit falls beyond the stored window); ``hit_time`` is the hit time in
-    time units and may exceed the window, in which case it was drawn exactly
-    from the residual first-passage law.  ``sup_total`` is the supremum of
-    the full (untruncated) trajectory when the construction pins it down.
+    ``runmax`` is the running maximum of the stored values, or of the
+    continuous path where the construction knows it.  ``hit_time`` is the
+    exact first-passage time of the designated level and may exceed the
+    window.  ``sup_total`` is the supremum of the full (untruncated)
+    trajectory when the construction pins it down.
     """
 
     step: float
     values: np.ndarray
     runmax: np.ndarray
-    hit_level: float | None = None
-    hit_index: int | None = None
     hit_time: float | None = None
     sup_total: float | None = None
     cont_max: np.ndarray | None = None
@@ -182,97 +178,48 @@ def exact_two_time_state(u: float, t: float, n: int, gen: np.random.Generator):
 # limit-law samplers
 # ---------------------------------------------------------------------------
 
-def _simulate_to_level(level: float, n_steps: int, step: float,
-                       gen: np.random.Generator):
-    """Scalar-path pre/post-hit simulation used by sample_Q_y.
-
-    Returns (values, hit_index or None).  When the level is reached at step
-    k the stored value there is the level itself and the remaining window is
-    level minus a Bessel(3) path started at 0.
-    """
-    root = math.sqrt(step)
-    inc = gen.standard_normal(n_steps) * root
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    u = gen.random(n_steps)
-    m = _bridge_maxima(values[:-1], values[1:], step, u)
-    crossed = np.nonzero(m >= level)[0]
-    if crossed.size == 0:
-        return values, None
-    j = int(crossed[0]) + 1
-    values[j] = level
-    rest = n_steps - j
-    if rest > 0:
-        binc = gen.standard_normal((3, rest)) * root
-        coords = np.cumsum(binc, axis=1)
-        values[j + 1:] = level - np.sqrt(np.sum(coords * coords, axis=0))
-    return values, j
-
-
 def sample_Q_y(y: float, horizon: float, step: float, rng: RngStream | None = None,
                gen: np.random.Generator | None = None) -> Path:
-    """One path of the limit law pinned at terminal maximum y.
+    """One path of the limit law pinned at terminal maximum y, exact at the
+    grid times.
 
-    Brownian until the first (bridge-corrected) crossing of y, then y minus
-    an independent Bessel(3) started at 0.  If the crossing has not happened
-    by the stored horizon, the residual first-passage time is drawn exactly
-    from (y - X)^2 / Z^2 and recorded in ``hit_time``.
+    Brownian motion up to its first passage T = y^2 / Z^2 of y, then y minus
+    an independent Bessel(3) process.  Given T, y - X on [0, T] is a Bessel(3)
+    bridge from y to 0 (Williams' path decomposition), the norm of a 3-d
+    Brownian bridge, and after T it is the norm of B_t - B_T.  So one 3-d
+    Brownian motion B on the grid builds the whole path:
+
+        X_t = y - |y e_1 (1 - t/T)^+ + B_t - min(t/T, 1) B_T|,
+
+    with B_T drawn from the Brownian bridge across the step that holds T, or
+    past the window as B_horizon + sqrt(T - horizon) Z'.  ``hit_time`` is T.
     """
     if y <= 0.0:
         raise ValueError("sample_Q_y requires y > 0")
     n = _check_grid(horizon, step)
     if gen is None:
         gen = (rng or RngStream(0)).generator()
-    values, j = _simulate_to_level(y, n, step, gen)
-
-    if j is None:
-        z = gen.standard_normal()
-        while z == 0.0:
-            z = gen.standard_normal()
-        t_rem = (y - values[-1]) ** 2 / (z * z)
-        hit_time = n * step + t_rem
-        hit_index = None
+    z = gen.standard_normal()
+    passage = y * y / (z * z if z != 0.0 else 1.0)
+    coords = np.zeros((3, n + 1))
+    np.cumsum(gen.standard_normal((3, n)) * math.sqrt(step), axis=1, out=coords[:, 1:])
+    extra = gen.standard_normal(3)
+    pos = passage / step
+    k = int(pos)
+    if k < n:
+        frac = pos - k
+        b_T = (coords[:, k] + frac * (coords[:, k + 1] - coords[:, k])
+               + math.sqrt(step * frac * (1.0 - frac)) * extra)
     else:
-        hit_time = j * step
-        hit_index = j
-
+        b_T = coords[:, n] + math.sqrt(passage - horizon) * extra
+    times = step * np.arange(n + 1)
+    w = np.minimum(times / passage, 1.0)
+    bridge = coords - w * b_T[:, None]
+    bridge[0] += y * (1.0 - w)
+    values = y - np.sqrt(np.sum(bridge * bridge, axis=0))
     runmax = np.maximum.accumulate(values)
-    return Path(step=step, values=values, runmax=runmax, hit_level=y,
-                hit_index=hit_index, hit_time=hit_time, sup_total=y)
-
-
-def sample_Q_ay(a: float, y: float, horizon: float, step: float,
-                rng: RngStream | None = None,
-                gen: np.random.Generator | None = None) -> Path:
-    """One path of the limiting bridge law: atom at level y, else uniform level."""
-    if y <= 0.0 or y < max(a, 0.0):
-        raise ValueError("sample_Q_ay requires y >= max(a, 0) and y > 0")
-    if gen is None:
-        gen = (rng or RngStream(0)).generator()
-    w = (y - a) / (2.0 * y - a)
-    if gen.random() < w:
-        level = y
-    else:
-        level = y * (1.0 - gen.random())   # in (0, y]
-    return sample_Q_y(level, horizon, step, gen=gen)
-
-
-def sample_Q_phi(phi: DensitySpec, horizon: float, step: float,
-                 rng: RngStream | None = None,
-                 gen: np.random.Generator | None = None) -> Path:
-    """One path of the phi-mixture law: draw the terminal maximum from phi."""
-    if gen is None:
-        gen = (rng or RngStream(0)).generator()
-    level = float(phi.ppf(gen.random()))
-    if level <= 0.0:
-        level = float(phi.ppf(0.5 * (1.0 + gen.random())))
-    return sample_Q_y(level, horizon, step, gen=gen)
-
-
-def draw_penalty_pair(f: BivariatePenalty, gen: np.random.Generator):
-    """One draw of (a, y) from the normalized density (2y - a) f(a, y); see
-    ``draw_penalty_pairs``."""
-    a, y = draw_penalty_pairs(f, 1, gen)
-    return float(a[0]), float(y[0])
+    runmax[times >= passage] = y
+    return Path(step=step, values=values, runmax=runmax, hit_time=passage, sup_total=y)
 
 
 def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
@@ -310,6 +257,8 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
         fine = np.linspace(g[0], g[-1], 8193)
         dens = (A - fine) * f.f1(fine)
         cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))))
+        if cdf[-1] <= 0.0:
+            raise ValueError("penalty carries no mass")
         cdf /= cdf[-1]
         u = gen.random((n, 2))
         a = np.interp(u[:, 0], cdf, fine)
@@ -334,18 +283,6 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
         yv = yg[iy] + u[:, 2] * (yg[iy + 1] - yg[iy])
         return av, np.maximum(yv, np.maximum(av, 0.0) + 1e-12)
     raise TypeError(f"unsupported penalty type {type(f)!r}")
-
-
-def sample_Q_f(f: BivariatePenalty, horizon: float, step: float,
-               rng: RngStream | None = None,
-               gen: np.random.Generator | None = None) -> Path:
-    """One path of the bivariate-penalty limit law."""
-    if not math.isfinite(fbar(f)):
-        raise ValueError("sample_Q_f requires a finite fbar(f)")
-    if gen is None:
-        gen = (rng or RngStream(0)).generator()
-    a, y = draw_penalty_pair(f, gen)
-    return sample_Q_ay(a, y, horizon, step, gen=gen)
 
 
 def pitman_transform(p: Path) -> Path:
@@ -407,10 +344,16 @@ def q_level_terminal_batch(levels, horizon: float, gen: np.random.Generator):
     }
 
 
-def mixture_levels(a: float, y: float, n: int, gen: np.random.Generator) -> np.ndarray:
+def mixture_levels(a, y, n: int, gen: np.random.Generator) -> np.ndarray:
     """n terminal maxima of the limiting bridge law Q^(a,y): the level y with
-    the atom weight, else uniform on (0, y]."""
-    pick = gen.random(n) < atom_weight(a, y)
+    the atom weight (y - a) / (2y - a), else uniform on (0, y].  ``a`` and
+    ``y`` may be arrays of n endpoints, one pair per draw, such as the pairs
+    of ``draw_penalty_pairs``."""
+    a = np.asarray(a, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0) or np.any(y < np.maximum(a, 0.0)):
+        raise ValueError("bridge conditioning requires y >= max(a, 0) and y > 0")
+    pick = gen.random(n) < (y - a) / (2.0 * y - a)
     z = y * (1.0 - gen.random(n))
     return np.where(pick, y, z)
 

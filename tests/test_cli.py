@@ -106,10 +106,30 @@ class TestSubcommands:
         assert json.loads(out)["pass"]
 
     def test_env_seed(self, capsys, monkeypatch):
+        # the parser is rebuilt on every call, so the env default is picked up
         monkeypatch.setenv("PENALAB_SEED", "777")
-        # rebuild the parser so the env default is picked up
-        code, out = run_cli(capsys, "classify", "--lambda", "0", "--mu", "-1")
-        assert code == 0 and json.loads(out)["region"] == "R3"
+        args = ("limit", "--y", "1", "--event", "u=1,b=0,c=0.5", "--n", "2000")
+        _, from_env = run_cli(capsys, *args)
+        _, seed_777 = run_cli(capsys, *args, "--seed", "777")
+        _, seed_778 = run_cli(capsys, *args, "--seed", "778")
+        assert from_env == seed_777 != seed_778
+
+    def test_limit_dumps_paths(self, capsys, tmp_path):
+        code, _ = run_cli(capsys, "limit", "--y", "1", "--event", "u=1,b=0,c=0.5", "--n", "2000",
+                          "--dump-paths", "3", "--step", "0.01", "--out", str(tmp_path))
+        assert code == 0
+        csvs = sorted(tmp_path.glob("*.csv"))
+        assert len(csvs) == 3
+        for path in csvs:
+            lines = path.read_text().splitlines()
+            assert lines[0] == "t,x,s" and len(lines) == 102
+            rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+            assert rows[0, 1] == 0.0
+            assert np.all(rows[:, 2] <= 1.0)
+
+    def test_verify_rejects_suite_option(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--suite", "nonsense", "--only", "5"])
 
     def test_unknown_config_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "bad.cfg"

@@ -25,6 +25,8 @@ from penalab.exact_laws import (
     p_max,
     phi_from_f,
 )
+from penalab.martingales import PathState, m_phi_from_f
+from penalab.samplers import RngStream, draw_penalty_pairs
 
 QUAD_TOL = 1e-8
 
@@ -192,6 +194,10 @@ class TestBivariatePenalties:
         phi = phi_from_f(ExponentialBivariate(-2.0, 1.0))
         ys = np.linspace(0, 20, 2001)
         assert np.max(np.abs(phi.pdf(ys) - np.exp(-ys))) < 1e-6
+        # the reduction is exponential with rate -(lam + mu)
+        assert (phi.family, phi.rate) == ("exponential", 1.0)
+        phi = phi_from_f(ExponentialBivariate(-3.0, 1.0))
+        assert (phi.family, phi.rate) == ("exponential", 2.0)
 
     def test_phi_from_f_separable_is_uniform(self):
         g = np.linspace(-12.0, 1.0, 3000)
@@ -199,10 +205,22 @@ class TestBivariatePenalties:
         phi = phi_from_f(f)
         ys = np.linspace(0.01, 0.99, 99)
         assert np.max(np.abs(phi.pdf(ys) - 1.0)) < 1e-6
+        assert (phi.family, phi.upper) == ("uniform", 1.0)
 
     def test_phi_from_f_infinite_mass_rejected(self):
         with pytest.raises(ValueError):
             phi_from_f(ExponentialBivariate(0.0, -1.0))
+
+    def test_zero_mass_penalty_rejected(self):
+        # f1 = 0 has no reduced density, martingale or pair law
+        g = np.linspace(-2.0, 1.0, 10)
+        f = SeparableIndicator(g, np.zeros(10), 1.0)
+        with pytest.raises(ValueError):
+            phi_from_f(f)
+        with pytest.raises(ValueError):
+            m_phi_from_f(PathState(0.0, 0.5), f)
+        with pytest.raises(ValueError):
+            draw_penalty_pairs(f, 3, RngStream(0).generator())
 
     def test_phi_from_f_tabulated_grid_mass(self):
         # support kept away from the diagonal so the bilinear cell integrals are exact

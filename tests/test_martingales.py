@@ -128,14 +128,15 @@ class TestFReduction:
         assert val == pytest.approx(1.3 * math.exp(-0.8), abs=1e-6)
 
     def test_consistency_with_phi_route(self):
-        phi = phi_from_f(self.F)
-        gen = RngStream(7).generator()
-        for _ in range(25):
-            x = gen.normal()
-            s = max(x, 0.0) + abs(gen.normal())
-            a = m_phi_from_f(PathState(x, s), self.F)
-            b = m_phi(PathState(x, s), phi)
-            assert a == pytest.approx(b, abs=1e-5)
+        for f in (self.F, ExponentialBivariate(-3.0, 1.0), ExponentialBivariate(-1.5, 0.5)):
+            phi = phi_from_f(f)
+            gen = RngStream(7).generator()
+            for _ in range(25):
+                x = gen.normal()
+                s = max(x, 0.0) + abs(gen.normal())
+                a = m_phi_from_f(PathState(x, s), f)
+                b = m_phi(PathState(x, s), phi)
+                assert a == pytest.approx(b, abs=1e-12)
 
     def test_separable_indicator_reduction(self):
         g = np.linspace(-12.0, 1.0, 2000)

@@ -160,6 +160,12 @@ class TestQayFinite:
         assert abs(q_ay_finite(d, 1.0, EV, 16.0) - base) < 10 * d
         assert abs(q_ay_finite(0.0, 1.0 + d, EV, 16.0) - base) < 10 * d
 
+    def test_domain(self):
+        # at a = y the terminal density p_joint(t, a, y) vanishes
+        for a, y in ((1.0, 1.0), (2.0, 1.0), (-1.0, 0.0)):
+            with pytest.raises(ValueError):
+                q_ay_finite(a, y, EV, 4.0)
+
     def test_monotone_convergence_to_limit(self):
         lim = q_ay_limit(0.0, 1.0, EV)
         gaps = [abs(q_ay_finite(0.0, 1.0, EV, t) - lim) for t in (4.0, 16.0, 64.0, 256.0)]

@@ -19,15 +19,12 @@ from penalab.samplers import (
     RngStream,
     bessel3_path,
     bm_path,
-    draw_penalty_pair,
     draw_penalty_pairs,
     exact_bm_state,
     exact_two_time_state,
+    mixture_levels,
     pitman_transform,
     q_level_terminal_batch,
-    sample_Q_ay,
-    sample_Q_f,
-    sample_Q_phi,
     sample_Q_y,
 )
 
@@ -134,16 +131,32 @@ class TestBessel3:
 
 class TestSampleQy:
     def test_path_caps_at_level_exactly(self):
+        hits = 0
         for seed in range(10):
             p = sample_Q_y(1.0, 3.0, 1e-3, rng=RngStream(seed))
-            assert p.runmax[-1] <= 1.0 + 1e-12
-            if p.hit_index is not None:
-                assert p.values[p.hit_index] == 1.0
-                assert p.runmax[-1] == 1.0
-                assert p.hit_time == pytest.approx(p.hit_index * p.step)
-            else:
-                assert p.hit_time > p.horizon
+            after = p.times >= p.hit_time
+            assert p.values[0] == 0.0 and np.all(p.values < 1.0)
+            assert np.all(p.runmax[after] == 1.0)
+            assert np.array_equal(p.runmax[~after], np.maximum.accumulate(p.values)[~after])
             assert p.sup_total == 1.0
+            hits += bool(after.any())
+        # both branches, a passage inside the window and one beyond it, occur
+        assert 0 < hits < 10
+
+    def test_path_law_at_coarse_step(self):
+        # the path is exact at the grid times whatever the step: X_1 against
+        # the limit law and the passage times against P(T <= t) = 2 Q(1/sqrt t)
+        n = 10000
+        gen = RngStream(34).generator()
+        paths = [sample_Q_y(1.0, 2.0, 1 / 8, gen=gen) for _ in range(n)]
+        x1 = np.array([p.values[8] for p in paths])
+        for b in (-0.5, 0.0, 0.5):
+            target = q_y_limit(1.0, RectEvent(1.0, b))
+            se = math.sqrt(target * (1 - target) / n)
+            assert abs(float(np.mean(x1 <= b)) - target) <= 4 * se
+        ht = np.sort([p.hit_time for p in paths])
+        cdf = lambda t: 2 * special.ndtr(-1.0 / np.sqrt(np.maximum(t, 1e-300)))
+        assert ks_test(ht, cdf, level=KS_LEVEL).passed
 
     def test_hit_time_law_conditioned_on_window(self):
         W = 4.0
@@ -197,24 +210,28 @@ class TestSampleQy:
 class TestSampleQay:
     def test_atom_fraction(self):
         n = 20000
-        gen = RngStream(15).generator()
-        sups = np.array([sample_Q_ay(0.0, 1.0, 0.25, 1e-2, gen=gen).sup_total
-                         for _ in range(n)])
-        frac = float(np.mean(sups == 1.0))
+        levels = mixture_levels(0.0, 1.0, n, RngStream(15).generator())
+        frac = float(np.mean(levels == 1.0))
         assert abs(frac - 0.5) <= 3 * math.sqrt(0.25 / n)
+        assert np.all((levels > 0.0) & (levels <= 1.0))
 
     def test_boundary_atom_probability_zero(self):
-        gen = RngStream(16).generator()
-        sups = np.array([sample_Q_ay(1.0, 1.0, 0.25, 1e-2, gen=gen).sup_total
-                         for _ in range(500)])
-        assert np.all(sups < 1.0)
+        levels = mixture_levels(1.0, 1.0, 500, RngStream(16).generator())
+        assert np.all(levels < 1.0)
+
+    def test_array_endpoints(self):
+        # one (a, y) pair per draw; constant arrays draw what the scalars draw
+        stream = RngStream(35)
+        ref = mixture_levels(0.3, 1.2, 50, stream.generator())
+        arr = mixture_levels(np.full(50, 0.3), np.full(50, 1.2), 50, stream.generator())
+        assert np.array_equal(ref, arr)
+        with pytest.raises(ValueError):
+            mixture_levels(np.array([0.0, 2.0]), np.array([1.0, 1.0]), 2, stream.generator())
 
     def test_event_frequency(self):
         n = 30000
         gen = RngStream(17).generator()
-        w = 0.5
-        pick = gen.random(n) < w
-        levels = np.where(pick, 1.0, 1.0 - gen.random(n))
+        levels = mixture_levels(0.0, 1.0, n, gen)
         out = q_level_terminal_batch(levels, 1.0, gen)
         p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
         target = q_ay_limit(0.0, 1.0, EV)
@@ -226,17 +243,14 @@ class TestSampleQphi:
     PHI = DensitySpec.uniform(1.0)
 
     def test_max_distribution(self):
-        gen = RngStream(18).generator()
-        sups = np.sort([sample_Q_phi(self.PHI, 0.25, 1e-2, gen=gen).sup_total
-                        for _ in range(5000)])
-        assert ks_test(sups, self.PHI.cdf, level=KS_LEVEL).passed
+        levels = np.sort(self.PHI.ppf(RngStream(18).generator().random(5000)))
+        assert ks_test(levels, self.PHI.cdf, level=KS_LEVEL).passed
 
     def test_narrow_density_degenerates_to_pinned_level(self):
         narrow = DensitySpec.tabulated([0.0, 0.999, 0.9995, 1.0005, 1.001, 1.5],
                                        [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
-        gen = RngStream(28).generator()
-        sups = [sample_Q_phi(narrow, 0.25, 1e-2, gen=gen).sup_total for _ in range(200)]
-        assert all(abs(v - 1.0) < 2e-3 for v in sups)
+        levels = narrow.ppf(RngStream(28).generator().random(200))
+        assert np.all(np.abs(levels - 1.0) < 2e-3)
 
     def test_event_frequency(self):
         n = 30000
@@ -261,13 +275,12 @@ class TestSampleQf:
 
     def test_max_distribution_matches_reduced_density(self):
         gen = RngStream(21).generator()
-        sups = np.sort([sample_Q_f(self.F, 0.25, 1e-2, gen=gen).sup_total
-                        for _ in range(4000)])
-        assert ks_test(sups, lambda v: 1.0 - np.exp(-np.maximum(v, 0.0)), level=KS_LEVEL).passed
+        levels = np.sort(mixture_levels(*draw_penalty_pairs(self.F, 4000, gen), 4000, gen))
+        assert ks_test(levels, lambda v: 1.0 - np.exp(-np.maximum(v, 0.0)), level=KS_LEVEL).passed
 
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValueError):
-            sample_Q_f(ExponentialBivariate(0.0, -1.0), 1.0, 1e-2, rng=RngStream(0))
+            draw_penalty_pairs(ExponentialBivariate(0.0, -1.0), 1, RngStream(0).generator())
 
 
 def separable_penalty():
@@ -330,20 +343,12 @@ class TestTablePenaltyDraws:
         assert np.array_equal(gen.random(4), gen_ref.random(4))
 
     @pytest.mark.parametrize("f", TABLE_PENALTIES)
-    def test_single_draw_is_the_first_batch_row(self, f):
-        pair = draw_penalty_pair(f, RngStream(32).generator())
-        a, y = draw_penalty_pairs(f, 3, RngStream(32).generator())
-        assert pair == (a[0], y[0])
-        assert isinstance(pair[0], float) and isinstance(pair[1], float)
-
-    @pytest.mark.parametrize("f", TABLE_PENALTIES)
     def test_levels_follow_reduced_density(self, f):
         n = 100000
         gen = RngStream(33).generator()
         a, y = draw_penalty_pairs(f, n, gen)
         assert np.all(y >= np.maximum(a, 0.0))
-        atom = gen.random(n) < (y - a) / (2.0 * y - a)
-        levels = np.where(atom, y, y * (1.0 - gen.random(n)))
+        levels = mixture_levels(a, y, n, gen)
         assert ks_test(np.sort(levels), phi_from_f(f).cdf, level=KS_LEVEL).passed
 
     def test_unsupported_penalty_rejected(self):
