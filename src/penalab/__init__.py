@@ -70,9 +70,9 @@ from .penalized_mc import (
     PhiOfMax,
     bessel_penalization_check,
     bridge_convergence_check,
+    finite_t_value,
     max_conditional,
     penalized_estimate,
-    regime_limit_check,
     terminal_conditional,
 )
 from .expansion import RateFit, f1_coefficient_check, f1_kennedy_check, fit_rate

@@ -18,7 +18,7 @@ from .exact_laws import (
     kennedy_transforms,
     phi_from_f,
 )
-from .expansion import explinear_series_value, f1_coefficient_check, f1_kennedy_check
+from .expansion import f1_coefficient_check, f1_kennedy_check
 from .martingales import (
     PathState,
     m_kennedy_xs,
@@ -31,6 +31,7 @@ from .penalized_mc import (
     ExpLinear,
     bessel_penalization_check,
     bessel_weight,
+    finite_t_value,
     penalized_estimate,
 )
 from .quadrature import (
@@ -178,7 +179,7 @@ def criterion_6_regime_table(seed: int, scale: float = 1.0) -> list[Verdict]:
     for i, (lam, mu) in enumerate([(-2.0, 1.0), (1.0, 1.0), (0.0, -1.0)]):
         pen = ExpLinear(lam, mu)
         for j, ev in enumerate((EVENT, EVENT2)):
-            target = explinear_series_value(pen, ev, t)
+            target = finite_t_value(pen, ev, t)
             limit = expect_on_event(ev, lambda x, s: m_mu_lambda_xs(x, s, ev.u, lam, mu))
             est = penalized_estimate(pen, ev, t, n, rng.substream(10 * i + j))
             verdicts.append(abs_verdict(
@@ -280,7 +281,7 @@ def criterion_11_bessel_penalization(seed: int, scale: float = 1.0) -> list[Verd
                 f"bessel-{tag}-b={row['b']}", row["value"], row["target"], row["tol"],
                 f"{row['penalty']} weight at t={row['t']} vs exact finite-t, stderr "
                 f"{row['stderr']:.2e}, ess {row['ess']:.0f} of {row['n']}"))
-            gaps = [abs(explinear_series_value(pen, RectEvent(1.0), t, w_max=row["b"])
+            gaps = [abs(finite_t_value(pen, RectEvent(1.0), t, w_max=row["b"])
                         - row["limit"]) for t in ts]
             slope = float(np.polyfit(np.log(ts), np.log(gaps), 1)[0])
             verdicts.append(abs_verdict(f"finite-t-bessel-{tag}-b={row['b']}-rate", -slope, 1.0,

@@ -3,8 +3,8 @@
 Verdicts stream to stdout as JSON lines (one object per check); series data
 goes to CSV files under ``--out`` when requested.  The exit status is 0 iff
 every verdict passed.  ``--config`` names a plain key=value file supplying
-defaults; explicit flags override it.  The default seed comes from the
-PENALAB_SEED environment variable when set.
+defaults for the chosen subcommand's options; explicit flags override it.
+The default seed comes from the PENALAB_SEED environment variable when set.
 """
 
 from __future__ import annotations
@@ -25,34 +25,52 @@ from .expansion import f1_coefficient_check, f1_kennedy_check, fit_rate
 from .martingales import m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from .penalized_mc import bessel_penalization_check
 from .quadrature import RectEvent, q_ay_finite, q_ay_limit, q_phi_limit, q_y_finite, q_y_limit
-from .report import Verdict, abs_verdict, ks_test
+from .report import Verdict, abs_verdict
 from .samplers import RngStream, exact_bm_state, level_event_frequency, mixture_levels, sample_Q_y
 
-__all__ = ["main", "ks_test", "Verdict"]
+__all__ = ["main"]
+
+# The _parse_* functions are argparse types: a ValueError becomes a usage error.
 
 
 def _parse_event(text: str) -> RectEvent:
+    """u=<time>[,b=<x bound>][,c=<max bound>]."""
     vals = {}
     for part in text.split(","):
         key, _, raw = part.partition("=")
         if key.strip() not in ("u", "b", "c"):
-            raise SystemExit(f"unknown event key {key!r} (expected u=,b=,c=)")
+            raise ValueError(f"unknown event key {key!r} (expected u=,b=,c=)")
         vals[key.strip()] = float(raw)
     if "u" not in vals:
-        raise SystemExit("event needs u=<time>")
+        raise ValueError("event needs u=<time>")
     return RectEvent(vals["u"], vals.get("b", math.inf), vals.get("c", math.inf))
 
 
 def _parse_density(text: str, laplace_lambda: float | None = None) -> DensitySpec:
-    parts = text.split(":")
-    if parts[0] == "phi":
-        parts = parts[1:]
-    family = parts[0]
+    """uniform:A or exp:RATE, with an optional phi: prefix."""
+    family, _, raw = text.removeprefix("phi:").partition(":")
     if family in ("uniform", "uni"):
-        return DensitySpec.uniform(float(parts[1]), laplace_lambda=laplace_lambda)
+        return DensitySpec.uniform(float(raw), laplace_lambda=laplace_lambda)
     if family in ("exp", "exponential"):
-        return DensitySpec.exponential(float(parts[1]), laplace_lambda=laplace_lambda)
-    raise SystemExit(f"unsupported density spec {text!r} (use uniform:A or exp:RATE)")
+        return DensitySpec.exponential(float(raw), laplace_lambda=laplace_lambda)
+    raise ValueError(f"unsupported density spec {text!r} (use uniform:A or exp:RATE)")
+
+
+def _parse_family(text: str):
+    """(text, m(x, s, u)) for phi:SPEC, explinear:LAM:MU or kennedy:LAM:SPEC."""
+    kind, _, rest = text.partition(":")
+    if kind == "phi":
+        phi = _parse_density(rest)
+        return text, lambda x, s, u: m_phi_xs(x, s, phi)
+    if kind == "explinear":
+        lam, mu = map(float, rest.split(":"))
+        return text, lambda x, s, u: m_mu_lambda_xs(x, s, u, lam, mu)
+    if kind == "kennedy":
+        raw_lam, _, spec = rest.partition(":")
+        lam = float(raw_lam)
+        psi = _parse_density(spec, lam)
+        return text, lambda x, s, u: m_kennedy_xs(x, s, u, lam, psi)
+    raise ValueError(f"unknown martingale family {text!r}")
 
 
 def _emit(verdicts, out: "list[Verdict]"):
@@ -94,33 +112,22 @@ def _cmd_martingale_check(args, verdicts):
     rng = RngStream(args.seed)
     gen = rng.generator(0)
     x, s = exact_bm_state(args.u, args.n, gen)
-    parts = args.family.split(":")
-    if parts[0] == "phi":
-        phi = _parse_density(":".join(parts[1:]))
-        vals = m_phi_xs(x, s, phi)
-    elif parts[0] == "explinear":
-        vals = m_mu_lambda_xs(x, s, args.u, float(parts[1]), float(parts[2]))
-    elif parts[0] == "kennedy":
-        lam = float(parts[1])
-        psi = _parse_density(":".join(parts[2:]), lam)
-        vals = m_kennedy_xs(x, s, args.u, lam, psi)
-    else:
-        raise SystemExit(f"unknown martingale family {args.family!r}")
-    vals = np.asarray(vals, dtype=float)
+    family, m = args.family
+    vals = np.asarray(m(x, s, args.u), dtype=float)
     se = float(np.std(vals)) / math.sqrt(args.n)
-    _emit([abs_verdict(f"unit-mean[{args.family}]@u={args.u}",
+    _emit([abs_verdict(f"unit-mean[{family}]@u={args.u}",
                        float(np.mean(vals)), 1.0, 4.0 * se, "mc-oracle")], verdicts)
 
 
 def _cmd_limit(args, verdicts):
-    ev = _parse_event(args.event)
+    ev = args.event
     rng = RngStream(args.seed)
     if args.phi is not None:
-        phi = _parse_density(args.phi)
+        phi = args.phi
         levels = phi.ppf(rng.generator(0).random(args.n))
         levels = np.maximum(levels, 1e-9)
         target = q_phi_limit(phi, ev)
-        tag = f"phi:{args.phi}"
+        tag = f"phi:{phi.family}:{phi.upper or phi.rate:g}"
     elif args.a is not None:
         levels = mixture_levels(args.a, args.y, args.n, rng.generator(0))
         target = q_ay_limit(args.a, args.y, ev)
@@ -143,7 +150,7 @@ def _cmd_limit(args, verdicts):
 
 
 def _cmd_converge(args, verdicts):
-    ev = _parse_event(args.event)
+    ev = args.event
     ts = [float(t) for t in args.t.split(",")]
     if args.a is not None:
         limit = q_ay_limit(args.a, args.y, ev)
@@ -166,15 +173,17 @@ def _cmd_converge(args, verdicts):
 
 
 def _cmd_expansion(args, verdicts):
-    ev = _parse_event(args.event)
+    ev = args.event
     if args.mode == "poly":
-        rep = f1_coefficient_check(_parse_density(args.phi), ev)
+        rep = f1_coefficient_check(args.phi, ev)
         _emit([abs_verdict("expansion-poly-rel-err", rep["rel_err"], 0.0, 0.10,
                            f"fit {rep['fit'].c1:.6g} target {rep['target']:.6g} "
                            f"(cubic-variant {rep['target_cubic_variant']:.6g})")], verdicts)
     else:
         lam = args.lam
-        psi = _parse_density(args.psi, lam)
+        # --psi names the shape; the Kennedy weight needs it Laplace-normalized at --lam
+        psi = getattr(DensitySpec, args.psi.family)(args.psi.upper or args.psi.rate,
+                                                     laplace_lambda=lam)
         rep = f1_kennedy_check(lam, psi, ev)
         _emit([abs_verdict("expansion-kennedy-rel-err", rep["rel_err"], 0.0, 0.15,
                            f"fit {rep['fit'].c1:.6g} target {rep['target']:.6g}")], verdicts)
@@ -217,7 +226,7 @@ def _cmd_verify(args, verdicts):
 
 # ---------------------------------------------------------------------------
 
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     seed_default = int(os.environ.get("PENALAB_SEED", "12345"))
     top = argparse.ArgumentParser(prog="penalab",
                                   description="penalized-Brownian-motion laboratory")
@@ -243,7 +252,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=_cmd_classify)
 
     p = sub.add_parser("martingale-check", help="empirical unit-mean check")
-    p.add_argument("--family", required=True,
+    p.add_argument("--family", required=True, type=_parse_family,
                    help="phi:uniform:A | phi:exp:RATE | explinear:LAM:MU | kennedy:LAM:uniform:A")
     p.add_argument("--u", type=float, default=1.0)
     p.add_argument("--n", type=int, default=100000)
@@ -253,8 +262,9 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("limit", help="sampler vs quadrature limit law")
     p.add_argument("--y", type=float)
     p.add_argument("--a", type=float)
-    p.add_argument("--phi", help="uniform:A or exp:RATE")
-    p.add_argument("--event", required=True, help="u=1,b=0,c=0.5 (b,c optional)")
+    p.add_argument("--phi", type=_parse_density, help="uniform:A or exp:RATE")
+    p.add_argument("--event", required=True, type=_parse_event,
+                   help="u=1,b=0,c=0.5 (b,c optional)")
     p.add_argument("--n", type=int, default=20000)
     p.add_argument("--step", type=float, default=1e-3,
                    help="grid step of the --dump-paths trajectories; the verdict "
@@ -267,17 +277,17 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("converge", help="finite-horizon convergence and rate fit")
     p.add_argument("--y", type=float, required=True)
     p.add_argument("--a", type=float)
-    p.add_argument("--event", required=True)
+    p.add_argument("--event", required=True, type=_parse_event)
     p.add_argument("--t", default="32,64,128,256,512,1024")
     common(p)
     p.set_defaults(fn=_cmd_converge)
 
     p = sub.add_parser("expansion", help="first-order expansion coefficient check")
     p.add_argument("--mode", choices=["poly", "kennedy"], default="poly")
-    p.add_argument("--phi", default="uniform:1")
-    p.add_argument("--psi", default="uniform:1")
+    p.add_argument("--phi", type=_parse_density, default="uniform:1")
+    p.add_argument("--psi", type=_parse_density, default="uniform:1")
     p.add_argument("--lam", type=float, default=1.0)
-    p.add_argument("--event", default="u=1,b=0,c=0.5")
+    p.add_argument("--event", type=_parse_event, default="u=1,b=0,c=0.5")
     common(p)
     p.set_defaults(fn=_cmd_expansion)
 
@@ -297,26 +307,15 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--only", help="comma-separated criterion numbers")
     common(p)
     p.set_defaults(fn=_cmd_verify)
-    return top
-
-
-def _known_dests(parser: argparse.ArgumentParser) -> set[str]:
-    dests = set()
-    stack = [parser]
-    while stack:
-        p = stack.pop()
-        for action in p._actions:
-            dests.add(action.dest)
-            if isinstance(action, argparse._SubParsersAction):
-                stack.extend(action.choices.values())
-    return dests
+    return top, sub.choices
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args, _ = parser.parse_known_args(argv)
+    parser, commands = _build_parser()
+    args = parser.parse_args(argv)
+    chosen = commands[args.command]
     if args.config:
-        known = _known_dests(parser)
+        known = set(vars(args)) - {"config", "command", "fn"}
         defaults = {}
         for line in Path(args.config).read_text().splitlines():
             line = line.strip()
@@ -325,12 +324,16 @@ def main(argv=None) -> int:
             key, _, val = line.partition("=")
             dest = key.strip().replace("-", "_")
             if dest not in known:
-                parser.error(f"unknown config key {key.strip()!r}")
+                chosen.error(f"unknown config key {key.strip()!r}")
             defaults[dest] = val.strip()
-        parser.set_defaults(**defaults)
+        # a subparser's own defaults win over the top parser's, and its option
+        # types convert (and check) string defaults
+        chosen.set_defaults(**defaults)
         args = parser.parse_args(argv)
-    else:
-        args = parser.parse_args(argv)
+    if args.command == "limit" and args.y is None and args.phi is None:
+        chosen.error("one of --y and --phi is required")
+    if args.command == "expansion" and args.mode == "kennedy" and args.lam <= 0.0:
+        chosen.error("--mode kennedy needs --lam > 0")
     verdicts: list[Verdict] = []
     args.fn(args, verdicts)
     return 0 if all(v.passed for v in verdicts) else 1

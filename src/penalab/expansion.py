@@ -21,17 +21,15 @@ import numpy as np
 
 from .exact_laws import DensitySpec
 from .martingales import f1_lambda_phi_xs, f1_phi_xs, m_kennedy_xs, m_phi_xs
-from .penalized_mc import ExpLinear, KennedyWeight, PhiOfMax, penalized_estimate
+from .penalized_mc import KennedyWeight, PhiOfMax, finite_t_value, penalized_estimate
 from .quadrature import RectEvent, expect_on_event, q_phi_limit
 from .samplers import RngStream
-from .weights import g_kennedy_bar, g_phi_hat, log_g_explinear
 
 __all__ = [
     "RateFit",
     "fit_rate",
     "phi_series_value",
     "kennedy_series_value",
-    "explinear_series_value",
     "f1_coefficient_check",
     "f1_kennedy_check",
 ]
@@ -104,39 +102,12 @@ def fit_rate(series: Sequence, model: str = "poly", lam: float | None = None) ->
 
 def phi_series_value(phi: DensitySpec, ev: RectEvent, t: float) -> float:
     """Exact penalized probability at horizon t for the phi(S_t) weight."""
-    u = ev.u
-    if t <= u:
-        raise ValueError("horizon must exceed the event time")
-    num = expect_on_event(ev, lambda x, s: g_phi_hat(x, s, t - u, phi),
-                          points=(phi.effective_upper(),))
-    den = float(g_phi_hat(np.array([0.0]), np.array([0.0]), t, phi)[0])
-    return math.sqrt(t / (t - u)) * num / den
+    return finite_t_value(PhiOfMax(phi), ev, t)
 
 
 def kennedy_series_value(lam: float, psi: DensitySpec, ev: RectEvent, t: float) -> float:
     """Exact penalized probability at horizon t for the Kennedy weight."""
-    u = ev.u
-    if t <= u:
-        raise ValueError("horizon must exceed the event time")
-    num = expect_on_event(ev, lambda x, s: g_kennedy_bar(x, s, t - u, lam, psi),
-                          points=(psi.effective_upper(),))
-    den = float(g_kennedy_bar(np.array([0.0]), np.array([0.0]), t, lam, psi)[0])
-    return math.exp(-lam * lam * u / 2.0) * num / den
-
-
-def explinear_series_value(pen: ExpLinear, ev: RectEvent, t: float,
-                           w_max: float = math.inf) -> float:
-    """Exact penalized probability at horizon t for the exponential weight
-    e^{lam S_t + mu X_t} 1{S_t <= cap}, on the event further restricted to
-    {2 S_u - X_u <= w_max}."""
-    u = ev.u
-    if t <= u:
-        raise ValueError("horizon must exceed the event time")
-    zero = np.zeros(1)
-    log_den = float(log_g_explinear(zero, zero, t, pen.lam, pen.mu, pen.cap)[0])
-    return expect_on_event(
-        ev, lambda x, s: np.exp(log_g_explinear(x, s, t - u, pen.lam, pen.mu, pen.cap) - log_den),
-        w_max=w_max, points=(pen.cap,))
+    return finite_t_value(KennedyWeight(lam, psi), ev, t)
 
 
 # ---------------------------------------------------------------------------
@@ -208,8 +179,7 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
 
 
 def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
-                     t_list: Sequence[float] = DEFAULT_DISCOUNTED_WINDOW,
-                     n: int = 0, rng: RngStream | None = None) -> dict:
+                     t_list: Sequence[float] = DEFAULT_DISCOUNTED_WINDOW) -> dict:
     """Same pipeline for the discounted (Kennedy) expansion."""
     u = ev.u
     series = [(t, kennedy_series_value(lam, psi, ev, t)) for t in t_list]
@@ -224,7 +194,7 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
     v_arr = np.array([row[1] for row in series])
     scaled = (v_arr - limit) * np.sqrt(t_arr) * np.exp(lam * lam * t_arr / 2.0) * t_arr
 
-    report = {
+    return {
         "series": series,
         "fit": fit,
         "limit": limit,
@@ -232,12 +202,3 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
         "scaled_coefficients": list(zip(t_arr.tolist(), scaled.tolist())),
         "rel_err": abs(fit.c1 - target) / abs(target) if target != 0.0 else abs(fit.c1),
     }
-    if n > 0:
-        if rng is None:
-            raise ValueError("a Monte Carlo series needs an RngStream")
-        mc_series = []
-        for k, t in enumerate(t_list):
-            est = penalized_estimate(KennedyWeight(lam, psi), ev, t, n, rng.substream(400 + k))
-            mc_series.append((t, est.value, est.stderr))
-        report["mc_series"] = mc_series
-    return report

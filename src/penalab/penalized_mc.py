@@ -31,13 +31,12 @@ from .exact_laws import (
     BivariatePenalty,
     DensitySpec,
     ExponentialBivariate,
-    classify_region,
     h_cdf,
     p_bessel3,
     p_joint,
     p_max,
 )
-from .martingales import m_bar_xs, m_mu_lambda_xs
+from .martingales import m_bar_xs
 from .quadrature import RectEvent, expect_on_event, rect_prob, q_ay_finite, q_ay_limit, atom_weight
 from .samplers import RngStream, exact_bm_state, exact_two_time_state
 from .weights import log_g_explinear, log_g_kennedy, log_g_phi
@@ -50,9 +49,9 @@ __all__ = [
     "PenaltyKind",
     "Estimate",
     "penalized_estimate",
+    "finite_t_value",
     "max_conditional",
     "terminal_conditional",
-    "regime_limit_check",
     "bessel_weight",
     "bessel_penalization_check",
     "bridge_convergence_check",
@@ -214,6 +213,29 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
     return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
 
 
+def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = math.inf) -> float:
+    """Exact penalized probability E[1_G F_t] / E[F_t] at horizon t, on the
+    event further restricted to {2 S_u - X_u <= w_max}.
+
+    The conditional kernel at r = t - u, divided by the kernel at the origin
+    with horizon t, integrated over the time-u state; the s-integral breaks at
+    the weight's kink (the end of phi's or psi's support, or the cap).
+    """
+    u = ev.u
+    if t <= u:
+        raise ValueError("horizon must exceed the event time")
+    pen = _normalize_penalty(pen)
+    zero = np.zeros(1)
+    log_den = float(_log_weight_conditional(pen, zero, zero, t)[0])
+    if isinstance(pen, ExpLinear):
+        kink = pen.cap
+    else:
+        kink = (pen.phi if isinstance(pen, PhiOfMax) else pen.psi).effective_upper()
+    return expect_on_event(
+        ev, lambda x, s: np.exp(_log_weight_conditional(pen, x, s, t - u) - log_den),
+        w_max=w_max, points=(kink,))
+
+
 def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> Estimate:
     """E[g(X_u, S_u) | S_u = y], a plain mean over exact draws.
 
@@ -282,39 +304,6 @@ def terminal_conditional(ev, t: float, y: float, n: int, rng: RngStream,
 # limit-law checks
 # ---------------------------------------------------------------------------
 
-def regime_limit_check(lam: float, mu: float, u: float, t_list: Sequence[float],
-                       n: int, rng: RngStream, events: Sequence[RectEvent] | None = None,
-                       mode: str = "auto") -> dict:
-    """Penalized estimates for the exponential weight vs the exact finite-t law.
-
-    A row passes when the estimate is within 3 stderr of the exact finite-t
-    value; each row also carries the t -> inf limit, the weighted
-    expectation of the regime martingale on the event.
-    """
-    from .expansion import explinear_series_value   # expansion imports this module
-
-    if events is None:
-        events = [RectEvent(u, 0.0, 0.5), RectEvent(u, 0.25, 1.0)]
-    region = classify_region(lam, mu).value
-    pen = ExpLinear(lam, mu)
-    rows = []
-    for ev in events:
-        limit = expect_on_event(ev, lambda x, s: m_mu_lambda_xs(x, s, u, lam, mu))
-        for k, t in enumerate(t_list):
-            est = penalized_estimate(pen, ev, t, n, rng.substream(1000 + k), mode=mode)
-            target = explinear_series_value(pen, ev, t)
-            tol = 3.0 * est.stderr
-            rows.append({
-                "penalty": f"explinear({lam},{mu})", "region": region,
-                "event": (ev.u, ev.b, ev.c), "t": t,
-                "value": est.value, "stderr": est.stderr, "n": est.n, "ess": est.ess,
-                "target": target, "target_source": "finite-t quadrature", "tol": tol,
-                "limit": limit,
-                "pass": bool(abs(est.value - target) <= tol),
-            })
-    return {"region": region, "rows": rows, "all_pass": all(r["pass"] for r in rows)}
-
-
 def bessel_weight(lam: float, mu: float, trivial: bool = False) -> ExpLinear:
     """A Bessel(3) penalization as an exponential weight on (X_t, S_t).
 
@@ -340,8 +329,6 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
     against the Bessel(3) marginal, or the plain Bessel(3) law for the
     trivial family.
     """
-    from .expansion import explinear_series_value   # expansion imports this module
-
     if trivial:
         density = lambda r: p_bessel3(u, r)
     else:
@@ -359,7 +346,7 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
             # the same draws for every b
             est = penalized_estimate(pen, (u, lambda x, s, b=b: 2.0 * s - x <= b), t, n,
                                      rng.substream(7000 + k))
-            target = explinear_series_value(pen, RectEvent(u), t, w_max=b)
+            target = finite_t_value(pen, RectEvent(u), t, w_max=b)
             tol = 3.0 * est.stderr
             rows.append({
                 "penalty": label, "event": (u, b), "t": t, "b": b,

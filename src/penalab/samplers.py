@@ -97,13 +97,6 @@ class Path:
         for t, x, s in zip(self.times, self.values, self.runmax):
             fh.write(f"{t},{x},{s}\n")
 
-    def state_at(self, u: float):
-        """(X_u, S_u) read off the stored grid."""
-        k = int(round(u / self.step))
-        if not (0 <= k < self.values.size):
-            raise ValueError(f"time {u} outside the stored window")
-        return float(self.values[k]), float(self.runmax[k])
-
 
 def _check_grid(horizon: float, step: float) -> int:
     if horizon <= 0.0 or step <= 0.0 or step > horizon + 1e-15:

@@ -7,9 +7,11 @@ For a weight F_t = f(X_t, S_t) and r = t - u, the conditional kernel is
 
 computed in closed form (exponential weights), via error functions (density
 weights from the closed-form families) or by fixed-node Gauss-Legendre
-(tabulated shapes, Kennedy weights).  Everything is returned on the log
-scale; ratio estimators only consume differences of these logs, so the
-arbitrary large factors (e.g. exp(mu^2 r / 2)) never need to be formed.
+(tabulated shapes, Kennedy weights).  Every ``log_g_*`` returns the full
+log g, so the exact finite-horizon law integrates g(., r = t - u) / g(0, 0, t)
+for any weight; the large factors (e.g. exp(mu^2 r / 2)) stay on the log
+scale.  ``g_phi_hat`` and ``g_kennedy_bar`` are the linear-scale kernels
+without their known factor.
 """
 
 from __future__ import annotations
@@ -57,7 +59,8 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
     s = np.asarray(s, dtype=float)
     d = s - x
     sr = math.sqrt(r)
-    flat = phi.pdf(s) * sr * SQRT_2PI * (norm_cdf(d / sr) - 0.5)
+    z = d / sr
+    flat = phi.pdf(s) * sr * SQRT_2PI * (norm_cdf(z) - 0.5)
 
     if phi.family == "exponential":
         dlt = phi.rate
@@ -69,7 +72,7 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
     elif phi.family == "uniform":
         A = phi.upper
         tail = phi.scale * sr * SQRT_2PI * np.maximum(
-            norm_sf((s - x) / sr) - norm_sf((A - x) / sr), 0.0)
+            norm_sf(z) - norm_sf((A - x) / sr), 0.0)
         tail = np.where(s >= A, 0.0, tail)
     else:
         nodes, wts = gauss_legendre(PHI_GL_NODES)
@@ -77,14 +80,22 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
         hi = phi.grid[-1]
         span = np.maximum(hi - lo, 0.0)
         v = lo[..., None] + span[..., None] * nodes
-        dens = phi.pdf(v) * np.exp(-(v - x[..., None]) ** 2 / (2.0 * r))
-        tail = span * np.einsum("...k,k->...", dens, wts)
+        dens = phi.pdf(v) * np.exp(-0.5 / r * (v - x[..., None]) ** 2)
+        tail = span * (dens @ wts)
     return flat + tail
 
 
+def _log_times(g, log_factor: float):
+    """log(g) + log_factor, -inf where g <= 0."""
+    out = np.full(np.shape(g), -np.inf)
+    np.log(g, out=out, where=g > 0.0)
+    out += log_factor
+    return out
+
+
 def log_g_phi(x, s, r: float, phi: DensitySpec):
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(g_phi_hat(x, s, r, phi), 0.0))
+    """log E[phi(S_t) | X_u = x, S_u = s], r = t - u."""
+    return _log_times(g_phi_hat(x, s, r, phi), 0.5 * math.log(2.0 / (math.pi * r)))
 
 
 # ---------------------------------------------------------------------------
@@ -201,5 +212,5 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
 
 
 def log_g_kennedy(x, s, r: float, lam: float, psi: DensitySpec):
-    with np.errstate(divide="ignore"):
-        return np.log(np.maximum(g_kennedy_bar(x, s, r, lam, psi), 0.0))
+    """log E[psi(S_t) e^{lam (S_t - X_t)} | X_u = x, S_u = s], r = t - u."""
+    return _log_times(g_kennedy_bar(x, s, r, lam, psi), lam * lam * r / 2.0)

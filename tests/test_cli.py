@@ -100,10 +100,32 @@ class TestSubcommands:
     def test_config_file_defaults(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
         cfg.write_text("n=2000\nseed=3\n")
-        code, out = run_cli(capsys, "--config", str(cfg), "limit", "--y", "1",
-                            "--event", "u=1,b=0,c=0.5")
+        args = ("limit", "--y", "1", "--event", "u=1,b=0,c=0.5")
+        code, out = run_cli(capsys, "--config", str(cfg), *args)
+        _, flags = run_cli(capsys, *args, "--n", "2000", "--seed", "3")
+        _, default = run_cli(capsys, *args)
         assert code == 0
-        assert json.loads(out)["pass"]
+        assert out == flags != default
+
+    def test_config_value_is_type_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "bad.cfg"
+        cfg.write_text("n=abc\n")
+        with pytest.raises(SystemExit) as exc:
+            main(["--config", str(cfg), "limit", "--y", "1", "--event", "u=1"])
+        assert exc.value.code == 2
+
+    @pytest.mark.parametrize("argv", [
+        ("limit", "--phi", "uniform", "--event", "u=1"),
+        ("limit", "--event", "u=1"),
+        ("limit", "--y", "1", "--event", "u=x"),
+        ("martingale-check", "--family", "explinear:1"),
+        ("expansion", "--mode", "kennedy", "--lam", "-2", "--psi", "exp:1"),
+    ])
+    def test_malformed_input_is_a_usage_error(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert "usage:" in capsys.readouterr().err
 
     def test_env_seed(self, capsys, monkeypatch):
         # the parser is rebuilt on every call, so the env default is picked up

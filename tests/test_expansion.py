@@ -5,7 +5,6 @@ import pytest
 
 from penalab.exact_laws import DensitySpec
 from penalab.expansion import (
-    explinear_series_value,
     f1_coefficient_check,
     f1_kennedy_check,
     fit_rate,
@@ -13,7 +12,7 @@ from penalab.expansion import (
     phi_series_value,
 )
 from penalab.martingales import f1_phi_xs, m_mu_lambda_xs
-from penalab.penalized_mc import ExpLinear, bessel_weight
+from penalab.penalized_mc import ExpLinear, bessel_weight, finite_t_value
 from penalab.quadrature import RectEvent, expect_on_event
 from penalab.samplers import RngStream
 
@@ -135,19 +134,19 @@ class TestExpLinearSeries:
     @pytest.mark.parametrize("pen", [ExpLinear(-3.0, 1.0), ExpLinear(-2.0, 1.0, cap=1.0),
                                      ExpLinear(0.5, 0.25, cap=1.2)])
     def test_full_space_mass(self, pen):
-        assert explinear_series_value(pen, FULL, 16.0) == pytest.approx(1.0, abs=1e-9)
+        assert finite_t_value(pen, FULL, 16.0) == pytest.approx(1.0, abs=1e-9)
 
     def test_approaches_regime_limit_at_rate_one_over_t(self):
         lim = expect_on_event(EV, lambda x, s: m_mu_lambda_xs(x, s, 1.0, -3.0, 1.0))
         ts = np.array([32.0, 128.0, 512.0, 2048.0])
-        gaps = [abs(explinear_series_value(ExpLinear(-3.0, 1.0), EV, t) - lim) for t in ts]
+        gaps = [abs(finite_t_value(ExpLinear(-3.0, 1.0), EV, t) - lim) for t in ts]
         assert np.polyfit(np.log(ts), np.log(gaps), 1)[0] == pytest.approx(-1.0, abs=0.1)
 
     def test_bessel_finite_t_values(self):
         # branch (-1, -1) and the trivial family at t = 32 against their
         # common limit P(R_1 <= b): 0.112783 (b = 0.8), 0.535455 (b = 1.6)
-        vals = {(trivial, b): explinear_series_value(bessel_weight(-1.0, -1.0, trivial), FULL,
-                                                     32.0, w_max=b)
+        vals = {(trivial, b): finite_t_value(bessel_weight(-1.0, -1.0, trivial), FULL, 32.0,
+                                             w_max=b)
                 for trivial in (False, True) for b in (0.8, 1.6)}
         assert vals[False, 0.8] == pytest.approx(0.117257, abs=1e-6)
         assert vals[False, 1.6] == pytest.approx(0.548964, abs=1e-6)

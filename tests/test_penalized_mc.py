@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from penalab.exact_laws import DensitySpec, ExponentialBivariate, p_bessel3, p_joint, p_max
-from penalab.expansion import explinear_series_value, phi_series_value
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from penalab.exact_laws import DensitySpec, ExponentialBivariate, h_cdf, p_bessel3, p_joint, p_max
+from penalab.expansion import phi_series_value
 from penalab.martingales import m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from penalab.penalized_mc import (
     BivariateF,
@@ -15,9 +18,9 @@ from penalab.penalized_mc import (
     bessel_penalization_check,
     bessel_weight,
     bridge_convergence_check,
+    finite_t_value,
     max_conditional,
     penalized_estimate,
-    regime_limit_check,
     terminal_conditional,
 )
 from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite, rect_prob
@@ -146,15 +149,41 @@ class TestMaxConditional:
                 max_conditional(lambda x, s: x, y, 1.0, 2000, RngStream(17))
 
 
-class TestRegimeCheck:
-    def test_all_regimes_pass(self):
-        for lam, mu in [(-2.0, 1.0), (1.0, 1.0), (0.0, -1.0)]:
-            rep = regime_limit_check(lam, mu, 1.0, [256.0], 100000, RngStream(18))
-            assert rep["all_pass"], rep["rows"]
-            for row in rep["rows"]:
-                # the exact finite-t law sits within O(1/t) of the limit
-                assert abs(row["target"] - row["limit"]) <= 2.0 / row["t"]
+class TestFiniteTValue:
+    @given(pen=st.sampled_from([PhiOfMax(UNIFORM), PhiOfMax(DensitySpec.exponential(1.5)),
+                                KennedyWeight(1.0, PSI), ExpLinear(0.0, -1.0),
+                                ExpLinear(-2.0, 1.0), ExpLinear(-2.0, 1.0, cap=1.0),
+                                ExpLinear(0.5, 0.25, cap=1.2)]),
+           u=st.floats(0.1, 5.0), r=st.floats(0.05, 500.0))
+    @settings(max_examples=40, deadline=None)
+    def test_full_event_has_unit_mass(self, pen, u, r):
+        # ExpLinear(-2, 1) sits on the lam + 2 mu = 0 diagonal
+        assert finite_t_value(pen, RectEvent(u), u + r) == pytest.approx(1.0, abs=1e-8)
 
+    @pytest.mark.xfail(strict=True, reason="expect_on_event cuts w = 2s - x a fixed number of "
+                       "sqrt(u) above the event, below the mass of a tilted R2 weight at large u")
+    def test_r2_full_event_mass_at_large_u(self):
+        # 1 - 8.1e-8 at u = 4; 3e-13 at u = 1
+        assert finite_t_value(ExpLinear(1.0, 1.0), RectEvent(4.0), 5.0) == pytest.approx(
+            1.0, abs=1e-8)
+
+    def test_horizon_must_exceed_the_event_time(self):
+        with pytest.raises(ValueError):
+            finite_t_value(PhiOfMax(UNIFORM), EV, 1.0)
+
+    def test_exponential_bivariate_is_the_exponential_weight(self):
+        f = BivariateF(ExponentialBivariate(-2.0, 1.0))
+        assert finite_t_value(f, EV, 16.0) == finite_t_value(ExpLinear(-2.0, 1.0), EV, 16.0)
+
+    def test_needs_a_conditional_kernel(self):
+        from penalab.exact_laws import SeparableIndicator
+
+        g = np.linspace(-3.0, 1.0, 41)
+        with pytest.raises(TypeError):
+            finite_t_value(BivariateF(SeparableIndicator(g, np.exp(g), 1.0)), EV, 16.0)
+
+
+class TestRegimeCheck:
     def test_r1_reduces_to_density_weight(self):
         # R1 target equals the reduced-density martingale expectation
         from penalab.exact_laws import phi_from_f
@@ -204,7 +233,7 @@ class TestBesselPenalization:
         t, b = 4.0, 0.8
         est = penalized_estimate(pen, (1.0, lambda x, s: 2.0 * s - x <= b), t, 200000,
                                  RngStream(23), mode="terminal")
-        exact = explinear_series_value(pen, RectEvent(1.0), t, w_max=b)
+        exact = finite_t_value(pen, RectEvent(1.0), t, w_max=b)
         assert abs(est.value - exact) <= 4.0 * est.stderr
 
     def test_unsupported_branch_configuration(self):
@@ -316,6 +345,48 @@ class TestConditionalWeightKernels:
         zero = log_g_explinear(np.array([0.0, 1.0, cap]), np.array([cap + 0.1, cap + 2.0, cap]),
                                4.0, lam, mu, cap)
         assert np.all(zero == -np.inf)
+
+    TABULATED = DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
+                                      np.exp(-np.linspace(0.0, 2.0, 41)))
+
+    # fixed 96-node Gauss-Legendre across the kinks of a piecewise-linear phi
+    # is good to 1.8e-6 relative on these states
+    @pytest.mark.parametrize("phi,rel", [(UNIFORM, 1e-9), (DensitySpec.exponential(1.5), 1e-9),
+                                         (TABULATED, 5e-6)],
+                             ids=["uniform", "exponential", "tabulated"])
+    def test_phi_kernel_is_the_conditional_expectation(self, phi, rel):
+        # phi(s) P(S_r < s - x) + int_{s-x}^inf phi(x + m) p_max(r, m) dm
+        from penalab.weights import log_g_phi
+
+        for x, s, r in [(-0.5, 0.3, 2.0), (0.9, 1.0, 0.7), (-1.2, 0.0, 30.0)]:
+            d, top = s - x, phi.effective_upper(1e-16) - x
+            kinks = [k - x for k in (phi.grid if phi.grid is not None else ()) if d < k - x < top]
+            tail, _ = integrate.quad(lambda m: phi.pdf(x + m) * p_max(r, m), d, top,
+                                     points=kinks or None, epsabs=0.0, epsrel=1e-12, limit=200)
+            exact = phi.pdf(s) * h_cdf(r, d) + tail
+            got = float(np.exp(log_g_phi(np.array([x]), np.array([s]), r, phi))[0])
+            assert got == pytest.approx(exact, rel=rel)
+
+    def test_kennedy_kernel_is_the_conditional_expectation(self):
+        # psi(max(s, x + m)) e^{lam (max(s, x + m) - x - z)} against p_joint(r, z, m),
+        # the law of the increment and maximum of a Brownian motion over [0, r]
+        from penalab.weights import log_g_kennedy
+
+        lam = 1.0
+        for x, s, r in [(-0.5, 0.3, 2.0), (0.2, 0.6, 5.0)]:
+            def inner(m):
+                top = max(s, x + m)
+                lo = 2.0 * m - lam * r - 40.0 * math.sqrt(r)
+                v, _ = integrate.quad(lambda z: math.exp(lam * (top - x - z)) * p_joint(r, z, m),
+                                      lo, m, epsabs=0.0, epsrel=1e-12, limit=200)
+                return PSI.pdf(top) * v
+
+            d = s - x
+            # psi(x + m) vanishes past the end of its support at 1
+            exact, _ = integrate.quad(inner, 0.0, 1.0 - x, points=[d], epsabs=0.0,
+                                      epsrel=1e-11, limit=200)
+            got = float(np.exp(log_g_kennedy(np.array([x]), np.array([s]), r, lam, PSI))[0])
+            assert got == pytest.approx(exact, rel=1e-9)
 
     def test_uncapped_kernel_is_smooth_on_the_diagonal(self):
         # lam + 2 mu = 0 goes through the integrated normal tail, whose
