@@ -2,7 +2,8 @@
 
 Two kinds of sampler live here.  The path samplers (``bm_path``,
 ``bessel3_path``, ``sample_Q_y``) store a trajectory on a uniform grid, for
-CSV dumps and path-level tests; ``sample_Q_y`` builds its path from the exact
+path-level tests and, ``sample_Q_y`` only, the CSV dumps of ``limit
+--dump-paths``; ``sample_Q_y`` builds its path from the exact
 first-passage time, so the grid only stores it.  A path of any limit law is
 ``sample_Q_y`` at a level from ``mixture_levels``, ``DensitySpec.ppf`` or
 ``draw_penalty_pairs``.  The state samplers (``exact_bm_state``,

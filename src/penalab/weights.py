@@ -6,8 +6,8 @@ For a weight F_t = f(X_t, S_t) and r = t - u, the conditional kernel is
     g(x, s, r) = E[ f(X_t, S_t) | X_u = x, S_u = s ],
 
 computed in closed form (exponential weights), via error functions (density
-weights from the closed-form families) or by fixed-node Gauss-Legendre
-(tabulated shapes, Kennedy weights).  Every ``log_g_*`` returns the full
+and Kennedy weights with a uniform or exponential shape) or by fixed-node
+Gauss-Legendre (tabulated shapes only).  Every ``log_g_*`` returns the full
 log g, so the exact finite-horizon law integrates g(., r = t - u) / g(0, 0, t)
 for any weight; the large factors (e.g. exp(mu^2 r / 2)) stay on the log
 scale.  ``g_phi_hat`` and ``g_kennedy_bar`` are the linear-scale kernels
@@ -40,7 +40,7 @@ __all__ = [
     "log_g_kennedy",
 ]
 
-# fixed Gauss-Legendre nodes of the tabulated-phi tail and the Kennedy kernel
+# fixed Gauss-Legendre nodes of the tabulated-shape tails (phi and Kennedy psi)
 PHI_GL_NODES = 96
 KENNEDY_GL_NODES = 64
 
@@ -188,26 +188,45 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
 
     gbar(x, s, r) = psi(s) e^{lam d} int_0^d e^{-2 lam z} hbar(z) dz
                     + int_d^inf e^{-lam z} psi(x + z) hbar(z) dz,   d = s - x.
+
+    Both integrals are normal CDFs by parts (a = (lam r + d)/sr,
+    c = (lam r - d)/sr, and kappa = lam + rho for psi(y) = C e^{-rho y}):
+
+        int_0^d e^{-2 lam z} hbar dz = Phi(a) - e^{-2 lam d} Phi(c),
+        e^{-lam z} hbar(z) = d/dz [-F(z)],   F(z) = 2 e^{-lam z} Q((z - lam r)/sr),
+        int_d^inf e^{-kappa z} hbar dz = (2 lam/kappa) e^{-kappa d} Q(-c)
+                                         + (2 rho/kappa) e^{(rho^2 - lam^2) r/2} Q((d + rho r)/sr).
+
+    The flat part is summed as e^{lam d} (Phi(a) - Phi(c)) + 2 sinh(lam d) Phi(c),
+    two non-negative terms, so it stays positive as d -> 0.  A tabulated
+    psi keeps a Gauss-Legendre moving part.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     d = s - x
-    nodes, wts = gauss_legendre(KENNEDY_GL_NODES)
+    sr = math.sqrt(r)
+    cdf_c = norm_cdf((lam * r - d) / sr)
+    interval = np.maximum(norm_cdf((lam * r + d) / sr) - cdf_c, 0.0)
+    flat = psi.pdf(s) * (np.exp(lam * d) * interval + 2.0 * np.sinh(lam * d) * cdf_c)
 
-    # flat part (only where psi(s) > 0)
-    z1 = d[..., None] * nodes
-    k1 = np.exp(lam * d[..., None] - 2.0 * lam * z1) * _h_bar(z1, r, lam)
-    flat = psi.pdf(s) * d * np.einsum("...k,k->...", k1, wts)
-
-    # moving part: z in [d, z_hi] with psi(x + z) support
-    if psi.family in ("uniform", "tabulated"):
-        z_hi = psi.effective_upper() - x
+    if psi.family == "uniform":
+        # F(d) - F(max(A - x, d))
+        z = np.stack((d, np.maximum(psi.upper - x, d)))
+        f = 2.0 * np.exp(-lam * z) * norm_sf((z - lam * r) / sr)
+        moving = psi.scale * np.maximum(f[0] - f[1], 0.0)
+    elif psi.family == "exponential":
+        rho = psi.rate
+        kappa = lam + rho
+        moving = psi.scale * np.exp(-rho * x) * (
+            2.0 * lam / kappa * np.exp(-kappa * d) * norm_sf((d - lam * r) / sr)
+            + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
+                     + log_norm_sf((d + rho * r) / sr)))
     else:
-        z_hi = (-x) + psi.effective_upper(1e-16) + 50.0 / (psi.rate + lam)
-    span = np.maximum(z_hi - d, 0.0)
-    z2 = d[..., None] + span[..., None] * nodes
-    k2 = np.exp(-lam * z2) * psi.pdf(x[..., None] + z2) * _h_bar(z2, r, lam)
-    moving = span * np.einsum("...k,k->...", k2, wts)
+        nodes, wts = gauss_legendre(KENNEDY_GL_NODES)
+        span = np.maximum(psi.upper - s, 0.0)
+        z = d[..., None] + span[..., None] * nodes
+        k = np.exp(-lam * z) * psi.pdf(x[..., None] + z) * _h_bar(z, r, lam)
+        moving = span * (k @ wts)
     return flat + moving
 
 

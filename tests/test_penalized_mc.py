@@ -151,7 +151,9 @@ class TestMaxConditional:
 
 class TestFiniteTValue:
     @given(pen=st.sampled_from([PhiOfMax(UNIFORM), PhiOfMax(DensitySpec.exponential(1.5)),
-                                KennedyWeight(1.0, PSI), ExpLinear(0.0, -1.0),
+                                KennedyWeight(1.0, PSI),
+                                KennedyWeight(1.0, DensitySpec.exponential(1.5, laplace_lambda=1.0)),
+                                ExpLinear(0.0, -1.0),
                                 ExpLinear(-2.0, 1.0), ExpLinear(-2.0, 1.0, cap=1.0),
                                 ExpLinear(0.5, 0.25, cap=1.2)]),
            u=st.floats(0.1, 5.0), r=st.floats(0.05, 500.0))
@@ -159,6 +161,19 @@ class TestFiniteTValue:
     def test_full_event_has_unit_mass(self, pen, u, r):
         # ExpLinear(-2, 1) sits on the lam + 2 mu = 0 diagonal
         assert finite_t_value(pen, RectEvent(u), u + r) == pytest.approx(1.0, abs=1e-8)
+
+    def test_exponential_kennedy_mass_at_small_r(self):
+        # 1 - 9.0e-6 when the kernel ran a fixed Gauss-Legendre rule at r = 0.05
+        pen = KennedyWeight(2.0, DensitySpec.exponential(0.5, laplace_lambda=2.0))
+        assert finite_t_value(pen, RectEvent(0.3), 0.35) == pytest.approx(1.0, abs=1e-14)
+
+    @pytest.mark.xfail(strict=True, reason="expect_on_event cuts w = 2s - x a fixed number of "
+                       "sqrt(u) above the event, below the mass of the lam = 2 Kennedy tilt at "
+                       "large u")
+    def test_lam2_kennedy_full_event_mass_at_large_u(self):
+        # 1 - 7.7e-7 at u = 5; 1 - 1.7e-13 at u = 1
+        pen = KennedyWeight(2.0, DensitySpec.exponential(0.5, laplace_lambda=2.0))
+        assert finite_t_value(pen, RectEvent(5.0), 6.0) == pytest.approx(1.0, abs=1e-8)
 
     @pytest.mark.xfail(strict=True, reason="expect_on_event cuts w = 2s - x a fixed number of "
                        "sqrt(u) above the event, below the mass of a tilted R2 weight at large u")
@@ -367,26 +382,62 @@ class TestConditionalWeightKernels:
             got = float(np.exp(log_g_phi(np.array([x]), np.array([s]), r, phi))[0])
             assert got == pytest.approx(exact, rel=rel)
 
-    def test_kennedy_kernel_is_the_conditional_expectation(self):
+    # psi = e^{-y} on 41 knots of [0, 2], Laplace-normalized at lam = 1; the
+    # fixed 64-node Gauss-Legendre of its moving part runs across the kinks and
+    # is good to 4.8e-6 relative on these states
+    TABULATED_PSI = DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
+                                          np.exp(-np.linspace(0.0, 2.0, 41)), laplace_lambda=1.0)
+
+    @pytest.mark.parametrize("psi,rel", [(PSI, 1e-12),
+                                         (DensitySpec.exponential(1.5, laplace_lambda=1.0), 1e-12),
+                                         (TABULATED_PSI, 1e-5)],
+                             ids=["uniform", "exponential", "tabulated"])
+    def test_kennedy_kernel_is_the_conditional_expectation(self, psi, rel):
         # psi(max(s, x + m)) e^{lam (max(s, x + m) - x - z)} against p_joint(r, z, m),
         # the law of the increment and maximum of a Brownian motion over [0, r]
         from penalab.weights import log_g_kennedy
 
         lam = 1.0
-        for x, s, r in [(-0.5, 0.3, 2.0), (0.2, 0.6, 5.0)]:
+        for x, s, r in [(-0.5, 0.3, 2.0), (0.2, 0.6, 5.0), (0.9, 1.0, 0.05)]:
             def inner(m):
                 top = max(s, x + m)
                 lo = 2.0 * m - lam * r - 40.0 * math.sqrt(r)
                 v, _ = integrate.quad(lambda z: math.exp(lam * (top - x - z)) * p_joint(r, z, m),
-                                      lo, m, epsabs=0.0, epsrel=1e-12, limit=200)
-                return PSI.pdf(top) * v
+                                      lo, m, epsabs=0.0, epsrel=1e-13, limit=200)
+                return psi.pdf(top) * v
 
-            d = s - x
-            # psi(x + m) vanishes past the end of its support at 1
-            exact, _ = integrate.quad(inner, 0.0, 1.0 - x, points=[d], epsabs=0.0,
-                                      epsrel=1e-11, limit=200)
-            got = float(np.exp(log_g_kennedy(np.array([x]), np.array([s]), r, lam, PSI))[0])
-            assert got == pytest.approx(exact, rel=1e-9)
+            d, top = s - x, psi.effective_upper(1e-16) - x
+            kinks = [k - x for k in (psi.grid if psi.grid is not None else ()) if d < k - x < top]
+            # psi(x + m) vanishes past the end of its support
+            exact, _ = integrate.quad(inner, 0.0, top, points=[d] + kinks, epsabs=0.0,
+                                      epsrel=1e-13, limit=200)
+            got = float(np.exp(log_g_kennedy(np.array([x]), np.array([s]), r, lam, psi))[0])
+            assert got == pytest.approx(exact, rel=rel)
+
+    def test_kennedy_kernel_is_nonnegative_as_d_vanishes(self):
+        # at s = A the moving part is empty and the flat part is
+        # psi(A) d hbar(0) (1 + O(d)), hbar(0) = 2 lam Phi(lam sr) + sqrt(2/(pi r)) e^{-lam^2 r/2}
+        from penalab.weights import g_kennedy_bar, log_g_kennedy
+
+        lam, top = 1.0, PSI.effective_upper()
+        for r in (0.05, 2.0, 500.0):
+            x = top - np.array([0.0, 1e-15, 1e-9])
+            d = top - x
+            g = g_kennedy_bar(x, np.full(3, top), r, lam, PSI)
+            hbar0 = (2.0 * lam * 0.5 * math.erfc(-lam * math.sqrt(r / 2.0))
+                     + math.sqrt(2.0 / (math.pi * r)) * math.exp(-lam * lam * r / 2.0))
+            assert g[0] == 0.0
+            # the normal interval probability in the flat part carries ~1e-17 of roundoff
+            assert g[1:] == pytest.approx(PSI.pdf(top) * d[1:] * hbar0, rel=0.05)
+
+        # log g is -inf exactly where the moving part is empty (s >= A) and the
+        # flat part psi(s) int_0^d ... vanishes (psi(s) = 0 or d = 0)
+        gen = RngStream(41).generator()
+        s = np.concatenate((gen.uniform(0.0, 2.0, 400), np.full(40, top)))
+        d = gen.exponential(0.5, s.size) * (gen.random(s.size) < 0.7)
+        lg = log_g_kennedy(s - d, s, 0.3, lam, PSI)
+        assert not np.any(np.isnan(lg))
+        assert np.array_equal(np.isneginf(lg), (s >= top) & ((PSI.pdf(s) == 0.0) | (d == 0.0)))
 
     def test_uncapped_kernel_is_smooth_on_the_diagonal(self):
         # lam + 2 mu = 0 goes through the integrated normal tail, whose
