@@ -5,7 +5,7 @@ Modules
 exact_laws    closed-form densities, the regime partition, penalty reductions
 martingales   weight-martingale evaluators at a path state
 quadrature    deterministic finite-horizon and limit laws on rectangle events
-samplers      seeded path simulation and exact limit-law samplers
+samplers      seeded exact samplers for Brownian states and the limit laws
 penalized_mc  weighted Monte Carlo estimation of penalized laws
 expansion     rate fitting and the first-order horizon expansions
 acceptance    the acceptance battery (also behind ``penalab verify``)
@@ -30,14 +30,13 @@ from .exact_laws import (
     phi_from_f,
 )
 from .martingales import (
-    PathState,
-    f1_lambda_phi,
-    f1_phi,
-    m_bar,
-    m_kennedy,
-    m_mu_lambda,
-    m_phi,
+    f1_lambda_phi_xs,
+    f1_phi_xs,
+    m_bar_xs,
+    m_kennedy_xs,
+    m_mu_lambda_xs,
     m_phi_from_f,
+    m_phi_xs,
 )
 from .quadrature import (
     RectEvent,
@@ -54,11 +53,8 @@ from .quadrature import (
 from .samplers import (
     Path,
     RngStream,
-    bessel3_path,
-    bm_path,
     draw_penalty_pairs,
     mixture_levels,
-    pitman_transform,
     sample_Q_y,
 )
 from .penalized_mc import (

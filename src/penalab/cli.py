@@ -177,8 +177,7 @@ def _cmd_expansion(args, verdicts):
     if args.mode == "poly":
         rep = f1_coefficient_check(args.phi, ev)
         _emit([abs_verdict("expansion-poly-rel-err", rep["rel_err"], 0.0, 0.10,
-                           f"fit {rep['fit'].c1:.6g} target {rep['target']:.6g} "
-                           f"(cubic-variant {rep['target_cubic_variant']:.6g})")], verdicts)
+                           f"fit {rep['fit'].c1:.6g} target {rep['target']:.6g}")], verdicts)
     else:
         lam = args.lam
         # --psi names the shape; the Kennedy weight needs it Laplace-normalized at --lam

@@ -114,29 +114,14 @@ def kennedy_series_value(lam: float, psi: DensitySpec, ev: RectEvent, t: float) 
 # coefficient checks
 # ---------------------------------------------------------------------------
 
-def _f1_cubic_variant_xs(x, s, u, phi: DensitySpec):
-    """A circulating variant of the first-order coefficient with a cubed tail
-    integrand and an undivided prefactor.  It is not a martingale and does
-    not price the series; it is reported alongside the martingale form so
-    the discrepancy stays visible."""
-    m2 = phi.moment(2)
-    x = np.asarray(x, dtype=float)
-    s = np.asarray(s, dtype=float)
-    tail3 = (phi.tail_moment(3, s) - 3.0 * x * phi.tail_moment(2, s)
-             + 3.0 * x * x * phi.tail_moment(1, s) - x ** 3 * phi.tail_moment(0, s))
-    ftilde = phi.pdf(s) * (s - x) ** 3 / 6.0 + 0.5 * tail3
-    return -ftilde + (u + m2) * m_phi_xs(x, s, phi)
-
-
 def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
                          t_list: Sequence[float] = DEFAULT_POLY_WINDOW,
                          n: int = 0, rng: RngStream | None = None) -> dict:
     """Compare the fitted 1/t coefficient with its quadrature target.
 
     The series is deterministic (quadrature); with n > 0 a Monte Carlo
-    series is fitted as well (wider tolerance).  The report carries both the
-    martingale-form target (which prices the series) and the cubed-tail
-    variant, which differ; see the module notes.
+    series is fitted as well (wider tolerance).  The target is the weighted
+    expectation of the martingale-form coefficient ``f1_phi_xs`` on the event.
     """
     u = ev.u
     if not np.isfinite(phi.moment(5)):
@@ -145,8 +130,6 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
     fit = fit_rate(series, model="poly")
     end = (phi.effective_upper(),)
     target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi), points=end)
-    target_variant = expect_on_event(ev, lambda x, s: _f1_cubic_variant_xs(x, s, u, phi),
-                                     points=end)
     limit = q_phi_limit(phi, ev)
 
     t_arr = np.array([row[0] for row in series])
@@ -162,7 +145,6 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
         "fit": fit,
         "limit": limit,
         "target": target,
-        "target_cubic_variant": target_variant,
         "rel_err": abs(fit.c1 - target) / abs(target) if target != 0.0 else abs(fit.c1),
         "residual_half_ratio": ratio,
     }

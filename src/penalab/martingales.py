@@ -1,15 +1,16 @@
 """Weight-martingale evaluators at a path state (position, running max, time).
 
 Each evaluator is a pure function of the state and its parameters, with unit
-value at the origin state.  Array-valued kernels (suffix ``_xs``) back the
-quadrature and Monte Carlo modules; the ``PathState`` wrappers are the scalar
-public surface.
+value at the origin state.  The kernels (suffix ``_xs``) take scalars or
+arrays of states and back the quadrature and Monte Carlo modules.
+``m_phi_from_f`` computes the bivariate-penalty martingale from f itself, one
+state at a time; it is kept apart from ``m_phi_xs(x, s, phi_from_f(f))`` on
+purpose, as the other half of an oracle pair.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
@@ -27,31 +28,14 @@ from .exact_laws import (
 )
 
 __all__ = [
-    "PathState",
-    "m_phi",
-    "m_mu_lambda",
-    "m_kennedy",
-    "m_bar",
+    "m_phi_xs",
+    "m_mu_lambda_xs",
+    "m_kennedy_xs",
+    "m_bar_xs",
     "m_phi_from_f",
-    "f1_phi",
-    "f1_lambda_phi",
+    "f1_phi_xs",
+    "f1_lambda_phi_xs",
 ]
-
-@dataclass(frozen=True)
-class PathState:
-    """Snapshot (X_u, S_u, u) of a path started at 0."""
-
-    x: float
-    s: float
-    u: float = 0.0
-
-    def __post_init__(self):
-        if self.s < self.x:
-            raise ValueError(f"invalid state: running max {self.s} below position {self.x}")
-        if self.s < 0.0:
-            raise ValueError("running max of a path started at 0 cannot be negative")
-        if self.u < 0.0:
-            raise ValueError("elapsed time must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -59,12 +43,14 @@ class PathState:
 # ---------------------------------------------------------------------------
 
 def m_phi_xs(x, s, phi: DensitySpec):
+    """phi(S)(S - X) + upper tail of phi at S."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     return phi.pdf(s) * (s - x) + phi.tail(s)
 
 
 def m_mu_lambda_xs(x, s, u, lam: float, mu: float):
+    """Exponential-weight martingale, dispatching on the (lam, mu) regime."""
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     region = classify_region(lam, mu)
@@ -93,6 +79,7 @@ def m_mu_lambda_xs(x, s, u, lam: float, mu: float):
 
 
 def m_kennedy_xs(x, s, u, lam: float, psi: DensitySpec, check: bool = True):
+    """Kennedy martingale for a shape psi, Laplace-normalized at lam."""
     if check:
         norm = psi.laplace_mass(lam)
         if abs(norm - 1.0) > 1e-6:
@@ -106,7 +93,8 @@ def m_kennedy_xs(x, s, u, lam: float, psi: DensitySpec, check: bool = True):
 
 
 def m_bar_xs(x, u, lam: float, mu: float):
-    """Bessel(3)-side weight martingale; x is the Bessel position."""
+    """Limit martingale for Bessel(3) penalized by exp(mu X + lam J); x is the
+    Bessel position."""
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise ValueError("Bessel position must be nonnegative")
@@ -128,12 +116,11 @@ def f1_phi_xs(x, s, u, phi: DensitySpec):
     This is the martingale form from the expansion's derivation,
     ((u + m2)/2) M - A1/2 with A1(a, y) = phi(y)(y-a)^3/3 + tail second
     moment around a; it prices the exact 1/t coefficient of the penalized
-    rectangle probabilities (a circulating cubed-tail variant of this
-    coefficient is not a martingale; see the expansion module's reports,
-    which show both numbers).
+    rectangle probabilities.  A circulating variant with a cubed tail
+    integrand is not a martingale and is not this coefficient.
     """
     if not np.isfinite(phi.moment(5)):
-        raise ValueError("f1_phi requires a finite fifth moment of phi")
+        raise ValueError("f1_phi_xs requires a finite fifth moment of phi")
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     m2 = phi.moment(2)
@@ -144,6 +131,7 @@ def f1_phi_xs(x, s, u, phi: DensitySpec):
 
 
 def f1_lambda_phi_xs(x, s, u, lam: float, psi: DensitySpec, transforms=None):
+    """First discounted expansion coefficient for the Kennedy weight."""
     if transforms is None:
         transforms = kennedy_transforms(psi, lam)
     _, _, phi1, c = transforms
@@ -178,7 +166,13 @@ def _m_exp_bivariate(x: float, s: float, f: ExponentialBivariate, fstar: float) 
     return fstar * val
 
 
-def m_phi_from_f_xs(x: float, s: float, f: BivariatePenalty) -> float:
+def m_phi_from_f(x: float, s: float, f: BivariatePenalty) -> float:
+    """Martingale of a bivariate penalty at one state, computed from f itself.
+
+    Must agree with m_phi_xs(x, s, phi_from_f(f)); the two routes are kept
+    independent on purpose.
+    """
+    x, s = float(x), float(s)   # numpy scalars would slow the scalar quadrature
     total = fbar(f)
     if not 0.0 < total < math.inf:
         raise ValueError("m_phi_from_f requires a finite, positive fbar(f)")
@@ -205,48 +199,3 @@ def m_phi_from_f_xs(x: float, s: float, f: BivariatePenalty) -> float:
     agrid = np.linspace(lo, hi, 513)
     vals = np.array([inner(av) for av in agrid])
     return fstar * float(np.trapezoid(vals, agrid))
-
-
-# ---------------------------------------------------------------------------
-# public scalar surface
-# ---------------------------------------------------------------------------
-
-def m_phi(state: PathState, phi: DensitySpec) -> float:
-    """phi(S)(S - X) + upper tail of phi at S."""
-    return float(m_phi_xs(state.x, state.s, phi))
-
-
-def m_mu_lambda(state: PathState, lam: float, mu: float) -> float:
-    """Exponential-weight martingale, dispatching on the (lam, mu) regime."""
-    return float(m_mu_lambda_xs(state.x, state.s, state.u, lam, mu))
-
-
-def m_kennedy(state: PathState, lam: float, psi: DensitySpec) -> float:
-    """Kennedy martingale for a Laplace-normalized shape psi."""
-    return float(m_kennedy_xs(state.x, state.s, state.u, lam, psi))
-
-
-def m_bar(state: PathState, lam: float, mu: float) -> float:
-    """Limit martingale for Bessel(3) penalized by exp(mu X + lam J)."""
-    if state.x <= 0.0 and state.u > 0.0:
-        raise ValueError("Bessel(3) position must be positive for u > 0")
-    return float(m_bar_xs(state.x, state.u, lam, mu))
-
-
-def m_phi_from_f(state: PathState, f: BivariatePenalty) -> float:
-    """Martingale of a bivariate penalty, computed from f itself.
-
-    Must agree with m_phi(state, phi_from_f(f)); the two routes are kept
-    independent on purpose.
-    """
-    return float(m_phi_from_f_xs(state.x, state.s, f))
-
-
-def f1_phi(state: PathState, phi: DensitySpec) -> float:
-    """First 1/t expansion coefficient for the phi(S_t) weight (a martingale)."""
-    return float(f1_phi_xs(state.x, state.s, state.u, phi))
-
-
-def f1_lambda_phi(state: PathState, lam: float, psi: DensitySpec) -> float:
-    """First discounted expansion coefficient for the Kennedy weight."""
-    return float(f1_lambda_phi_xs(state.x, state.s, state.u, lam, psi))

@@ -325,7 +325,7 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
 
     Through ``bessel_weight`` and {R_u <= b} = {2 S_u - X_u <= b} each row is
     a ``penalized_estimate``, compared at 3 stderr with the exact finite-t
-    value.  Each row also carries the t -> inf limit: the integral of m_bar
+    value.  Each row also carries the t -> inf limit: the integral of m_bar_xs
     against the Bessel(3) marginal, or the plain Bessel(3) law for the
     trivial family.
     """

@@ -1,14 +1,8 @@
-"""Seeded path simulation and exact samplers for the limit laws.
+"""Seeded exact samplers for Brownian states and the limit laws.
 
-Two kinds of sampler live here.  The path samplers (``bm_path``,
-``bessel3_path``, ``sample_Q_y``) store a trajectory on a uniform grid, for
-path-level tests and, ``sample_Q_y`` only, the CSV dumps of ``limit
---dump-paths``; ``sample_Q_y`` builds its path from the exact
-first-passage time, so the grid only stores it.  A path of any limit law is
-``sample_Q_y`` at a level from ``mixture_levels``, ``DensitySpec.ppf`` or
-``draw_penalty_pairs``.  The state samplers (``exact_bm_state``,
-``exact_two_time_state``, ``q_level_terminal_batch``) draw the time-u state
-in one shot from its closed-form law and have no time grid at all:
+The state samplers (``exact_bm_state``, ``exact_two_time_state``,
+``q_level_terminal_batch``) draw the time-u state in one shot from its
+closed-form law and have no time grid at all:
 
 * (X_t, S_t) of Brownian motion with drift nu: X_t = sqrt(t) Z + nu t, and
   S_t is the maximum of the bridge from 0 to X_t over time t,
@@ -17,6 +11,12 @@ in one shot from its closed-form law and have no time grid at all:
   first passage T_y = y^2 / Z^2, then y minus a Bessel(3) process): on
   {T_y <= u}, X_u = y - sqrt(u - T_y) chi_3; on {T_y > u}, S_u is half-normal
   truncated to [0, y) and, given S_u = s, 2 s - X_u = sqrt(s^2 - 2 u log U).
+
+A level of any limit law comes from ``mixture_levels``, ``DensitySpec.ppf``
+or ``draw_penalty_pairs``.  The one path sampler, ``sample_Q_y``, stores a
+level-pinned trajectory on a uniform grid for the CSV dumps of ``limit
+--dump-paths``; it builds the path from the exact first-passage time, so the
+grid only stores it.
 
 Streams are counter-based (Philox keyed by seed and stream id): identical
 (seed, stream_id) reproduce identical paths bit for bit, distinct stream ids
@@ -37,11 +37,8 @@ from .quadrature import RectEvent
 __all__ = [
     "RngStream",
     "Path",
-    "bm_path",
-    "bessel3_path",
     "sample_Q_y",
     "draw_penalty_pairs",
-    "pitman_transform",
     "exact_bm_state",
     "exact_two_time_state",
     "q_level_terminal_batch",
@@ -70,8 +67,8 @@ class RngStream:
 class Path:
     """A discretely sampled trajectory on the uniform grid 0, step, 2*step, ...
 
-    ``runmax`` is the running maximum of the stored values, or of the
-    continuous path where the construction knows it.  ``hit_time`` is the
+    ``runmax`` is the running maximum of the stored values, and the level
+    itself from its first passage on.  ``hit_time`` is the
     exact first-passage time of the designated level and may exceed the
     window.  ``sup_total`` is the supremum of the full (untruncated)
     trajectory when the construction pins it down.
@@ -82,7 +79,6 @@ class Path:
     runmax: np.ndarray
     hit_time: float | None = None
     sup_total: float | None = None
-    cont_max: np.ndarray | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -108,40 +104,6 @@ def _check_grid(horizon: float, step: float) -> int:
     return n
 
 
-def _bridge_maxima(x0: np.ndarray, x1: np.ndarray, dt: float, u: np.ndarray) -> np.ndarray:
-    """Exact per-step maximum of a Brownian bridge between x0 and x1."""
-    d = x1 - x0
-    return 0.5 * (x0 + x1 + np.sqrt(d * d - 2.0 * dt * np.log(u)))
-
-
-def bm_path(horizon: float, step: float, drift: float = 0.0,
-            rng: RngStream | None = None, bridge_max: bool = False) -> Path:
-    """Brownian path with the stated drift; running max maintained online."""
-    n = _check_grid(horizon, step)
-    gen = (rng or RngStream(0)).generator()
-    inc = gen.standard_normal(n) * math.sqrt(step) + drift * step
-    values = np.concatenate(([0.0], np.cumsum(inc)))
-    runmax = np.maximum.accumulate(values)
-    cont = None
-    if bridge_max:
-        u = gen.random(n)
-        m = _bridge_maxima(values[:-1], values[1:], step, u)
-        cont = np.concatenate(([0.0], np.maximum.accumulate(m)))
-        cont = np.maximum(cont, runmax)
-    return Path(step=step, values=values, runmax=runmax, cont_max=cont)
-
-
-def bessel3_path(horizon: float, step: float, rng: RngStream | None = None) -> Path:
-    """Bessel(3) path started at 0: the Euclidean norm of three independent
-    Brownian paths, exact in law at the grid times."""
-    n = _check_grid(horizon, step)
-    gen = (rng or RngStream(0)).generator()
-    inc = gen.standard_normal((3, n)) * math.sqrt(step)
-    coords = np.cumsum(inc, axis=1)
-    values = np.concatenate(([0.0], np.sqrt(np.sum(coords * coords, axis=0))))
-    return Path(step=step, values=values, runmax=np.maximum.accumulate(values))
-
-
 # ---------------------------------------------------------------------------
 # exact state sampling, one draw per path and no time grid
 # ---------------------------------------------------------------------------
@@ -149,11 +111,12 @@ def bessel3_path(horizon: float, step: float, rng: RngStream | None = None) -> P
 def exact_bm_state(t: float, n: int, gen: np.random.Generator, drift: float = 0.0):
     """n exact draws of (X_t, S_t) for Brownian motion with the stated drift.
 
-    One bridge step: the drift moves X_t but not the law of the bridge
-    maximum given X_t.
+    One bridge step: S_t = (X_t + sqrt(X_t^2 - 2 t log U)) / 2 is the maximum
+    of the bridge from 0 to X_t, and the drift moves X_t but not the law of
+    the bridge maximum given X_t.
     """
     x = gen.standard_normal(n) * math.sqrt(t) + drift * t
-    s = _bridge_maxima(0.0, x, t, gen.random(n))
+    s = 0.5 * (x + np.sqrt(x * x - 2.0 * t * np.log(gen.random(n))))
     return x, s
 
 
@@ -277,16 +240,6 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
         yv = yg[iy] + u[:, 2] * (yg[iy + 1] - yg[iy])
         return av, np.maximum(yv, np.maximum(av, 0.0) + 1e-12)
     raise TypeError(f"unsupported penalty type {type(f)!r}")
-
-
-def pitman_transform(p: Path) -> Path:
-    """The path 2 * (running max) - (values), with its own running max.
-
-    Uses the bridge-corrected running max when the input carries one.
-    """
-    smax = p.cont_max if p.cont_max is not None else p.runmax
-    values = 2.0 * smax - p.values
-    return Path(step=p.step, values=values, runmax=np.maximum.accumulate(values))
 
 
 # ---------------------------------------------------------------------------

@@ -25,7 +25,7 @@ from penalab.exact_laws import (
     p_max,
     phi_from_f,
 )
-from penalab.martingales import PathState, m_phi_from_f
+from penalab.martingales import m_phi_from_f
 from penalab.samplers import RngStream, draw_penalty_pairs
 
 QUAD_TOL = 1e-8
@@ -218,7 +218,7 @@ class TestBivariatePenalties:
         with pytest.raises(ValueError):
             phi_from_f(f)
         with pytest.raises(ValueError):
-            m_phi_from_f(PathState(0.0, 0.5), f)
+            m_phi_from_f(0.0, 0.5, f)
         with pytest.raises(ValueError):
             draw_penalty_pairs(f, 3, RngStream(0).generator())
 

@@ -68,12 +68,10 @@ class TestPolySeries:
 
     def test_full_space_coefficients_vanish(self):
         # the full-space series is identically 1; both the fitted slope and
-        # the martingale-form target are zero, resolving the reconciliation
-        # (the cubed-tail variant is visibly nonzero and is reported)
+        # the martingale-form target are zero
         rep = f1_coefficient_check(UNIFORM, FULL)
         assert abs(rep["fit"].c1) < 1e-9
         assert abs(rep["target"]) < 1e-9
-        assert abs(rep["target_cubic_variant"]) > 0.1
 
     def test_target_is_time_independent(self):
         vals = [expect_on_event(RectEvent(u), lambda x, s, _u=u: f1_phi_xs(x, s, _u, UNIFORM))

@@ -7,17 +7,11 @@ from hypothesis import strategies as st
 
 from penalab.exact_laws import DensitySpec, ExponentialBivariate, SeparableIndicator
 from penalab.martingales import (
-    PathState,
-    f1_lambda_phi,
-    f1_phi,
+    f1_lambda_phi_xs,
     f1_phi_xs,
-    m_bar,
     m_bar_xs,
-    m_kennedy,
     m_kennedy_xs,
-    m_mu_lambda,
     m_mu_lambda_xs,
-    m_phi,
     m_phi_from_f,
     m_phi_xs,
 )
@@ -30,84 +24,72 @@ PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
 C0 = 1.0 / (1.0 - math.exp(-1.0))
 
 
-class TestPathState:
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            PathState(1.0, 0.5, 0.0)
-        with pytest.raises(ValueError):
-            PathState(-1.0, -0.5, 0.0)
-        with pytest.raises(ValueError):
-            PathState(0.0, 0.0, -1.0)
-
-
 class TestUnitInitialValues:
     def test_all_evaluators_start_at_one(self):
-        origin = PathState(0.0, 0.0, 0.0)
-        assert m_phi(origin, UNIFORM) == 1.0
-        assert m_phi(origin, EXP1) == 1.0
+        assert m_phi_xs(0.0, 0.0, UNIFORM) == 1.0
+        assert m_phi_xs(0.0, 0.0, EXP1) == 1.0
         for lam, mu in [(-2.0, 1.0), (1.0, 1.0), (0.0, -1.0), (-1.0, -1.0)]:
-            assert m_mu_lambda(origin, lam, mu) == pytest.approx(1.0, abs=1e-14)
-        assert m_kennedy(origin, 1.0, PSI) == pytest.approx(1.0, abs=1e-14)
-        assert m_bar(origin, -1.0, -1.0) == 1.0
-        assert m_bar(origin, 1.0, 0.5) == pytest.approx(1.0, abs=1e-12)
-        assert m_phi_from_f(origin, ExponentialBivariate(-2.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
+            assert m_mu_lambda_xs(0.0, 0.0, 0.0, lam, mu) == pytest.approx(1.0, abs=1e-14)
+        assert m_kennedy_xs(0.0, 0.0, 0.0, 1.0, PSI) == pytest.approx(1.0, abs=1e-14)
+        assert m_bar_xs(0.0, 0.0, -1.0, -1.0) == 1.0
+        assert m_bar_xs(0.0, 0.0, 1.0, 0.5) == pytest.approx(1.0, abs=1e-12)
+        assert m_phi_from_f(0.0, 0.0, ExponentialBivariate(-2.0, 1.0)) == pytest.approx(1.0, abs=1e-9)
 
 
 class TestMPhi:
     def test_examples(self):
-        assert m_phi(PathState(0.5, 0.8), UNIFORM) == pytest.approx(0.5, abs=1e-14)
-        assert m_phi(PathState(-1.0, 2.0), UNIFORM) == 0.0
+        assert m_phi_xs(0.5, 0.8, UNIFORM) == pytest.approx(0.5, abs=1e-14)
+        assert m_phi_xs(-1.0, 2.0, UNIFORM) == 0.0
 
 
 class TestMMuLambda:
     def test_r1_example(self):
-        val = m_mu_lambda(PathState(0.5, 0.8), -2.0, 1.0)
+        val = m_mu_lambda_xs(0.5, 0.8, 0.0, -2.0, 1.0)
         assert val == pytest.approx(1.3 * math.exp(-0.8), abs=1e-14)
 
     def test_r3_collapses_to_drift_tilt(self):
         # (0, -1): cosh + sinh collapse to e^{-x - u/2}
-        st_ = PathState(0.3, 0.9, 2.0)
-        assert m_mu_lambda(st_, 0.0, -1.0) == pytest.approx(math.exp(-0.3 - 1.0), rel=1e-12)
+        assert m_mu_lambda_xs(0.3, 0.9, 2.0, 0.0, -1.0) == pytest.approx(math.exp(-0.3 - 1.0),
+                                                                          rel=1e-12)
 
     def test_r3_continuity_at_mu_zero(self):
-        st_ = PathState(-0.4, 1.1, 0.7)
-        r1 = m_mu_lambda(st_, -1.0, 0.0)
-        assert abs(m_mu_lambda(st_, -1.0, -1e-6) - r1) < 1e-6
+        r1 = m_mu_lambda_xs(-0.4, 1.1, 0.7, -1.0, 0.0)
+        assert abs(m_mu_lambda_xs(-0.4, 1.1, 0.7, -1.0, -1e-6) - r1) < 1e-6
 
     def test_r3_large_argument_stable(self):
-        val = m_mu_lambda(PathState(-40.0, 2.0, 1.0), -1.0, -3.0)
+        val = m_mu_lambda_xs(-40.0, 2.0, 1.0, -1.0, -3.0)
         assert np.isfinite(val) and val > 0.0
 
     @given(x=st.floats(-5, 5), d=st.floats(0, 5), lam=st.floats(-4, 4), mu=st.floats(-4, 4))
     @settings(max_examples=200)
     def test_positivity(self, x, d, lam, mu):
         s = max(x, 0.0) + d
-        assert m_mu_lambda(PathState(x, s, 0.5), lam, mu) > 0.0
+        assert m_mu_lambda_xs(x, s, 0.5, lam, mu) > 0.0
 
 
 class TestMKennedy:
     def test_closed_form_example(self):
-        val = m_kennedy(PathState(0.0, 1.0, 0.0), 1.0, PSI)
+        val = m_kennedy_xs(0.0, 1.0, 0.0, 1.0, PSI)
         assert val == pytest.approx(C0 * math.sinh(1.0), rel=1e-12)
 
     def test_time_decay(self):
-        v1 = m_kennedy(PathState(0.0, 0.5, 1.0), 1.0, PSI)
-        v2 = m_kennedy(PathState(0.0, 0.5, 50.0), 1.0, PSI)
+        v1 = m_kennedy_xs(0.0, 0.5, 1.0, 1.0, PSI)
+        v2 = m_kennedy_xs(0.0, 0.5, 50.0, 1.0, PSI)
         assert v2 < v1 * 1e-9
 
     def test_absorbs_beyond_support(self):
-        assert m_kennedy(PathState(0.0, 1.5, 0.2), 1.0, PSI) == 0.0
+        assert m_kennedy_xs(0.0, 1.5, 0.2, 1.0, PSI) == 0.0
 
     def test_normalization_checked(self):
         with pytest.raises(ValueError):
-            m_kennedy(PathState(0.0, 0.0, 0.0), 1.0, DensitySpec.uniform(1.0))
+            m_kennedy_xs(0.0, 0.0, 0.0, 1.0, DensitySpec.uniform(1.0))
 
 
 class TestMBar:
     def test_branch_values(self):
-        assert m_bar(PathState(1.0, 1.0, 3.0), -1.0, -1.0) == 1.0
-        assert m_bar(PathState(1.0, 1.0, 0.0), -1.0, 2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-12)
-        v = m_bar(PathState(0.7, 0.7, 1.0), 1.0, -0.5)
+        assert m_bar_xs(1.0, 3.0, -1.0, -1.0) == 1.0
+        assert m_bar_xs(1.0, 0.0, -1.0, 2.0) == pytest.approx(math.sinh(2.0) / 2.0, rel=1e-12)
+        v = m_bar_xs(0.7, 1.0, 1.0, -0.5)
         assert v == pytest.approx(math.exp(-0.125) * math.sinh(0.35) / 0.35, rel=1e-12)
 
     def test_small_argument_limit(self):
@@ -117,14 +99,14 @@ class TestMBar:
     @settings(max_examples=200)
     def test_branches_cover_the_plane(self, lam, mu):
         # every (lam, mu) lands in a branch and yields a positive value
-        assert m_bar(PathState(0.8, 0.8, 0.6), lam, mu) > 0.0
+        assert m_bar_xs(0.8, 0.6, lam, mu) > 0.0
 
 
 class TestFReduction:
     F = ExponentialBivariate(-2.0, 1.0)
 
     def test_example_value(self):
-        val = m_phi_from_f(PathState(0.5, 0.8), self.F)
+        val = m_phi_from_f(0.5, 0.8, self.F)
         assert val == pytest.approx(1.3 * math.exp(-0.8), abs=1e-6)
 
     def test_consistency_with_phi_route(self):
@@ -134,29 +116,27 @@ class TestFReduction:
             for _ in range(25):
                 x = gen.normal()
                 s = max(x, 0.0) + abs(gen.normal())
-                a = m_phi_from_f(PathState(x, s), f)
-                b = m_phi(PathState(x, s), phi)
-                assert a == pytest.approx(b, abs=1e-12)
+                assert m_phi_from_f(x, s, f) == pytest.approx(m_phi_xs(x, s, phi), abs=1e-12)
 
     def test_separable_indicator_reduction(self):
         g = np.linspace(-12.0, 1.0, 2000)
         f = SeparableIndicator(g, np.exp(g), 1.0)
         # reduces to the uniform-phi martingale: (A - x)/A below the cutoff, 0 above
-        assert m_phi_from_f(PathState(0.2, 0.6), f) == pytest.approx(0.8, abs=1e-4)
-        assert m_phi_from_f(PathState(0.2, 1.5), f) == 0.0
+        assert m_phi_from_f(0.2, 0.6, f) == pytest.approx(0.8, abs=1e-4)
+        assert m_phi_from_f(0.2, 1.5, f) == 0.0
 
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValueError):
-            m_phi_from_f(PathState(0.0, 0.0), ExponentialBivariate(0.0, -1.0))
+            m_phi_from_f(0.0, 0.0, ExponentialBivariate(0.0, -1.0))
 
 
 class TestExpansionCoefficients:
     def test_f1_phi_origin_is_zero(self):
         # the coefficient martingale starts at 0 (the full-space series is flat)
-        assert f1_phi(PathState(0.0, 0.0, 0.0), UNIFORM) == pytest.approx(0.0, abs=1e-14)
+        assert f1_phi_xs(0.0, 0.0, 0.0, UNIFORM) == pytest.approx(0.0, abs=1e-14)
 
     def test_f1_phi_vanishes_beyond_support(self):
-        assert f1_phi(PathState(0.2, 1.2, 3.0), UNIFORM) == 0.0
+        assert f1_phi_xs(0.2, 1.2, 3.0, UNIFORM) == 0.0
 
     def test_f1_phi_takes_negative_values(self):
         vals = f1_phi_xs(np.array([-0.5]), np.array([0.2]), 0.0, UNIFORM)
@@ -169,19 +149,19 @@ class TestExpansionCoefficients:
         m2 = UNIFORM.moment(2)
         variant = -(0.5 * UNIFORM.tail_moment(3, 0.0)) + (0.0 + m2) * 1.0
         assert variant == pytest.approx(5.0 / 24.0, abs=1e-12)
-        assert f1_phi(PathState(0.0, 0.0, 0.0), UNIFORM) != pytest.approx(variant, abs=1e-3)
+        assert f1_phi_xs(0.0, 0.0, 0.0, UNIFORM) != pytest.approx(variant, abs=1e-3)
 
     def test_f1_lambda_phi_origin_is_zero(self):
-        assert f1_lambda_phi(PathState(0.0, 0.0, 0.0), 1.0, PSI) == pytest.approx(0.0, abs=1e-12)
+        assert f1_lambda_phi_xs(0.0, 0.0, 0.0, 1.0, PSI) == pytest.approx(0.0, abs=1e-12)
 
     def test_f1_lambda_phi_composition(self):
         # equals the prefactor times the difference of the two martingales
         from penalab.exact_laws import kennedy_transforms
 
         _, _, phi1, c = kennedy_transforms(PSI, 1.0)
-        st_ = PathState(0.0, 0.5, 0.0)
-        expected = c / math.sqrt(2 * math.pi) * (m_phi(st_, phi1) - m_kennedy(st_, 1.0, PSI))
-        assert f1_lambda_phi(st_, 1.0, PSI) == pytest.approx(expected, rel=1e-10)
+        expected = c / math.sqrt(2 * math.pi) * (m_phi_xs(0.0, 0.5, phi1)
+                                                 - m_kennedy_xs(0.0, 0.5, 0.0, 1.0, PSI))
+        assert f1_lambda_phi_xs(0.0, 0.5, 0.0, 1.0, PSI) == pytest.approx(expected, rel=1e-10)
 
 
 N_MART = 100000

@@ -17,13 +17,10 @@ from penalab.report import ks_test
 from penalab.samplers import (
     Path,
     RngStream,
-    bessel3_path,
-    bm_path,
     draw_penalty_pairs,
     exact_bm_state,
     exact_two_time_state,
     mixture_levels,
-    pitman_transform,
     q_level_terminal_batch,
     sample_Q_y,
 )
@@ -39,13 +36,16 @@ def chi3_cdf(z):
 class TestReproducibility:
     def test_identical_streams_identical_paths(self):
         r = RngStream(99, 3)
-        p1 = bm_path(1.0, 1e-3, rng=r)
-        p2 = bm_path(1.0, 1e-3, rng=r)
-        assert np.array_equal(p1.values, p2.values)
+        p1 = sample_Q_y(1.0, 1.0, 1e-3, rng=r)
+        p2 = sample_Q_y(1.0, 1.0, 1e-3, rng=r)
+        assert np.array_equal(p1.values, p2.values) and p1.hit_time == p2.hit_time
+        x1, s1 = exact_bm_state(1.0, 100, r.generator())
+        x2, s2 = exact_bm_state(1.0, 100, r.generator())
+        assert np.array_equal(x1, x2) and np.array_equal(s1, s2)
 
     def test_distinct_streams_differ(self):
-        p1 = bm_path(1.0, 1e-3, rng=RngStream(99, 3))
-        p2 = bm_path(1.0, 1e-3, rng=RngStream(99, 4))
+        p1 = sample_Q_y(1.0, 1.0, 1e-3, rng=RngStream(99, 3))
+        p2 = sample_Q_y(1.0, 1.0, 1e-3, rng=RngStream(99, 4))
         assert not np.array_equal(p1.values, p2.values)
 
     def test_batch_reproducible(self):
@@ -57,23 +57,18 @@ class TestReproducibility:
 class TestPathInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_runmax(self, seed):
-        p = bm_path(0.5, 1e-3, drift=0.3, rng=RngStream(seed))
+        p = sample_Q_y(0.5, 1.0, 1e-3, rng=RngStream(seed))
         assert np.all(np.diff(p.runmax) >= 0.0)
         assert np.all(p.runmax >= p.values)
-        assert np.array_equal(p.runmax, np.maximum.accumulate(p.values))
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            bm_path(1.0, 0.0, rng=RngStream(0))
+            sample_Q_y(1.0, 1.0, 0.0, rng=RngStream(0))
         with pytest.raises(ValueError):
-            bm_path(1.0, 0.3, rng=RngStream(0))  # not an integer number of steps
+            sample_Q_y(1.0, 1.0, 0.3, rng=RngStream(0))  # not an integer number of steps
 
 
-class TestBmPath:
-    def test_start_at_zero(self):
-        p = bm_path(1.0, 1e-2, rng=RngStream(1))
-        assert p.values[0] == 0.0 and p.runmax[0] == 0.0
-
+class TestExactBmState:
     def test_drift_mean(self):
         n = 20000
         gen = RngStream(2).generator()
@@ -101,32 +96,6 @@ class TestBmPath:
 
         v = ks_test(np.sort(s), cdf, level=KS_LEVEL)
         assert v.passed, v.provenance
-
-    def test_grid_max_bias_shrinks_with_step(self):
-        # without the bridge correction the grid max is biased low; refining
-        # the step moves the KS statistic toward the analytic law
-        def grid_ks(step, seed):
-            p = bm_path(1.0, step, rng=RngStream(seed))
-            return p.runmax[-1]
-
-        coarse = np.sort([grid_ks(1 / 64, s) for s in range(3000)])
-        fine = np.sort([grid_ks(1 / 1024, s) for s in range(3000, 6000)])
-        cdf = lambda z: h_cdf(1.0, np.maximum(z, 0.0))
-        d_coarse = np.max(np.abs(cdf(coarse) - np.arange(1, 3001) / 3000))
-        d_fine = np.max(np.abs(cdf(fine) - np.arange(1, 3001) / 3000))
-        assert d_fine < d_coarse
-
-
-class TestBessel3:
-    def test_nonnegative_start_zero(self):
-        p = bessel3_path(1.0, 1e-3, rng=RngStream(4))
-        assert p.values[0] == 0.0
-        assert np.all(p.values >= 0.0)
-
-    def test_marginal_law(self):
-        vals = np.sort([bessel3_path(1.0, 1 / 32, rng=RngStream(s)).values[-1]
-                        for s in range(4000)])
-        assert ks_test(vals, chi3_cdf, level=KS_LEVEL).passed
 
 
 class TestSampleQy:
@@ -357,13 +326,6 @@ class TestTablePenaltyDraws:
 
 
 class TestPitman:
-    def test_transform_shape(self):
-        p = bm_path(1.0, 1e-3, rng=RngStream(22), bridge_max=True)
-        r = pitman_transform(p)
-        assert r.values[0] == 0.0
-        assert np.all(r.values >= -1e-12)
-        assert np.array_equal(r.runmax, np.maximum.accumulate(r.values))
-
     def test_marginal_is_bessel3(self):
         n = 30000
         x, s = exact_bm_state(1.0, n, RngStream(23).generator())
