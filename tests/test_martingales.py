@@ -92,6 +92,13 @@ class TestMBar:
         v = m_bar_xs(0.7, 1.0, 1.0, -0.5)
         assert v == pytest.approx(math.exp(-0.125) * math.sinh(0.35) / 0.35, rel=1e-12)
 
+    def test_validation(self):
+        # the Bessel position is a norm, so a negative state is rejected
+        with pytest.raises(ValueError):
+            m_bar_xs(-0.1, 1.0, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            m_bar_xs(np.array([0.3, -1e-12]), 1.0, -1.0, -1.0)
+
     def test_small_argument_limit(self):
         assert m_bar_xs(np.array([1e-10]), 0.0, 1.0, 0.5)[0] == pytest.approx(1.0, abs=1e-12)
 

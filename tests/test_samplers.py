@@ -97,6 +97,26 @@ class TestExactBmState:
         v = ks_test(np.sort(s), cdf, level=KS_LEVEL)
         assert v.passed, v.provenance
 
+    def test_joint_law_matches_reflection_principle(self):
+        # P(X_t <= b, S_t <= c) = Phi(b/sqrt t) - Phi((b - 2c)/sqrt t) for b <= c,
+        # and P(S_t <= c) for b > c
+        t, n = 1.5, 50000
+        x, s = exact_bm_state(t, n, RngStream(50).generator())
+        rt = math.sqrt(t)
+        for b, c in [(-0.5, 0.3), (0.0, 0.5), (0.4, 1.0), (1.0, 0.7)]:
+            bb = min(b, c)
+            target = float(special.ndtr(bb / rt) - special.ndtr((bb - 2.0 * c) / rt))
+            se = math.sqrt(target * (1 - target) / n)
+            assert abs(float(np.mean((x <= b) & (s <= c))) - target) <= 4 * se
+
+    def test_gap_has_levy_law(self):
+        # Levy: S - X is reflected Brownian motion, so S_t - X_t ~ sqrt(t) |N(0,1)|
+        t = 2.0
+        x, s = exact_bm_state(t, 40000, RngStream(51).generator())
+        gap = np.sort((s - x) / math.sqrt(t))
+        assert ks_test(gap, lambda z: 2 * special.ndtr(np.maximum(z, 0.0)) - 1,
+                       level=KS_LEVEL).passed
+
 
 class TestSampleQy:
     def test_path_caps_at_level_exactly(self):
@@ -337,6 +357,29 @@ class TestPitman:
         r = 2 * s - x
         mask = np.abs(r - 2.0) < 0.05
         assert float(np.mean(s[mask])) == pytest.approx(1.0, rel=0.03)
+
+    def test_reflected_level_dominates_max(self):
+        # 2S - X >= S >= max(X, 0) on every draw, at one time and at two
+        x, s = exact_bm_state(1.0, 20000, RngStream(52).generator())
+        assert np.all(s >= np.maximum(x, 0.0)) and np.all(2 * s - x >= s)
+        xu, su, xt, st_ = exact_two_time_state(0.5, 2.0, 20000, RngStream(53).generator())
+        assert np.all(su >= 0.0) and np.all(2 * su - xu >= su) and np.all(2 * st_ - xt >= st_)
+
+    def test_max_given_reflected_level_is_uniform(self):
+        # given 2S_t - X_t = r, S_t is uniform on [0, r], so S / (2S - X) ~ U(0, 1)
+        x, s = exact_bm_state(1.0, 40000, RngStream(54).generator())
+        ratio = np.sort(s / (2 * s - x))
+        assert ks_test(ratio, lambda v: np.clip(v, 0.0, 1.0), level=KS_LEVEL).passed
+
+    def test_two_time_reflected_level_is_bessel3(self):
+        # R = 2S - X is Bessel(3): R_t / sqrt(t) ~ chi_3, and R^2 - 3 t is a
+        # martingale, so E[(R_t^2 - R_u^2 - 3 (t - u)) R_u] = 0
+        u, t, n = 0.5, 2.0, 200000
+        xu, su, xt, st_ = exact_two_time_state(u, t, n, RngStream(55).generator())
+        ru, rt = 2 * su - xu, 2 * st_ - xt
+        assert ks_test(np.sort(rt / math.sqrt(t)), chi3_cdf, level=KS_LEVEL).passed
+        prod = (rt * rt - ru * ru - 3.0 * (t - u)) * ru
+        assert abs(float(np.mean(prod))) <= 4 * float(np.std(prod)) / math.sqrt(n)
 
 
 class TestTwoTimeStates:
