@@ -45,6 +45,7 @@ from .quadrature import (
     q_a_phi_limit,
     q_ay_finite,
     q_ay_limit,
+    q_phi_finite,
     q_phi_limit,
     q_y_finite,
     q_y_limit,

@@ -6,9 +6,10 @@ The penalized rectangle probabilities admit, as the horizon t grows,
     discounted family:   V(t) = L + e^{-lam^2 t/2} t^{-1/2} (c1/t + O(1/t^2))
 
 with c1 the weighted expectation of the corresponding coefficient
-martingale on the event.  The deterministic series here are built from the
-same conditional kernels the Monte Carlo uses, evaluated by quadrature, so
-coefficient extraction is limited by roundoff rather than sampling noise.
+martingale on the event.  The deterministic series here are exact finite-t
+values: the phi series mixes the closed-form ``q_y_finite`` over the maximum,
+and the Kennedy series integrates the conditional kernel the Monte Carlo uses.
+Coefficient extraction is limited by roundoff rather than sampling noise.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 from .exact_laws import DensitySpec
 from .martingales import f1_lambda_phi_xs, f1_phi_xs, m_kennedy_xs, m_phi_xs
 from .penalized_mc import KennedyWeight, PhiOfMax, finite_t_value, penalized_estimate
-from .quadrature import RectEvent, expect_on_event, q_phi_limit
+from .quadrature import RectEvent, expect_on_event, q_phi_finite, q_phi_limit
 from .samplers import RngStream
 
 __all__ = [
@@ -101,8 +102,12 @@ def fit_rate(series: Sequence, model: str = "poly", lam: float | None = None) ->
 # ---------------------------------------------------------------------------
 
 def phi_series_value(phi: DensitySpec, ev: RectEvent, t: float) -> float:
-    """Exact penalized probability at horizon t for the phi(S_t) weight."""
-    return finite_t_value(PhiOfMax(phi), ev, t)
+    """Exact penalized probability at horizon t for the phi(S_t) weight.
+
+    The phi-mixture ``q_phi_finite``; ``finite_t_value(PhiOfMax(phi), ...)``,
+    which integrates the ``g_phi_hat`` kernel, is its oracle partner.
+    """
+    return q_phi_finite(phi, ev, t)
 
 
 def kennedy_series_value(lam: float, psi: DensitySpec, ev: RectEvent, t: float) -> float:

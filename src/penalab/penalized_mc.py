@@ -219,7 +219,8 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
 
     The conditional kernel at r = t - u, divided by the kernel at the origin
     with horizon t, integrated over the time-u state; the s-integral breaks at
-    the weight's kink (the end of phi's or psi's support, or the cap).
+    the weight's kink (the end of phi's or psi's support, or the cap).  For a
+    phi weight this is the kernel partner of ``quadrature.q_phi_finite``.
     """
     u = ev.u
     if t <= u:
@@ -267,9 +268,10 @@ def terminal_conditional(ev, t: float, y: float, n: int, rng: RngStream,
       by p_max(u, y) P(S_r < y - x), or by p_max(u, y) times the reflected
       normal density phi_r(a - x) - phi_r(2 y - x - a).
 
-    Their sum is divided by p_max(t, y), or p_joint(t, a, y).  These are the
-    integrands of ``q_y_finite`` and ``q_ay_finite``.  ``ess`` is the Kish
-    number of the part-A weights.
+    Their sum is divided by p_max(t, y), or p_joint(t, a, y).  Integrated
+    over the time-u state, the same two parts give the closed form
+    ``q_y_finite`` and the integrands of ``q_ay_finite``.  ``ess`` is the
+    Kish number of the part-A weights.
     """
     u, val_fn = _event_values(ev)
     if t <= u:

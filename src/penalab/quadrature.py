@@ -9,14 +9,13 @@ against.  Rectangle events {X_u <= b, S_u <= c} are the computable family.
 from __future__ import annotations
 
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 from scipy import integrate
 
-from ._stable import GAUSS_CUT, gauss_legendre, norm_cdf, norm_sf
-from .exact_laws import DensitySpec, h_cdf, p_joint, p_max
+from ._stable import GAUSS_CUT, gauss_legendre, log_norm_cdf, norm_cdf, norm_sf
+from .exact_laws import DensitySpec, h_cdf, p_joint
 
 __all__ = [
     "RectEvent",
@@ -27,12 +26,15 @@ __all__ = [
     "q_ay_finite",
     "q_a_phi_limit",
     "q_phi_limit",
+    "q_phi_finite",
     "atom_weight",
     "expect_on_event",
 ]
 
 _QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 GL_NODES = 96     # Gauss-Legendre nodes of the inner integral of expect_on_event
+MIX_NODES = 8     # Gauss-Legendre nodes per piece of the level mixtures
+MIX_TOL = 1e-10   # largest allowed gap between MIX_NODES and 2 MIX_NODES nodes
 
 
 @dataclass(frozen=True)
@@ -76,21 +78,34 @@ def rect_prob(ev: RectEvent) -> float:
     probability is Phi(b'/sqrt(u)) - Phi((b' - 2c)/sqrt(u)).  The second
     argument is negative, so nothing cancels; b = -inf makes both terms 0.
     """
-    root_u = math.sqrt(ev.u)
     if ev.c == math.inf:
-        return float(norm_cdf(ev.b / root_u))
-    bb = min(ev.b, ev.c)
-    return float(norm_cdf(bb / root_u) - norm_cdf((bb - 2.0 * ev.c) / root_u))
+        return float(norm_cdf(ev.b / math.sqrt(ev.u)))
+    return float(_rect_prob(ev.u, ev.b, ev.c))
 
 
-def _cond_mean_block(u: float, y: float, b: float) -> float:
-    """Closed form of the integral of (y - a) p_joint(u, a, y) over a <= min(b, y)."""
-    if b == -math.inf:
-        return 0.0
-    w0 = 2.0 * y - min(b, y)
+def _rect_prob(u: float, b: float, c):
+    """rect_prob for a finite S-bound c, vectorized in c."""
     root_u = math.sqrt(u)
-    return (math.sqrt(2.0 / (math.pi * u)) * (w0 - y) * math.exp(-w0 * w0 / (2.0 * u))
-            + 2.0 * float(norm_sf(w0 / root_u)))
+    bb = np.minimum(b, c)
+    return norm_cdf(bb / root_u) - norm_cdf((bb - 2.0 * c) / root_u)
+
+
+def _cond_mean_block(u: float, y, b: float):
+    """Closed form of the integral of (y - a) p_joint(u, a, y) over a <= min(b, y),
+    vectorized in y."""
+    y = np.asarray(y, dtype=float)
+    if b == -math.inf:
+        return np.zeros_like(y)
+    w0 = 2.0 * y - np.minimum(b, y)
+    return (math.sqrt(2.0 / (math.pi * u)) * (w0 - y) * np.exp(-w0 * w0 / (2.0 * u))
+            + 2.0 * norm_sf(w0 / math.sqrt(u)))
+
+
+def _check_levels(y, name: str) -> np.ndarray:
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= 0.0):
+        raise ValueError(f"{name} requires y > 0")
+    return y
 
 
 # ---------------------------------------------------------------------------
@@ -98,52 +113,52 @@ def _cond_mean_block(u: float, y: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 def q_y_limit(y: float, ev: RectEvent) -> float:
-    """Limit law of the path conditioned on {S_t = y} as the horizon grows."""
-    if y <= 0.0:
-        raise ValueError("q_y_limit requires y > 0")
-    first = _cond_mean_block(ev.u, y, ev.b) if ev.c >= y else 0.0
-    second = rect_prob(RectEvent(ev.u, ev.b, min(ev.c, y)))
-    return first + second
+    """Limit law of the path conditioned on {S_t = y} as the horizon grows.
+
+    Closed form and vectorized in y (an array y gives an array).  Above the
+    S-bound (y > c) the event keeps the path below y up to time u, where it
+    is still Brownian, so the value is rect_prob(ev).
+    """
+    y = _check_levels(y, "q_y_limit")
+    u, b = ev.u, ev.b
+    out = np.where(y <= ev.c, _cond_mean_block(u, y, b) + _rect_prob(u, b, y), rect_prob(ev))
+    return float(out) if out.ndim == 0 else out
 
 
 def q_y_finite(y: float, ev: RectEvent, t: float) -> float:
-    """P0(event | S_t = y) at a finite horizon t > u."""
-    if y <= 0.0:
-        raise ValueError("q_y_finite requires y > 0")
+    """P0(event | S_t = y) at a finite horizon t > u, in closed form.
+
+    Vectorized in y (an array y gives an array).  With r = t - u the maximum
+    is either reached by time u (S_u = y, the pinned part, only on {y <= c})
+    or after it (S_u < y, the free part).  Integrating the reflection-principle
+    densities over X_u (Borodin & Salminen) leaves normal CDFs: with
+    sigma = sqrt(u r / t), c' = min(c, y), m = min(b, c') and w0 = 2y - min(b, y),
+
+        free   = Phi((m - yu/t)/sigma) - e^{2c'(y - c')/t} Phi((m - (2c'r + yu)/t)/sigma)
+        pinned = sqrt(t/u) e^{y^2/2t - w0^2/2u} erf((w0 - y)/sqrt(2r)) + 2 Q((w0 - yu/t)/sigma).
+
+    The factor e^{2c'(y - c')/t} is applied on the log scale with its CDF, so
+    it cannot overflow; w0 >= y keeps the pinned exponent negative.
+    """
+    y = _check_levels(y, "q_y_finite")
     u, b, c = ev.u, ev.b, ev.c
     if t <= u:
         raise ValueError("horizon t must exceed the observation time u")
     if b == -math.inf:
-        return 0.0
+        out = np.zeros_like(y)
+        return float(out) if out.ndim == 0 else out
     r = t - u
-    root_u = math.sqrt(u)
-    denom = p_max(t, y)
-
-    total = 0.0
-    if c >= y:
-        a_hi = min(b, y)
-        a_lo = a_hi - GAUSS_CUT * root_u - 2.0 * max(y - a_hi, 0.0)
-
-        def f1(a):
-            return h_cdf(r, y - a) * p_joint(u, a, y)
-
-        if a_hi > a_lo:
-            v1, _ = integrate.quad(f1, a_lo, a_hi, **_QUAD_OPTS)
-            total += v1 / denom
-
-    cprime = min(c, y)
-    a_hi = min(b, cprime)
-    a_lo = -GAUSS_CUT * root_u
-
-    def f2(a):
-        bracket = math.exp(-a * a / (2.0 * u)) - math.exp(-(2.0 * cprime - a) ** 2 / (2.0 * u))
-        return math.exp(-(y - a) ** 2 / (2.0 * r)) * bracket
-
-    if a_hi > a_lo:
-        v2, _ = integrate.quad(f2, a_lo, a_hi, **_QUAD_OPTS)
-        pref = math.sqrt(2.0 / (math.pi * r)) * math.sqrt(2.0 / (math.pi * u ** 3)) * u / 2.0
-        total += pref * v2 / denom
-    return total
+    sigma = math.sqrt(u * r / t)
+    cprime = np.minimum(c, y)
+    m = np.minimum(b, cprime)
+    free = (norm_cdf((m - y * u / t) / sigma)
+            - np.exp(2.0 * cprime * (y - cprime) / t
+                     + log_norm_cdf((m - (2.0 * cprime * r + y * u) / t) / sigma)))
+    w0 = 2.0 * y - np.minimum(b, y)
+    pinned = (math.sqrt(t / u) * np.exp(y * y / (2.0 * t) - w0 * w0 / (2.0 * u)) * h_cdf(r, w0 - y)
+              + 2.0 * norm_sf((w0 - y * u / t) / sigma))
+    out = free + np.where(y <= c, pinned, 0.0)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -162,18 +177,15 @@ def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> floa
     if b == -math.inf:
         return 0.0
     if route == "mixture":
-        first = (y - a) * q_y_limit(y, ev)
-        # q_y_limit(z, ev) has kinks at z = c and z = b
-        pts = sorted({p for p in (c, b) if 0.0 < p < y}) or None
-        second, _ = integrate.quad(lambda z: q_y_limit(z, ev), 0.0, y, points=pts,
-                                   epsabs=1e-11, epsrel=1e-10, limit=400)
-        return (first + second) / (2.0 * y - a)
+        # the atom at level y, weight y - a, and levels uniform on [0, y], weight y
+        uniform = _level_mixture(ev, lambda z: q_y_limit(z, ev), np.zeros_like, y)
+        return ((y - a) * q_y_limit(y, ev) + y * uniform) / (2.0 * y - a)
     if route != "direct":
         raise ValueError("route must be 'direct' or 'mixture'")
 
     total = 0.0
     if c >= y:
-        total += atom_weight(a, y) * _cond_mean_block(u, y, b)
+        total += atom_weight(a, y) * float(_cond_mean_block(u, y, b))
 
     cprime = min(c, y)
     root_u = math.sqrt(u)
@@ -269,44 +281,83 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
     if route != "single":
         raise ValueError("route must be 'single' or 'bridge'")
 
-    def f17a(y):
-        return (y - a) * phi.pdf(y) * q_y_limit(y, ev)
+    def log_weight(z):
+        # the atoms at the terminal maxima y > a+, weight (y - a) phi(y), and
+        # the levels below them, weight P(Y > max(z, a+)); the weights total denom
+        return _log(np.where(z > ap, (z - a) * phi.pdf(z), 0.0) + phi.tail(np.maximum(z, ap)))
 
-    def f17b(z):
-        return phi.tail(max(z, ap)) * q_y_limit(z, ev)
-
-    pts = [p for p in (ev.c, ev.b) if ap < p < hi] or None
-    n1, _ = integrate.quad(f17a, ap, hi, points=pts, epsabs=1e-11, epsrel=1e-10, limit=400)
-    pts_b = sorted({p for p in (ev.c, ev.b, ap) if 0.0 < p < hi}) or None
-    n2, _ = integrate.quad(f17b, 0.0, hi, points=pts_b, epsabs=1e-11, epsrel=1e-10, limit=400)
-    return (n1 + n2) / denom
+    return _level_mixture(ev, lambda z: q_y_limit(z, ev), log_weight, hi, (*_knots(phi), ap))
 
 
 def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> float:
     """Limit law for the phi(S_t) penalty on a rectangle event.
 
-    route="mixture" integrates the single-max laws against phi; the
-    route="martingale" oracle computes the weighted expectation of the
-    associated martingale on the event instead.
+    route="mixture" integrates the single-max laws against phi with the
+    fixed rule of ``_level_mixture``; the route="martingale" oracle computes the
+    weighted expectation of the associated martingale on the event instead.
     """
-    hi = phi.effective_upper(1e-13)
     if route == "martingale":
         from .martingales import m_phi_xs
 
+        hi = phi.effective_upper(1e-13)
         return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi,))
     if route != "mixture":
         raise ValueError("route must be 'mixture' or 'martingale'")
+    return _level_mixture(ev, lambda y: q_y_limit(y, ev), lambda y: _log(phi.pdf(y)),
+                          phi.effective_upper(1e-13), _knots(phi))
 
-    def f(y):
-        return q_y_limit(y, ev) * phi.pdf(y)
 
-    pts = sorted({p for p in (ev.c, ev.b) if 0.0 < p < hi}) or None
-    with warnings.catch_warnings():
-        # densely tabulated phi gives the integrand micro-kinks that trip the
-        # roundoff detector long after the requested accuracy is reached
-        warnings.simplefilter("ignore", integrate.IntegrationWarning)
-        val, _ = integrate.quad(f, 0.0, hi, points=pts, epsabs=1e-10, epsrel=1e-9, limit=400)
-    return val
+def q_phi_finite(phi: DensitySpec, ev: RectEvent, t: float) -> float:
+    """Exact penalized probability E[1_G phi(S_t)] / E[phi(S_t)] at horizon t > u.
+
+    By Fubini this is the mixture of ``q_y_finite`` over y with weight
+    phi(y) p_max(t, y); no conditional kernel is involved, so it is the
+    independent partner of ``finite_t_value(PhiOfMax(phi), ev, t)``.
+    """
+    if t <= ev.u:
+        raise ValueError("horizon t must exceed the observation time u")
+    return _level_mixture(ev, lambda y: q_y_finite(y, ev, t),
+                          lambda y: _log(phi.pdf(y)) - y * y / (2.0 * t),
+                          phi.effective_upper(1e-13), _knots(phi), t)
+
+
+def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
+                   t: float = math.inf) -> float:
+    """Mixture of the single-max law q(y) over levels y in (0, hi] at horizon
+    t (t = inf for the limit laws): the integral of q(y) w(y) divided by the
+    integral of w(y), with log w(y) = log_weight(y) for an array y.
+
+    One fixed Gauss-Legendre pass over [0, hi] cut at the weight's kinks and
+    at the kinks y = b and y = c of q, with every piece at most
+    sqrt(min(u, t - u))/4 wide (q varies on the scale sqrt(u (t - u) / t)).
+    The weights are normalised on the log scale.  The same rule with twice
+    the nodes is the error estimate: a gap above MIX_TOL raises.
+    """
+    cuts = np.unique([0.0, hi, *(p for p in (ev.b, ev.c, *kinks) if 0.0 < p < hi)])
+    pieces = np.ceil(np.diff(cuts) / (0.25 * math.sqrt(min(ev.u, t - ev.u)))).astype(int)
+    edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
+                            for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])
+    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    values = []
+    for n in (MIX_NODES, 2 * MIX_NODES):
+        nodes, weights = gauss_legendre(n)
+        y = (lo + width * nodes).ravel()
+        log_w = log_weight(y)
+        w = np.exp(log_w - np.max(log_w)) * (width * weights).ravel()
+        values.append(float(np.dot(w, q_of_y(y)) / np.sum(w)))
+    if abs(values[1] - values[0]) > MIX_TOL:
+        raise FloatingPointError(f"level-mixture rule unresolved: {MIX_NODES} and {2 * MIX_NODES} "
+                                 f"nodes per piece differ by {abs(values[1] - values[0]):.2e}")
+    return values[1]
+
+
+def _knots(phi: DensitySpec):
+    return phi.grid if phi.family == "tabulated" else ()
+
+
+def _log(w):
+    with np.errstate(divide="ignore"):
+        return np.log(w)
 
 
 # ---------------------------------------------------------------------------

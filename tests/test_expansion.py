@@ -120,7 +120,7 @@ class TestSupportEndMass:
 
     def test_phi_series_mass(self):
         phi = DensitySpec.uniform(0.9566)
-        assert phi_series_value(phi, RectEvent(0.8849), 33.06) == pytest.approx(1.0, abs=1e-9)
+        assert phi_series_value(phi, RectEvent(0.8849), 33.06) == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_series_probability_at_most_one(self):
         ev = RectEvent(1.9191246750423718, 0.920085388703157, 1.3288443666972185)

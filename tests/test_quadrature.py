@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -6,8 +7,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from penalab import quadrature
 from penalab.exact_laws import DensitySpec, p_joint, p_max
+from penalab.expansion import phi_series_value
 from penalab.martingales import m_phi_xs
+from penalab.penalized_mc import PhiOfMax, finite_t_value
 from penalab.quadrature import (
     RectEvent,
     atom_weight,
@@ -15,6 +19,7 @@ from penalab.quadrature import (
     q_a_phi_limit,
     q_ay_finite,
     q_ay_limit,
+    q_phi_finite,
     q_phi_limit,
     q_y_finite,
     q_y_limit,
@@ -25,6 +30,11 @@ UNIFORM = DensitySpec.uniform(1.0)
 EXP1 = DensitySpec.exponential(1.0)
 FULL = RectEvent(1.0)
 EV = RectEvent(1.0, b=0.0, c=0.5)
+_TAB_GRID = np.linspace(0.0, 1.5, 301)
+TABULATED = DensitySpec.tabulated(_TAB_GRID, 0.3 + _TAB_GRID ** 2)
+
+EVENT_B = st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-math.inf, math.inf]))
+EVENT_C = st.one_of(st.floats(0.05, 4.0), st.just(math.inf))
 
 
 def reflection_rect_prob(u, b, c):
@@ -109,12 +119,56 @@ class TestQyFinite:
         assert gaps[0] > gaps[1] > gaps[2]
         assert gaps[0] / gaps[1] == pytest.approx(4.0, rel=0.35)
 
+    @given(u=st.floats(0.1, 4.0), r=st.floats(0.02, 50.0), y=st.floats(0.02, 4.0),
+           b=EVENT_B, c=EVENT_C)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_nested_quadrature(self, u, r, y, b, c):
+        # P(G, S_t in dy) / p_max(t, y) by nested quad in the reflected level
+        # w = 2 S_u - X_u: the pinned part {S_u = y} is P(S_r < w - y), the
+        # free part {S_u = s < y} runs the maximum up from X_u = 2s - w
+        t = u + r
+        assert q_y_finite(y, RectEvent(u, b, c), t) == pytest.approx(
+            _q_y_finite_nested(y, u, b, c, t), abs=1e-10)
+
+    def test_vectorized_in_y(self):
+        ys = np.array([0.1, 0.5, 0.9, 1.7])
+        assert np.array_equal(q_y_finite(ys, EV, 4.0), [q_y_finite(y, EV, 4.0) for y in ys])
+        assert np.array_equal(q_y_limit(ys, EV), [q_y_limit(y, EV) for y in ys])
+
     def test_tower_property(self):
         # integrating the conditional against the max density recovers the base law
         t = 4.0
         val, _ = integrate.quad(lambda y: q_y_finite(y, EV, t) * p_max(t, y),
                                 1e-9, 9.3 * math.sqrt(t), limit=300)
         assert val == pytest.approx(rect_prob(EV), abs=1e-6)
+
+
+def _q_y_finite_nested(y, u, b, c, t):
+    if b == -math.inf:
+        return 0.0
+    r = t - u
+    opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
+    log_den = -y * y / (2.0 * t) + 0.5 * math.log(2.0 / (math.pi * t))
+
+    def joint(w):
+        # p_joint(u, x, s) at w = 2s - x, over the terminal density p_max(t, y)
+        return math.sqrt(2.0 / math.pi) * u ** -1.5 * w * math.exp(-w * w / (2.0 * u) - log_den)
+
+    total = 0.0
+    if y <= c:
+        total += integrate.quad(lambda w: joint(w) * math.erf((w - y) / math.sqrt(2.0 * r)),
+                                2.0 * y - min(b, y), math.inf, **opts)[0]
+
+    def free(s):
+        def f(w):
+            return joint(w) * math.sqrt(2.0 / (math.pi * r)) * math.exp(-(y - 2.0 * s + w) ** 2
+                                                                         / (2.0 * r))
+        return integrate.quad(f, 2.0 * s - min(b, s), math.inf, **opts)[0]
+
+    cprime = min(c, y)
+    total += integrate.quad(free, 0.0, cprime, points=[b] if 0.0 < b < cprime else None,
+                            **opts)[0]
+    return total
 
 
 class TestQayLimit:
@@ -256,6 +310,48 @@ class TestQphiLimit:
     def test_uniform_phi_is_average_of_pinned_laws(self):
         val, _ = integrate.quad(lambda z: q_y_limit(z, EV), 0.0, 1.0, limit=200)
         assert q_phi_limit(UNIFORM, EV) == pytest.approx(val, abs=1e-7)
+
+
+class TestQphiFinite:
+    # q_phi_finite mixes the closed-form q_y_finite over the maximum;
+    # finite_t_value(PhiOfMax) integrates the g_phi_hat kernel over the time-u
+    # state: a deliberate oracle pair
+    @given(phi=st.one_of(st.floats(0.2, 4.0).map(DensitySpec.uniform),
+                         st.floats(0.3, 3.0).map(DensitySpec.exponential)),
+           u=st.floats(0.1, 5.0), r=st.floats(0.05, 500.0), b=EVENT_B, c=EVENT_C)
+    @settings(max_examples=40, deadline=None)
+    def test_matches_kernel_route(self, phi, u, r, b, c):
+        ev = RectEvent(u, b, c)
+        assert q_phi_finite(phi, ev, u + r) == pytest.approx(
+            finite_t_value(PhiOfMax(phi), ev, u + r), abs=1e-10)
+
+    def test_tabulated_matches_kernel_route(self):
+        # the kernel's fixed Gauss-Legendre rule across the knots is good to a few 1e-7
+        for ev, t in ((EV, 8.0), (RectEvent(0.7, 0.9, 1.2), 33.0)):
+            assert q_phi_finite(TABULATED, ev, t) == pytest.approx(
+                finite_t_value(PhiOfMax(TABULATED), ev, t), abs=1e-6)
+
+    @pytest.mark.parametrize("u,t", [(1.0, 8.0), (0.3, 0.35), (2.0, 500.0)])
+    def test_tabulated_full_event_mass(self, u, t):
+        assert q_phi_finite(TABULATED, RectEvent(u), t) == pytest.approx(1.0, abs=1e-13)
+
+    def test_no_integration_warning_on_tabulated_phi(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", integrate.IntegrationWarning)
+            assert 0.0 < phi_series_value(TABULATED, EV, 8.0) < 1.0
+            assert 0.0 < q_phi_limit(TABULATED, EV) < 1.0
+            assert q_phi_limit(TABULATED, FULL) == pytest.approx(1.0, abs=1e-13)
+            assert q_a_phi_limit(-0.5, TABULATED, FULL) == pytest.approx(1.0, abs=1e-13)
+
+    def test_unresolved_rule_raises(self, monkeypatch):
+        # one node against two per piece cannot resolve the mixture to 1e-10
+        monkeypatch.setattr(quadrature, "MIX_NODES", 1)
+        with pytest.raises(FloatingPointError):
+            q_phi_finite(UNIFORM, EV, 4.0)
+
+    def test_horizon_validation(self):
+        with pytest.raises(ValueError):
+            q_phi_finite(UNIFORM, EV, 1.0)
 
 
 class TestMonotonicity:
