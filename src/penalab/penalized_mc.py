@@ -269,9 +269,9 @@ def terminal_conditional(ev, t: float, y: float, n: int, rng: RngStream,
       normal density phi_r(a - x) - phi_r(2 y - x - a).
 
     Their sum is divided by p_max(t, y), or p_joint(t, a, y).  Integrated
-    over the time-u state, the same two parts give the closed form
-    ``q_y_finite`` and the integrands of ``q_ay_finite``.  ``ess`` is the
-    Kish number of the part-A weights.
+    over the time-u state, the same two parts give the closed forms
+    ``q_y_finite`` and ``q_ay_finite``.  ``ess`` is the Kish number of the
+    part-A weights.
     """
     u, val_fn = _event_values(ev)
     if t <= u:
@@ -364,7 +364,7 @@ def bridge_convergence_check(a: float, y: float, ev: RectEvent,
                              t_list: Sequence[float], n: int, rng: RngStream) -> dict:
     """Cross-validate the doubly conditioned law three ways.
 
-    (i) finite-horizon quadrature over t_list, (ii) the exact Monte Carlo of
+    (i) the closed form ``q_ay_finite`` over t_list, (ii) the exact Monte Carlo of
     the same finite-t law (``terminal_conditional``), (iii) the limit value;
     plus the atom-weight and unpenalized-bridge sanity rows.
     """

@@ -14,8 +14,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import integrate
 
-from ._stable import GAUSS_CUT, gauss_legendre, log_norm_cdf, norm_cdf, norm_sf
-from .exact_laws import DensitySpec, h_cdf, p_joint
+from ._stable import (GAUSS_CUT, gauss_legendre, gauss_tail_e, log_gauss_tail_e, log_norm_cdf,
+                      log_norm_sf, norm_cdf, norm_sf)
+from .exact_laws import DensitySpec, h_cdf
 
 __all__ = [
     "RectEvent",
@@ -31,7 +32,6 @@ __all__ = [
     "expect_on_event",
 ]
 
-_QUAD_OPTS = dict(epsabs=1e-12, epsrel=1e-11, limit=400)
 GL_NODES = 96     # Gauss-Legendre nodes of the inner integral of expect_on_event
 MIX_NODES = 8     # Gauss-Legendre nodes per piece of the level mixtures
 MIX_TOL = 1e-10   # largest allowed gap between MIX_NODES and 2 MIX_NODES nodes
@@ -61,9 +61,9 @@ def atom_weight(a: float, y: float) -> float:
     return (y - a) / (2.0 * y - a)
 
 
-def _check_bridge_point(a: float, y: float) -> None:
-    # the boundary a = y is allowed (the atom weight is then 0)
-    if y <= 0.0 or y < max(a, 0.0):
+def _check_bridge_point(a, y) -> None:
+    # elementwise for arrays; the boundary a = y is allowed (the atom weight is then 0)
+    if np.any(np.asarray(y) <= 0.0) or np.any(np.asarray(y) < np.maximum(a, 0.0)):
         raise ValueError("bridge conditioning requires y >= max(a, 0) and y > 0")
 
 
@@ -109,7 +109,7 @@ def _check_levels(y, name: str) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# conditioning on the terminal maximum
+# conditioning on the terminal maximum, alone or with the bridge endpoint
 # ---------------------------------------------------------------------------
 
 def q_y_limit(y: float, ev: RectEvent) -> float:
@@ -144,9 +144,6 @@ def q_y_finite(y: float, ev: RectEvent, t: float) -> float:
     u, b, c = ev.u, ev.b, ev.c
     if t <= u:
         raise ValueError("horizon t must exceed the observation time u")
-    if b == -math.inf:
-        out = np.zeros_like(y)
-        return float(out) if out.ndim == 0 else out
     r = t - u
     sigma = math.sqrt(u * r / t)
     cprime = np.minimum(c, y)
@@ -161,94 +158,96 @@ def q_y_finite(y: float, ev: RectEvent, t: float) -> float:
     return float(out) if out.ndim == 0 else out
 
 
-# ---------------------------------------------------------------------------
-# conditioning on the bridge endpoint and the maximum jointly
-# ---------------------------------------------------------------------------
-
 def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> float:
     """Limit of the doubly conditioned law {X_t = a, S_t = y}.
 
-    route="direct" evaluates the two-term representation; route="mixture"
-    evaluates the convex combination over the single-max laws.  The two must
-    agree (checked in the test suite at 1e-7).
+    route="direct" is closed form and vectorized in y (an array y gives an
+    array): the pinned law q_y_limit(y), weight y - a, mixed with levels s
+    uniform on [0, y], weight y, whose pieces below and above b+ integrate
+    exactly.  With c' = min(c, y), s1 = min(b+, c'), E(z) = phi(z) - z Q(z),
+    z_a = s1/sqrt(u), z1 = (2 s1 - b)/sqrt(u) and z2 = (2c' - b)/sqrt(u):
+
+        (2y - a) q = 1{y <= c} (y - a) [pinned block of q_y_limit(y)]
+                   + 2(2y - a)(Phi(z_a) - 1/2) - sqrt(2u/pi)(1 - e^{-z_a^2/2})
+                   - 2 sqrt(u) (E(z_a) - E(0))
+                   + 1{c' > s1} [(2y - a - b)(Q(z1) - Q(z2)) - sqrt(u)(E(z2) - E(z1))].
+
+    route="mixture", the oracle partner, runs the same mixture through
+    ``_level_mixture``.
     """
     _check_bridge_point(a, y)
     u, b, c = ev.u, ev.b, ev.c
-    if b == -math.inf:
-        return 0.0
     if route == "mixture":
         # the atom at level y, weight y - a, and levels uniform on [0, y], weight y
         uniform = _level_mixture(ev, lambda z: q_y_limit(z, ev), np.zeros_like, y)
         return ((y - a) * q_y_limit(y, ev) + y * uniform) / (2.0 * y - a)
     if route != "direct":
         raise ValueError("route must be 'direct' or 'mixture'")
-
-    total = 0.0
-    if c >= y:
-        total += atom_weight(a, y) * float(_cond_mean_block(u, y, b))
-
-    cprime = min(c, y)
+    y = np.asarray(y, dtype=float)
     root_u = math.sqrt(u)
-
-    def inner(s):
-        w0 = 2.0 * s - min(b, s)
-        gaussian = math.exp(-w0 * w0 / (2.0 * u))
-        return (math.sqrt(2.0 / (math.pi * u)) * (w0 + 2.0 * y - a - 2.0 * s) * gaussian
-                + 2.0 * float(norm_sf(w0 / root_u)))
-
-    s_hi = min(cprime, (max(b, 0.0) + GAUSS_CUT * root_u) / 2.0 if math.isfinite(b)
-               else GAUSS_CUT * root_u)
-    if s_hi > 0.0:
-        pts = [b] if (math.isfinite(b) and 0.0 < b < s_hi) else None
-        v, _ = integrate.quad(inner, 0.0, s_hi, points=pts, **_QUAD_OPTS)
-        total += v / (2.0 * y - a)
-    return total
+    m = 2.0 * y - a
+    cprime = np.minimum(c, y)
+    s1 = np.minimum(max(b, 0.0), cprime)
+    z_a = s1 / root_u
+    total = (np.where(y <= c, (y - a) * _cond_mean_block(u, y, b), 0.0)
+             + 2.0 * m * (norm_cdf(z_a) - 0.5)
+             + math.sqrt(2.0 * u / math.pi) * np.expm1(-0.5 * z_a * z_a)
+             - 2.0 * root_u * (gauss_tail_e(z_a) - gauss_tail_e(0.0)))
+    if math.isfinite(b):
+        # the levels above b+, where the event bounds X_u by b rather than by s
+        # (b = -inf empties the event: every other term is then 0)
+        z1 = (2.0 * s1 - b) / root_u
+        z2 = (2.0 * cprime - b) / root_u
+        total = total + np.where(cprime > s1, (m - b) * (norm_sf(z1) - norm_sf(z2))
+                                 - root_u * (gauss_tail_e(z2) - gauss_tail_e(z1)), 0.0)
+    out = total / m
+    return float(out) if out.ndim == 0 else out
 
 
 def q_ay_finite(a: float, y: float, ev: RectEvent, t: float) -> float:
-    """P0(event | X_t = a, S_t = y) at a finite horizon t > u."""
-    if y <= max(a, 0.0):
-        # at y = a the terminal density p_joint(t, a, y) vanishes
-        raise ValueError("q_ay_finite requires y > max(a, 0)")
+    """P0(event | X_t = a, S_t = y) at a finite horizon t > u, in closed form.
+
+    Vectorized in y (an array y gives an array).  With r = t - u, M = 2y - a,
+    sigma^2 = u r / t and c' = min(c, y), the maximum is reached by time u
+    (S_u = y, pinned, only on {y <= c}) or after it (free).  Each part
+    integrates a linear factor times Gaussians in the reflected variable v
+    (Borodin & Salminen): int_V^inf v e^{-v^2/2v1} phi_{v2}(v - m) dv is
+    e^{-m^2/2t} (sigma/sqrt(v2)) [sigma E(z) + V Q(z)], z = (V - m v1/t)/sigma,
+    E(z) = phi(z) - z Q(z).  Over p_joint(t, a, y), with V1 = 2y - min(b, y)
+    and W2 = M - min(b, c'),
+
+        q = (t/M) [1{y <= c} (K(M, V1; u) - K(a, V1; u)) / u
+                   + (K(M, W2; r) - K(M - 2c', W2; r)) / r],
+        K(m, V; v1) = e^{(M^2 - m^2)/2t} [sigma E(z) + V Q(z)],
+
+    with K on the log scale, so its exponential factor cannot overflow.
+    """
+    y = np.asarray(y, dtype=float)
+    if np.any(y <= np.maximum(a, 0.0)):
+        raise ValueError("q_ay_finite requires y > max(a, 0): p_joint(t, a, y) is 0 at y = a")
     u, b, c = ev.u, ev.b, ev.c
     if t <= u:
         raise ValueError("horizon t must exceed the observation time u")
     if b == -math.inf:
-        return 0.0
+        out = np.zeros_like(y)
+        return float(out) if out.ndim == 0 else out
     r = t - u
-    root_u = math.sqrt(u)
-    denom = p_joint(t, a, y)
-    pref_r = math.sqrt(2.0 / (math.pi * r ** 3)) * r / 2.0
+    m_top = 2.0 * y - a
+    sigma = math.sqrt(u * r / t)
 
-    total = 0.0
-    if c >= y:
-        x_hi = min(b, y)
-        x_lo = x_hi - GAUSS_CUT * root_u - 2.0 * max(y - x_hi, 0.0)
+    def k(m, v_lo, v1):
+        z = (v_lo - m * v1 / t) / sigma
+        return np.exp((m_top * m_top - m * m) / (2.0 * t)
+                      + np.logaddexp(math.log(sigma) + log_gauss_tail_e(z),
+                                     np.log(v_lo) + log_norm_sf(z)))
 
-        def f1(x):
-            bracket = math.exp(-(a - x) ** 2 / (2.0 * r)) \
-                - math.exp(-(2.0 * y - x - a) ** 2 / (2.0 * r))
-            return pref_r * bracket * p_joint(u, x, y)
-
-        if x_hi > x_lo:
-            v1, _ = integrate.quad(f1, x_lo, x_hi, **_QUAD_OPTS)
-            total += v1 / denom
-
-    cprime = min(c, y)
-    x_hi = min(b, cprime)
-    x_lo = -GAUSS_CUT * root_u
-    pref_u = math.sqrt(2.0 / (math.pi * u ** 3)) * u / 2.0
-
-    def f2(x):
-        w = 2.0 * y - x - a
-        joint_r = math.sqrt(2.0 / (math.pi * r ** 3)) * w * math.exp(-w * w / (2.0 * r))
-        bracket = math.exp(-x * x / (2.0 * u)) - math.exp(-(2.0 * cprime - x) ** 2 / (2.0 * u))
-        return joint_r * pref_u * bracket
-
-    if x_hi > x_lo:
-        v2, _ = integrate.quad(f2, x_lo, x_hi, **_QUAD_OPTS)
-        total += v2 / denom
-    return total
+    cprime = np.minimum(c, y)
+    v1 = 2.0 * y - np.minimum(b, y)
+    w2 = m_top - np.minimum(b, cprime)
+    pinned = np.where(y <= c, (k(m_top, v1, u) - k(a, v1, u)) / u, 0.0)
+    free = (k(m_top, w2, r) - k(m_top - 2.0 * cprime, w2, r)) / r
+    out = t / m_top * (pinned + free)
+    return float(out) if out.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +258,9 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
     """Limit of the bridge-to-a law penalized by phi of the maximum.
 
     route="single" mixes the single-max laws; route="bridge" mixes the
-    doubly conditioned laws.  Both are implemented and must agree within
-    1e-6.
+    doubly conditioned laws q_ay_limit(a, y) over y > a+ with weight
+    (2y - a) phi(y).  Both run the fixed rule of ``_level_mixture`` and
+    differ only in their integrands, so they must agree within its MIX_TOL.
     """
     if not np.isfinite(phi.moment(1)):
         raise ValueError("q_a_phi_limit requires a finite first moment of phi")
@@ -271,13 +271,13 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
                          f"normaliser 2 E[Y; Y > a+] - a P(Y > a+) is {denom} at a = {a}")
     hi = phi.effective_upper(1e-13)
 
+    kinks = (*_knots(phi), ap)
     if route == "bridge":
-        def f16(y):
-            return (2.0 * y - a) * phi.pdf(y) * q_ay_limit(a, y, ev, route="direct")
-
-        num, _ = integrate.quad(f16, ap, hi, epsabs=1e-10, epsrel=1e-9, limit=400,
-                                points=[p for p in (ev.c, ev.b) if ap < p < hi] or None)
-        return num / denom
+        # the terminal maxima y > a+, weight (2y - a) phi(y); below a+ the
+        # weight is 0 and q_ay_limit is evaluated at a+ only to stay defined
+        return _level_mixture(ev, lambda z: q_ay_limit(a, np.maximum(z, ap), ev),
+                              lambda z: _log(np.where(z > ap, (2.0 * z - a) * phi.pdf(z), 0.0)),
+                              hi, kinks)
     if route != "single":
         raise ValueError("route must be 'single' or 'bridge'")
 
@@ -286,7 +286,7 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
         # the levels below them, weight P(Y > max(z, a+)); the weights total denom
         return _log(np.where(z > ap, (z - a) * phi.pdf(z), 0.0) + phi.tail(np.maximum(z, ap)))
 
-    return _level_mixture(ev, lambda z: q_y_limit(z, ev), log_weight, hi, (*_knots(phi), ap))
+    return _level_mixture(ev, lambda z: q_y_limit(z, ev), log_weight, hi, kinks)
 
 
 def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> float:
@@ -333,7 +333,8 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
     The weights are normalised on the log scale.  The same rule with twice
     the nodes is the error estimate: a gap above MIX_TOL raises.
     """
-    cuts = np.unique([0.0, hi, *(p for p in (ev.b, ev.c, *kinks) if 0.0 < p < hi)])
+    # a cut below the smallest normal float would round first-piece nodes to y = 0
+    cuts = np.unique([0.0, hi, *(p for p in (ev.b, ev.c, *kinks) if np.finfo(float).tiny < p < hi)])
     pieces = np.ceil(np.diff(cuts) / (0.25 * math.sqrt(min(ev.u, t - ev.u)))).astype(int)
     edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
                             for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])

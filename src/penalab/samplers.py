@@ -32,7 +32,7 @@ import numpy as np
 from scipy import special
 
 from .exact_laws import BivariatePenalty, ExponentialBivariate, SeparableIndicator, TabulatedGrid, fbar
-from .quadrature import RectEvent
+from .quadrature import RectEvent, _check_bridge_point
 
 __all__ = [
     "RngStream",
@@ -298,8 +298,7 @@ def mixture_levels(a, y, n: int, gen: np.random.Generator) -> np.ndarray:
     of ``draw_penalty_pairs``."""
     a = np.asarray(a, dtype=float)
     y = np.asarray(y, dtype=float)
-    if np.any(y <= 0.0) or np.any(y < np.maximum(a, 0.0)):
-        raise ValueError("bridge conditioning requires y >= max(a, 0) and y > 0")
+    _check_bridge_point(a, y)
     pick = gen.random(n) < (y - a) / (2.0 * y - a)
     z = y * (1.0 - gen.random(n))
     return np.where(pick, y, z)
