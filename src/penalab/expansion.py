@@ -173,8 +173,7 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
     fit = fit_rate(series, model="discounted", lam=lam)
     end = (psi.effective_upper(),)
     target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi), points=end)
-    limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi, check=False),
-                            points=end)
+    limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi), points=end)
 
     # scaled residual diagnostics: (V - L) sqrt(t) e^{lam^2 t/2} t -> c1
     t_arr = np.array([row[0] for row in series])

@@ -78,12 +78,9 @@ def m_mu_lambda_xs(x, s, u, lam: float, mu: float):
     return out
 
 
-def m_kennedy_xs(x, s, u, lam: float, psi: DensitySpec, check: bool = True):
+def m_kennedy_xs(x, s, u, lam: float, psi: DensitySpec):
     """Kennedy martingale for a shape psi, Laplace-normalized at lam."""
-    if check:
-        norm = psi.laplace_mass(lam)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"psi is not Laplace-normalized for lam={lam}: mass {norm}")
+    psi.require_laplace_normalized(lam)
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     d = s - x
@@ -130,13 +127,11 @@ def f1_phi_xs(x, s, u, phi: DensitySpec):
     return 0.5 * (u + m2) * m_phi_xs(x, s, phi) - 0.5 * a1
 
 
-def f1_lambda_phi_xs(x, s, u, lam: float, psi: DensitySpec, transforms=None):
+def f1_lambda_phi_xs(x, s, u, lam: float, psi: DensitySpec):
     """First discounted expansion coefficient for the Kennedy weight."""
-    if transforms is None:
-        transforms = kennedy_transforms(psi, lam)
-    _, _, phi1, c = transforms
+    _, _, phi1, c = kennedy_transforms(psi, lam)
     pref = c / (lam ** 3 * SQRT_2PI)
-    return pref * (m_phi_xs(x, s, phi1) - m_kennedy_xs(x, s, u, lam, psi, check=False))
+    return pref * (m_phi_xs(x, s, phi1) - m_kennedy_xs(x, s, u, lam, psi))
 
 
 # ---------------------------------------------------------------------------

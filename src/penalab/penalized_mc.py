@@ -85,9 +85,7 @@ class KennedyWeight:
     psi: DensitySpec
 
     def __post_init__(self):
-        norm = self.psi.laplace_mass(self.lam)
-        if abs(norm - 1.0) > 1e-6:
-            raise ValueError(f"psi is not Laplace-normalized for lam={self.lam}: mass {norm}")
+        self.psi.require_laplace_normalized(self.lam)
 
 
 PenaltyKind = PhiOfMax | BivariateF | ExpLinear | KennedyWeight

@@ -17,6 +17,7 @@ from scipy import integrate
 from ._stable import (GAUSS_CUT, gauss_legendre, gauss_tail_e, log_gauss_tail_e, log_norm_cdf,
                       log_norm_sf, norm_cdf, norm_sf)
 from .exact_laws import DensitySpec, h_cdf
+from .martingales import m_phi_xs
 
 __all__ = [
     "RectEvent",
@@ -297,8 +298,6 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
     weighted expectation of the associated martingale on the event instead.
     """
     if route == "martingale":
-        from .martingales import m_phi_xs
-
         hi = phi.effective_upper(1e-13)
         return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi,))
     if route != "mixture":
@@ -398,7 +397,8 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
                else GAUSS_CUT * root_u)
     if s_hi <= 0.0:
         return 0.0
-    pts = sorted({p for p in (b, *points) if 0.0 < p < s_hi}) or None
+    # a breakpoint within roundoff of 0 would leave quad a subnormal first piece
+    pts = sorted({p for p in (b, *points) if 1e-12 * s_hi < p < s_hi}) or None
     # tabulated densities give the inner integral micro-kinks; 1e-10 absolute
     # keeps the adaptive refinement from chasing roundoff
     val, _ = integrate.quad(inner, 0.0, s_hi, points=pts,

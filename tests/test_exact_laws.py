@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+from penalab import exact_laws
 from penalab.exact_laws import (
     DegeneracyError,
     DensitySpec,
@@ -25,7 +26,8 @@ from penalab.exact_laws import (
     p_max,
     phi_from_f,
 )
-from penalab.martingales import m_phi_from_f
+from penalab.martingales import m_kennedy_xs, m_phi_from_f
+from penalab.penalized_mc import KennedyWeight
 from penalab.samplers import RngStream, draw_penalty_pairs
 
 QUAD_TOL = 1e-8
@@ -173,6 +175,60 @@ class TestDensitySpec:
             psi.ppf(0.5)
 
 
+@st.composite
+def _tables(draw):
+    """2-40 knots at random spacings from a random start in [0, 1.5] to 3, and
+    nonnegative values, not all zero."""
+    n = draw(st.integers(2, 40))
+    widths = np.array(draw(st.lists(st.floats(0.01, 1.0), min_size=n - 1, max_size=n - 1)))
+    start = draw(st.floats(0.0, 1.5))
+    grid = start + (3.0 - start) * np.concatenate(([0.0], np.cumsum(widths))) / widths.sum()
+    values = draw(st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=n, max_size=n)
+                  .filter(lambda v: max(v) > 0.0))
+    return grid, np.array(values)
+
+
+def _quad(fn, lo, hi, knots):
+    """Adaptive quadrature with the knots as breakpoints: exact on every
+    polynomial piece up to roundoff."""
+    if lo >= hi:
+        return 0.0
+    pts = [p for p in knots if lo < p < hi] or None
+    return integrate.quad(fn, lo, hi, points=pts, epsabs=0.0, epsrel=1e-13, limit=200)[0]
+
+
+class TestLinearTableEngine:
+    # every tabulated integral runs on one engine; the cdf and the prefix are
+    # differences of totals and tails, so they hold to 1e-12 absolute
+    @given(table=_tables(), y=st.floats(-0.5, 3.5))
+    @settings(max_examples=60, deadline=None)
+    def test_density_integrals_match_quad(self, table, y):
+        grid, values = table
+        spec = DensitySpec.tabulated(grid, values)
+        lo = max(y, grid[0])
+        for k in range(4):
+            ref = _quad(lambda v: v ** k * spec.pdf(v), lo, grid[-1], grid)
+            assert spec.tail_moment(k, y) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        for lam in (0.0, 0.7, 2.0):
+            ref = _quad(lambda v: math.exp(-lam * v) * spec.pdf(v), lo, grid[-1], grid)
+            assert spec.laplace_tail(y, lam) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        ref = _quad(spec.pdf, 0.0, min(y, grid[-1]), grid)
+        assert spec.cdf(y) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+        if spec.pdf(y) > 0.0:
+            # the inverse is conditioned by 1 / pdf(y)
+            assert spec.ppf(spec.cdf(y)) == pytest.approx(y, rel=0.0, abs=1e-12 / spec.pdf(y))
+
+    @given(table=_tables(), x=st.floats(-3.5, 0.5))
+    @settings(max_examples=60, deadline=None)
+    def test_separable_prefix_matches_quad(self, table, x):
+        grid, values = table
+        f = SeparableIndicator(grid - 3.0, values, 1.0)     # f1 on negative a
+        g = f.f1_grid
+        for k in range(4):
+            ref = _quad(lambda a: a ** k * f.f1(a), g[0], min(x, g[-1]), g)
+            assert f._prefix(k, x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
 class TestBivariatePenalties:
     def test_fbar_exponential(self):
         assert fbar(ExponentialBivariate(-2.0, 1.0)) == pytest.approx(2.0, abs=1e-14)
@@ -238,7 +294,7 @@ class TestBivariatePenalties:
         y = np.linspace(0.0, 3.0, 31)
         aa, yy = np.meshgrid(a, y, indexing="ij")
         tab = TabulatedGrid(a, y, np.where(yy - aa >= 0.5, np.exp(aa - yy), 0.0))
-        m0, _, _, yr, table = _tabgrid_cell_moments(tab, y_refine=32)
+        m0, _, _, yr, table = _tabgrid_cell_moments(tab)
         col = np.sum(m0, axis=0)
         tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
         ref = np.empty_like(yr)
@@ -295,6 +351,23 @@ class TestTabulatedAcrossTheDiagonal:
             assert float(phi.pdf(yv)) == pytest.approx((tail + wedge) / total, rel=1e-5)
 
 
+class TestOneCellMomentPass:
+    def test_phi_from_f_runs_the_cell_moments_once(self, monkeypatch):
+        passes = []
+        inner = exact_laws._tabgrid_cell_moments
+
+        def counted(f):
+            passes.append(inner(f))
+            return passes[-1]
+
+        monkeypatch.setattr(exact_laws, "_tabgrid_cell_moments", counted)
+        tab = _diagonal_table()
+        phi_from_f(tab)
+        assert len(passes) == 1
+        _, ma, my, _, _ = passes[0]
+        assert float(np.sum(2.0 * my - ma)) == pytest.approx(fbar(tab), rel=1e-12)
+
+
 class TestKennedyTransforms:
     LAM = 1.0
     PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
@@ -334,5 +407,16 @@ class TestKennedyTransforms:
 
     def test_normalization_enforced(self):
         bad = DensitySpec.uniform(1.0)  # unit mass, not Laplace-normalized
-        with pytest.raises(ValueError):
-            kennedy_transforms(bad, self.LAM)
+        messages = set()
+        for build in (lambda: kennedy_transforms(bad, self.LAM),
+                      lambda: KennedyWeight(self.LAM, bad),
+                      lambda: m_kennedy_xs(0.0, 0.5, 1.0, self.LAM, bad)):
+            with pytest.raises(ValueError, match="not Laplace-normalized") as err:
+                build()
+            messages.add(str(err.value))
+        assert len(messages) == 1
+
+    def test_built_once_per_shape_and_lambda(self):
+        psi = DensitySpec.uniform(1.0, laplace_lambda=self.LAM)
+        first = kennedy_transforms(psi, self.LAM)
+        assert kennedy_transforms(psi, self.LAM) is first

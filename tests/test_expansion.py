@@ -91,6 +91,19 @@ class TestKennedySeries:
         rep = f1_kennedy_check(1.0, PSI, EV)
         assert rep["rel_err"] < 0.15
 
+    def test_phi1_is_built_once(self, monkeypatch):
+        # the coefficient target evaluates f1_lambda_phi_xs at every quad node
+        tabulated = DensitySpec.tabulated
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return tabulated(*args, **kwargs)
+
+        monkeypatch.setattr(DensitySpec, "tabulated", staticmethod(counted))
+        f1_kennedy_check(1.0, DensitySpec.uniform(1.0, laplace_lambda=1.0), EV)
+        assert len(calls) == 1
+
     def test_scaled_residuals_approach_target(self):
         rep = f1_kennedy_check(1.0, PSI, EV)
         t_last, scaled_last = rep["scaled_coefficients"][-1]

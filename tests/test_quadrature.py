@@ -68,6 +68,7 @@ class TestRectProb:
     @given(u=st.floats(0.05, 20.0),
            b=st.one_of(st.floats(-6.0, 8.0), st.sampled_from([-math.inf, math.inf])),
            c=st.one_of(st.floats(1e-3, 8.0), st.just(math.inf)))
+    @example(u=0.0546875, b=2.5087322480572646e-306, c=math.inf)  # a breakpoint near 0
     @settings(max_examples=60, deadline=None)
     def test_matches_integrated_joint_density(self, u, b, c):
         # the closed form against quadrature of the joint density: an
