@@ -23,7 +23,7 @@ import numpy as np
 from .exact_laws import DensitySpec
 from .martingales import f1_lambda_phi_xs, f1_phi_xs, m_kennedy_xs, m_phi_xs
 from .penalized_mc import KennedyWeight, PhiOfMax, finite_t_value, penalized_estimate
-from .quadrature import RectEvent, expect_on_event, q_phi_finite, q_phi_limit
+from .quadrature import RectEvent, _knots, expect_on_event, q_phi_finite, q_phi_limit
 from .samplers import RngStream
 
 __all__ = [
@@ -133,7 +133,7 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
         raise ValueError("the first-order expansion needs a finite fifth moment")
     series = [(t, phi_series_value(phi, ev, t)) for t in t_list]
     fit = fit_rate(series, model="poly")
-    end = (phi.effective_upper(),)
+    end = (phi.effective_upper(), *_knots(phi))
     target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi), points=end)
     limit = q_phi_limit(phi, ev)
 
@@ -171,7 +171,7 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
     u = ev.u
     series = [(t, kennedy_series_value(lam, psi, ev, t)) for t in t_list]
     fit = fit_rate(series, model="discounted", lam=lam)
-    end = (psi.effective_upper(),)
+    end = (psi.effective_upper(), *_knots(psi))
     target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi), points=end)
     limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi), points=end)
 

@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy import integrate
 
 from ._stable import norm_pdf
 from .exact_laws import (
@@ -32,12 +31,12 @@ from .exact_laws import (
     DensitySpec,
     ExponentialBivariate,
     h_cdf,
-    p_bessel3,
     p_joint,
     p_max,
 )
 from .martingales import m_bar_xs
-from .quadrature import RectEvent, expect_on_event, rect_prob, q_ay_finite, q_ay_limit, atom_weight
+from .quadrature import (RectEvent, _knots, atom_weight, expect_on_event, q_ay_finite, q_ay_limit,
+                         rect_prob)
 from .samplers import RngStream, exact_bm_state, exact_two_time_state
 from .weights import log_g_explinear, log_g_kennedy, log_g_phi
 
@@ -217,8 +216,9 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
 
     The conditional kernel at r = t - u, divided by the kernel at the origin
     with horizon t, integrated over the time-u state; the s-integral breaks at
-    the weight's kink (the end of phi's or psi's support, or the cap).  For a
-    phi weight this is the kernel partner of ``quadrature.q_phi_finite``.
+    the weight's kinks (the knots and end of phi's or psi's support, or the
+    cap).  For a phi weight this is the kernel partner of
+    ``quadrature.q_phi_finite``.
     """
     u = ev.u
     if t <= u:
@@ -227,12 +227,13 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     zero = np.zeros(1)
     log_den = float(_log_weight_conditional(pen, zero, zero, t)[0])
     if isinstance(pen, ExpLinear):
-        kink = pen.cap
+        kinks = (pen.cap,)
     else:
-        kink = (pen.phi if isinstance(pen, PhiOfMax) else pen.psi).effective_upper()
+        shape = pen.phi if isinstance(pen, PhiOfMax) else pen.psi
+        kinks = (shape.effective_upper(), *_knots(shape))
     return expect_on_event(
         ev, lambda x, s: np.exp(_log_weight_conditional(pen, x, s, t - u) - log_den),
-        w_max=w_max, points=(kink,))
+        w_max=w_max, points=kinks)
 
 
 def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> Estimate:
@@ -327,16 +328,13 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
     a ``penalized_estimate``, compared at 3 stderr with the exact finite-t
     value.  Each row also carries the t -> inf limit: the integral of m_bar_xs
     against the Bessel(3) marginal, or the plain Bessel(3) law for the
-    trivial family.
+    trivial family, taken over the Brownian state with R = 2S - X.
     """
     if trivial:
-        density = lambda r: p_bessel3(u, r)
+        g = lambda x, s: np.ones_like(x)
     else:
-        # raises for parameters outside the supported branches
-        m_bar_xs(np.array([1.0]), u, lam, mu)
-        density = lambda r: m_bar_xs(r, u, lam, mu) * p_bessel3(u, r)
-    limits = {b: integrate.quad(density, 0.0, b, epsabs=1e-12, epsrel=1e-10, limit=200)[0]
-              for b in b_levels}
+        g = lambda x, s: m_bar_xs(2.0 * s - x, u, lam, mu)
+    limits = {b: expect_on_event(RectEvent(u), g, w_max=b) for b in b_levels}
     pen = bessel_weight(lam, mu, trivial)
     label = "exp(-R) 1{J <= 1}" if trivial else f"exp({mu} R + {lam} J)"
 

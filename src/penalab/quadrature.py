@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate
 
 from ._stable import (GAUSS_CUT, gauss_legendre, gauss_tail_e, log_gauss_tail_e, log_norm_cdf,
                       log_norm_sf, norm_cdf, norm_sf)
@@ -33,9 +32,12 @@ __all__ = [
     "expect_on_event",
 ]
 
-GL_NODES = 96     # Gauss-Legendre nodes of the inner integral of expect_on_event
-MIX_NODES = 8     # Gauss-Legendre nodes per piece of the level mixtures
-MIX_TOL = 1e-10   # largest allowed gap between MIX_NODES and 2 MIX_NODES nodes
+GL_NODES = 96       # Gauss-Legendre nodes of the inner integral of expect_on_event
+MIX_NODES = 8       # Gauss-Legendre nodes per piece of the level mixtures
+EVENT_NODES = 16    # Gauss-Legendre nodes per piece of the s-integral of expect_on_event
+MIX_TOL = 1e-10     # largest allowed gap between n and 2n nodes, and mass beyond a window
+MAX_DOUBLINGS = 4   # times expect_on_event may double its window
+EVENT_BLOCK = 4096  # most states per call of expect_on_event's integrand
 
 
 @dataclass(frozen=True)
@@ -47,6 +49,8 @@ class RectEvent:
     c: float = math.inf
 
     def __post_init__(self):
+        if any(map(math.isnan, (self.u, self.b, self.c))):
+            raise ValueError("event bounds must not be NaN")
         if self.u <= 0.0:
             raise ValueError("observation time must be positive")
         if self.c <= 0.0:
@@ -299,7 +303,7 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
     """
     if route == "martingale":
         hi = phi.effective_upper(1e-13)
-        return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi,))
+        return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi, *_knots(phi)))
     if route != "mixture":
         raise ValueError("route must be 'mixture' or 'martingale'")
     return _level_mixture(ev, lambda y: q_y_limit(y, ev), lambda y: _log(phi.pdf(y)),
@@ -326,28 +330,40 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
     t (t = inf for the limit laws): the integral of q(y) w(y) divided by the
     integral of w(y), with log w(y) = log_weight(y) for an array y.
 
-    One fixed Gauss-Legendre pass over [0, hi] cut at the weight's kinks and
-    at the kinks y = b and y = c of q, with every piece at most
-    sqrt(min(u, t - u))/4 wide (q varies on the scale sqrt(u (t - u) / t)).
-    The weights are normalised on the log scale.  The same rule with twice
-    the nodes is the error estimate: a gap above MIX_TOL raises.
+    The checked rule of ``_checked_rule`` with MIX_NODES nodes per piece, cut
+    at the weight's kinks and at the kinks y = b and y = c of q, with every
+    piece at most sqrt(min(u, t - u))/4 wide (q varies on the scale
+    sqrt(u (t - u) / t)).  The weights are normalised on the log scale.
+    """
+    def integral(y, wts):
+        log_w = log_weight(y)
+        w = np.exp(log_w - np.max(log_w)) * wts
+        return float(np.dot(w, q_of_y(y)) / np.sum(w))
+
+    return _checked_rule("level-mixture", hi, (ev.b, ev.c, *kinks),
+                         0.25 * math.sqrt(min(ev.u, t - ev.u)), MIX_NODES, integral)
+
+
+def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) -> float:
+    """One fixed Gauss-Legendre pass over [0, hi], cut at ``cuts`` and with
+    every piece at most ``width`` wide; integral(y, wts) sums the integrand
+    at the nodes y with the weights wts.  The same rule with 2n nodes per
+    piece is the error estimate: a gap above MIX_TOL, or not finite, raises.
     """
     # a cut below the smallest normal float would round first-piece nodes to y = 0
-    cuts = np.unique([0.0, hi, *(p for p in (ev.b, ev.c, *kinks) if np.finfo(float).tiny < p < hi)])
-    pieces = np.ceil(np.diff(cuts) / (0.25 * math.sqrt(min(ev.u, t - ev.u)))).astype(int)
+    cuts = np.unique([0.0, hi, *(p for p in cuts if np.finfo(float).tiny < p < hi)])
+    pieces = np.ceil(np.diff(cuts) / width).astype(int)
     edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
                             for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])
-    lo, width = edges[:-1, None], np.diff(edges)[:, None]
+    lo, span = edges[:-1, None], np.diff(edges)[:, None]
     values = []
-    for n in (MIX_NODES, 2 * MIX_NODES):
-        nodes, weights = gauss_legendre(n)
-        y = (lo + width * nodes).ravel()
-        log_w = log_weight(y)
-        w = np.exp(log_w - np.max(log_w)) * (width * weights).ravel()
-        values.append(float(np.dot(w, q_of_y(y)) / np.sum(w)))
-    if abs(values[1] - values[0]) > MIX_TOL:
-        raise FloatingPointError(f"level-mixture rule unresolved: {MIX_NODES} and {2 * MIX_NODES} "
-                                 f"nodes per piece differ by {abs(values[1] - values[0]):.2e}")
+    for k in (n, 2 * n):
+        nodes, weights = gauss_legendre(k)
+        values.append(integral((lo + span * nodes).ravel(), (span * weights).ravel()))
+    gap = abs(values[1] - values[0])
+    if not gap <= MIX_TOL:
+        raise FloatingPointError(f"{name} rule unresolved: {n} and {2 * n} "
+                                 f"nodes per piece differ by {gap:.2e}")
     return values[1]
 
 
@@ -368,39 +384,50 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     """Integral of g(x, s) p_joint(u, x, s) over the rectangle event, further
     restricted to {2s - x <= w_max}.
 
-    g must accept numpy arrays for x at a scalar s.  The inner position
-    integral uses Gauss-Legendre in the reflected variable w = 2s - x; the
-    outer max integral is adaptive, with a breakpoint at b and at each of
-    ``points`` (where g jumps in s, e.g. at the end of a density's support).
+    g takes arrays x and s of one shape.  The inner integral runs GL_NODES
+    Gauss-Legendre nodes in the reflected variable w = 2s - x, over a window
+    of reach R above the event's edge w0 = 2s - min(b, s), capped at w_max.
+    The outer integral over s runs ``_checked_rule`` with EVENT_NODES nodes
+    per piece at most sqrt(u) wide, cut at b, at ``points`` and at the bends
+    of the cap: every jump or kink of g in s must be in ``points``.  Every
+    state beyond the window has w >= R, so when the nodes with w > R - sqrt(u)
+    carry more than MIX_TOL, R doubles, at most MAX_DOUBLINGS times.
     """
     u, b, c = ev.u, ev.b, ev.c
     if b == -math.inf:
         return 0.0
     root_u = math.sqrt(u)
-    nodes, weights = gauss_legendre(GL_NODES)
+    w_nodes, w_weights = gauss_legendre(GL_NODES)
     pref = math.sqrt(2.0 / (math.pi * u ** 3))
+    reach = GAUSS_CUT * root_u
+    band = []
 
-    def inner(s):
-        x_hi = min(b, s)
-        w0 = 2.0 * s - x_hi
-        w1 = min(w0 + GAUSS_CUT * root_u, w_max)
-        if w1 <= w0:
+    def integral(s_all, s_wts):
+        total = band_mass = 0.0
+        step = EVENT_BLOCK // GL_NODES
+        for i in range(0, s_all.size, step):
+            s = s_all[i:i + step]
+            w0 = 2.0 * s - np.minimum(b, s)
+            span = np.maximum(np.minimum(w0 + reach, w_max) - w0, 0.0)
+            w = (w0[:, None] + span[:, None] * w_nodes).ravel()
+            ss = np.repeat(s, GL_NODES)
+            f = (g(2.0 * ss - w, ss) * pref * w * np.exp(-w * w / (2.0 * u))
+                 * np.outer(span * s_wts[i:i + step], w_weights).ravel())
+            total += float(np.sum(f))
+            band_mass += float(np.sum(np.abs(f[w > reach - root_u])))
+        band.append(band_mass)
+        return total
+
+    for _ in range(MAX_DOUBLINGS + 1):
+        # w = 2s - x >= s on the support, so the cap on w caps s as well
+        s_hi = min(c, w_max, (w_max + b) / 2.0,
+                   (max(b, 0.0) + reach) / 2.0 if math.isfinite(b) else reach)
+        if s_hi <= 0.0:
             return 0.0
-        w = w0 + (w1 - w0) * nodes
-        x = 2.0 * s - w
-        dens = pref * w * np.exp(-w * w / (2.0 * u))
-        vals = np.asarray(g(x, s), dtype=float)
-        return float(np.dot(weights, vals * dens)) * (w1 - w0)
-
-    # w = 2s - x >= s on the support, so the cap on w caps s as well
-    s_hi = min(c, w_max, (max(b, 0.0) + GAUSS_CUT * root_u) / 2.0 if math.isfinite(b)
-               else GAUSS_CUT * root_u)
-    if s_hi <= 0.0:
-        return 0.0
-    # a breakpoint within roundoff of 0 would leave quad a subnormal first piece
-    pts = sorted({p for p in (b, *points) if 1e-12 * s_hi < p < s_hi}) or None
-    # tabulated densities give the inner integral micro-kinks; 1e-10 absolute
-    # keeps the adaptive refinement from chasing roundoff
-    val, _ = integrate.quad(inner, 0.0, s_hi, points=pts,
-                            epsabs=1e-10, epsrel=1e-9, limit=400)
-    return val
+        val = _checked_rule("event", s_hi, (b, *points, w_max - reach, (w_max - reach + b) / 2.0),
+                            root_u, EVENT_NODES, integral)
+        if band[-1] <= MIX_TOL:
+            return val
+        reach *= 2.0
+    raise FloatingPointError(f"event window unresolved: {band[-1]:.2e} of the integrand lies "
+                             f"within sqrt(u) of its reach {reach / 2.0:.3g}")

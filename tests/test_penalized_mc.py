@@ -153,7 +153,8 @@ class TestFiniteTValue:
     @given(pen=st.sampled_from([PhiOfMax(UNIFORM), PhiOfMax(DensitySpec.exponential(1.5)),
                                 KennedyWeight(1.0, PSI),
                                 KennedyWeight(1.0, DensitySpec.exponential(1.5, laplace_lambda=1.0)),
-                                ExpLinear(0.0, -1.0),
+                                KennedyWeight(2.0, DensitySpec.exponential(0.5, laplace_lambda=2.0)),
+                                ExpLinear(0.0, -1.0), ExpLinear(1.0, 1.0),
                                 ExpLinear(-2.0, 1.0), ExpLinear(-2.0, 1.0, cap=1.0),
                                 ExpLinear(0.5, 0.25, cap=1.2)]),
            u=st.floats(0.1, 5.0), r=st.floats(0.05, 500.0))
@@ -167,18 +168,13 @@ class TestFiniteTValue:
         pen = KennedyWeight(2.0, DensitySpec.exponential(0.5, laplace_lambda=2.0))
         assert finite_t_value(pen, RectEvent(0.3), 0.35) == pytest.approx(1.0, abs=1e-14)
 
-    @pytest.mark.xfail(strict=True, reason="expect_on_event cuts w = 2s - x a fixed number of "
-                       "sqrt(u) above the event, below the mass of the lam = 2 Kennedy tilt at "
-                       "large u")
     def test_lam2_kennedy_full_event_mass_at_large_u(self):
-        # 1 - 7.7e-7 at u = 5; 1 - 1.7e-13 at u = 1
+        # 1 - 7.7e-7 at u = 5 when the window was a fixed GAUSS_CUT sqrt(u)
         pen = KennedyWeight(2.0, DensitySpec.exponential(0.5, laplace_lambda=2.0))
         assert finite_t_value(pen, RectEvent(5.0), 6.0) == pytest.approx(1.0, abs=1e-8)
 
-    @pytest.mark.xfail(strict=True, reason="expect_on_event cuts w = 2s - x a fixed number of "
-                       "sqrt(u) above the event, below the mass of a tilted R2 weight at large u")
     def test_r2_full_event_mass_at_large_u(self):
-        # 1 - 8.1e-8 at u = 4; 3e-13 at u = 1
+        # 1 - 8.1e-8 at u = 4 when the window was a fixed GAUSS_CUT sqrt(u)
         assert finite_t_value(ExpLinear(1.0, 1.0), RectEvent(4.0), 5.0) == pytest.approx(
             1.0, abs=1e-8)
 
@@ -231,15 +227,29 @@ class TestBesselPenalization:
             # at t = 4 the finite-t law is far from its limit
             assert abs(row["target"] - row["limit"]) > 0.01
 
-    def test_pitman_cross_oracle(self):
+    @given(u=st.floats(0.1, 5.0), b=st.floats(0.05, 6.0))
+    @settings(max_examples=30, deadline=None)
+    def test_pitman_cross_oracle(self, u, b):
         # with R = 2S - X, m_mu_lambda(-3, 1) on {R_u <= b} prices the plain
         # Bessel(3) law: S | R = r is uniform on (0, r)
-        u = 1.0
-        for b in (0.8, 1.6, 3.0):
-            val = expect_on_event(RectEvent(u), lambda x, s: m_mu_lambda_xs(x, s, u, -3.0, 1.0),
-                                  w_max=b)
-            law, _ = integrate.quad(lambda r: p_bessel3(u, r), 0.0, b, epsabs=1e-13)
-            assert val == pytest.approx(law, abs=1e-10)
+        val = expect_on_event(RectEvent(u), lambda x, s: m_mu_lambda_xs(x, s, u, -3.0, 1.0),
+                              w_max=b)
+        law, _ = integrate.quad(lambda r: p_bessel3(u, r), 0.0, b, epsabs=1e-13)
+        assert val == pytest.approx(law, abs=1e-10)
+
+    @pytest.mark.parametrize("lam,mu", [(1.0, 0.5), (-1.0, 2.0)])
+    def test_limits_match_the_bessel_marginal_integral(self, lam, mu):
+        # the limits run over the Brownian state; the oracle integrates
+        # m_bar against the Bessel(3) marginal directly
+        from penalab.martingales import m_bar_xs
+
+        u = 0.7
+        rep = bessel_penalization_check(lam, mu, u, [4.0], 100, RngStream(27),
+                                        b_levels=(0.8, 1.6, 3.0))
+        for row in rep["rows"]:
+            law, _ = integrate.quad(lambda r: m_bar_xs(r, u, lam, mu) * p_bessel3(u, r),
+                                    0.0, row["b"], epsabs=1e-13, epsrel=1e-12, limit=200)
+            assert row["limit"] == pytest.approx(law, abs=1e-12)
 
     def test_terminal_mode_honours_the_cap(self):
         # raw terminal weights e^{-R_t} 1{J_t <= 1} against the exact finite-t

@@ -11,7 +11,7 @@ from penalab import quadrature
 from penalab.exact_laws import DensitySpec, p_joint, p_max
 from penalab.expansion import phi_series_value
 from penalab.martingales import m_phi_xs
-from penalab.penalized_mc import PhiOfMax, finite_t_value
+from penalab.penalized_mc import ExpLinear, PhiOfMax, finite_t_value
 from penalab.quadrature import (
     RectEvent,
     atom_weight,
@@ -51,6 +51,13 @@ class TestRectEvent:
             RectEvent(0.0)
         with pytest.raises(ValueError):
             RectEvent(1.0, c=0.0)
+
+    @pytest.mark.parametrize("u,b,c", [(math.nan, 0.0, 1.0), (1.0, math.nan, 1.0),
+                                       (1.0, 0.0, math.nan)])
+    def test_nan_bounds_are_rejected(self, u, b, c):
+        # a NaN bound used to pass through and give a silent nan probability
+        with pytest.raises(ValueError):
+            RectEvent(u, b, c)
 
 
 class TestRectProb:
@@ -374,8 +381,7 @@ class TestSupportEndBreakpoints:
             q_ay_limit(0.3523, 1.5919, ev), abs=1e-9)
 
     def test_expect_on_event_extra_points(self):
-        val = expect_on_event(FULL, lambda x, s: np.full_like(x, float(s <= 0.5)),
-                              points=(0.5,))
+        val = expect_on_event(FULL, lambda x, s: np.where(s <= 0.5, 1.0, 0.0), points=(0.5,))
         assert val == pytest.approx(rect_prob(RectEvent(1.0, c=0.5)), abs=1e-10)
 
     def test_expect_on_event_reflected_cap(self):
@@ -396,6 +402,14 @@ class TestQphiLimit:
             mart = q_phi_limit(phi, EV, route="martingale")
             assert mix == pytest.approx(mart, abs=1e-6)
 
+    def test_tabulated_routes_agree(self):
+        # with the knots declared as cuts, the martingale route resolves the table
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for ev in (EV, FULL, RectEvent(0.7, 0.9, 1.2)):
+                assert q_phi_limit(TABULATED, ev) == pytest.approx(
+                    q_phi_limit(TABULATED, ev, route="martingale"), abs=1e-12)
+
     def test_uniform_phi_is_average_of_pinned_laws(self):
         val, _ = integrate.quad(lambda z: q_y_limit(z, EV), 0.0, 1.0, limit=200)
         assert q_phi_limit(UNIFORM, EV) == pytest.approx(val, abs=1e-7)
@@ -414,9 +428,6 @@ class TestQphiFinite:
         assert q_phi_finite(phi, ev, u + r) == pytest.approx(
             finite_t_value(PhiOfMax(phi), ev, u + r), abs=1e-10)
 
-    # expect_on_event's adaptive quad still warns on the tabulated kernel; the
-    # warning is left visible rather than turned into an error
-    @pytest.mark.filterwarnings("default::scipy.integrate.IntegrationWarning")
     def test_tabulated_matches_kernel_route(self):
         # the kernel's fixed Gauss-Legendre rule across the knots is good to a few 1e-7
         for ev, t in ((EV, 8.0), (RectEvent(0.7, 0.9, 1.2), 33.0)):
@@ -468,5 +479,21 @@ class TestExpectOnEvent:
             assert val == pytest.approx(rect_prob(ev), abs=1e-9)
 
     def test_martingale_unit_mean(self):
-        val = expect_on_event(FULL, lambda x, s: m_phi_xs(x, s, UNIFORM))
+        val = expect_on_event(FULL, lambda x, s: m_phi_xs(x, s, UNIFORM), points=(1.0,))
         assert val == pytest.approx(1.0, abs=1e-8)
+
+    def test_nan_gap_raises(self):
+        # a NaN integrand gives a NaN gap, which must not pass the MIX_TOL check
+        with pytest.raises(FloatingPointError):
+            expect_on_event(EV, lambda x, s: np.full_like(x, np.nan))
+
+    def test_undeclared_jump_raises(self):
+        # a jump of g in s that is not among the points defeats the fixed rule
+        with pytest.raises(FloatingPointError):
+            expect_on_event(FULL, lambda x, s: np.where(s <= 0.5, 1.0, 0.0))
+
+    def test_window_limit_raises(self, monkeypatch):
+        # the R2 tilt at u = 4 needs a wider window than GAUSS_CUT sqrt(u)
+        monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 0)
+        with pytest.raises(FloatingPointError):
+            finite_t_value(ExpLinear(1.0, 1.0), RectEvent(4.0), 5.0)
