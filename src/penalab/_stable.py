@@ -73,7 +73,7 @@ _TAIL_E_CUT = 30.0
 
 
 def _tail_e_over_pdf(alpha):
-    """(phi(alpha) - alpha Q(alpha)) / phi(alpha) for alpha > 0.
+    """(phi(alpha) - alpha Q(alpha)) / phi(alpha) for alpha >= 0.
 
     1 - alpha R(alpha) with R = Q/phi the Mills ratio (via erfcx, no
     underflow), or its asymptotic series 1/a^2 - 3/a^4 + 15/a^6 - ... beyond
@@ -91,28 +91,27 @@ def _tail_e_over_pdf(alpha):
 def gauss_tail_e(alpha):
     """phi(alpha) - alpha * Q(alpha) = integral of the normal survival from alpha.
 
-    Direct evaluation cancels catastrophically for large alpha, so positive
-    alpha goes through _tail_e_over_pdf.
+    Direct evaluation cancels catastrophically for large alpha, so |alpha|
+    goes through _tail_e_over_pdf and negative alpha adds -alpha, by the
+    parity E(-a) = E(a) + a.
     """
     alpha = np.asarray(alpha, dtype=float)
-    pos = alpha > 0.0
-    direct = norm_pdf(alpha) - alpha * norm_sf(alpha)
-    out = np.where(pos, norm_pdf(alpha) * _tail_e_over_pdf(np.where(pos, alpha, 1.0)), direct)
+    mag = np.abs(alpha)
+    out = norm_pdf(mag) * _tail_e_over_pdf(mag) + np.maximum(-alpha, 0.0)
     return float(out) if out.ndim == 0 else out
 
 
 def log_gauss_tail_e(alpha):
     """log(phi(alpha) - alpha*Q(alpha)), stable for alpha -> +inf.
 
-    Positive alpha is assembled on the log scale; going through the linear
-    value would underflow once alpha^2/2 exceeds ~708.
+    The two terms of gauss_tail_e are added on the log scale; going through
+    the linear value would underflow once alpha^2/2 exceeds ~708.
     """
     alpha = np.asarray(alpha, dtype=float)
-    pos = alpha > 0.0
-    ap = np.where(pos, alpha, 1.0)
-    pos_val = -0.5 * ap * ap - np.log(SQRT_2PI) + np.log(_tail_e_over_pdf(ap))
-    neg_val = np.log(gauss_tail_e(np.where(pos, 0.0, alpha)))
-    out = np.where(pos, pos_val, neg_val)
+    mag = np.abs(alpha)
+    with np.errstate(divide="ignore"):
+        out = np.logaddexp(-0.5 * mag * mag - np.log(SQRT_2PI) + np.log(_tail_e_over_pdf(mag)),
+                           np.log(np.maximum(-alpha, 0.0)))
     return float(out) if out.ndim == 0 else out
 
 

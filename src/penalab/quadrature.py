@@ -32,10 +32,11 @@ __all__ = [
     "expect_on_event",
 ]
 
-GL_NODES = 96       # Gauss-Legendre nodes of the inner integral of expect_on_event
-MIX_NODES = 8       # Gauss-Legendre nodes per piece of the level mixtures
-EVENT_NODES = 16    # Gauss-Legendre nodes per piece of the s-integral of expect_on_event
-MIX_TOL = 1e-10     # largest allowed gap between n and 2n nodes, and mass beyond a window
+MIX_NODES = 8       # Gauss-Legendre nodes per piece at the first level of the level mixtures
+EVENT_NODES = 8     # s-nodes per piece at the first level of expect_on_event
+W_PER_S = 6         # inner w-nodes of expect_on_event per s-node of its level
+MIX_TOL = 1e-10     # largest allowed gap between two node levels, and mass beyond a window
+MAX_REFINE = 1      # node doublings a checked rule may add after its first gap
 MAX_DOUBLINGS = 4   # times expect_on_event may double its window
 EVENT_BLOCK = 4096  # most states per call of expect_on_event's integrand
 
@@ -335,7 +336,7 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
     piece at most sqrt(min(u, t - u))/4 wide (q varies on the scale
     sqrt(u (t - u) / t)).  The weights are normalised on the log scale.
     """
-    def integral(y, wts):
+    def integral(y, wts, _n):
         log_w = log_weight(y)
         w = np.exp(log_w - np.max(log_w)) * wts
         return float(np.dot(w, q_of_y(y)) / np.sum(w))
@@ -346,9 +347,12 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
 
 def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) -> float:
     """One fixed Gauss-Legendre pass over [0, hi], cut at ``cuts`` and with
-    every piece at most ``width`` wide; integral(y, wts) sums the integrand
-    at the nodes y with the weights wts.  The same rule with 2n nodes per
-    piece is the error estimate: a gap above MIX_TOL, or not finite, raises.
+    every piece at most ``width`` wide; integral(y, wts, k) sums the
+    integrand at the nodes y with the weights wts of k nodes per piece.
+
+    The levels n, 2n, ... double the nodes up to MAX_REFINE times past the
+    first gap: the first level within MIX_TOL of the one before it is the
+    value, and a last gap above MIX_TOL, or not finite, raises.
     """
     # a cut below the smallest normal float would round first-piece nodes to y = 0
     cuts = np.unique([0.0, hi, *(p for p in cuts if np.finfo(float).tiny < p < hi)])
@@ -356,15 +360,20 @@ def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) ->
     edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
                             for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])
     lo, span = edges[:-1, None], np.diff(edges)[:, None]
-    values = []
-    for k in (n, 2 * n):
+
+    def level(k):
         nodes, weights = gauss_legendre(k)
-        values.append(integral((lo + span * nodes).ravel(), (span * weights).ravel()))
-    gap = abs(values[1] - values[0])
-    if not gap <= MIX_TOL:
-        raise FloatingPointError(f"{name} rule unresolved: {n} and {2 * n} "
-                                 f"nodes per piece differ by {gap:.2e}")
-    return values[1]
+        return integral((lo + span * nodes).ravel(), (span * weights).ravel(), k)
+
+    k, value = n, level(n)
+    for _ in range(MAX_REFINE + 1):
+        k, last = 2 * k, value
+        value = level(k)
+        gap = abs(value - last)
+        if gap <= MIX_TOL:
+            return value
+    raise FloatingPointError(f"{name} rule unresolved: {k // 2} and {k} "
+                             f"nodes per piece differ by {gap:.2e}")
 
 
 def _knots(phi: DensitySpec):
@@ -384,33 +393,36 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     """Integral of g(x, s) p_joint(u, x, s) over the rectangle event, further
     restricted to {2s - x <= w_max}.
 
-    g takes arrays x and s of one shape.  The inner integral runs GL_NODES
-    Gauss-Legendre nodes in the reflected variable w = 2s - x, over a window
-    of reach R above the event's edge w0 = 2s - min(b, s), capped at w_max.
-    The outer integral over s runs ``_checked_rule`` with EVENT_NODES nodes
-    per piece at most sqrt(u) wide, cut at b, at ``points`` and at the bends
-    of the cap: every jump or kink of g in s must be in ``points``.  Every
-    state beyond the window has w >= R, so when the nodes with w > R - sqrt(u)
+    g takes arrays x and s of one shape.  The outer integral over s runs
+    ``_checked_rule`` from EVENT_NODES nodes per piece at most sqrt(u) wide,
+    cut at b, at ``points`` and at the bends of the cap: every jump or kink
+    of g in s must be in ``points``.  At k s-nodes per piece the inner
+    integral runs W_PER_S k Gauss-Legendre nodes in the reflected variable
+    w = 2s - x, so each level doubles the nodes in both variables and the
+    gap between levels checks the inner rule too.  The inner window has
+    reach R above the event's edge w0 = 2s - min(b, s), capped at w_max.
+    Every state beyond it has w >= R, so when the nodes with w > R - sqrt(u)
     carry more than MIX_TOL, R doubles, at most MAX_DOUBLINGS times.
     """
     u, b, c = ev.u, ev.b, ev.c
     if b == -math.inf:
         return 0.0
     root_u = math.sqrt(u)
-    w_nodes, w_weights = gauss_legendre(GL_NODES)
     pref = math.sqrt(2.0 / (math.pi * u ** 3))
     reach = GAUSS_CUT * root_u
     band = []
 
-    def integral(s_all, s_wts):
+    def integral(s_all, s_wts, n):
         total = band_mass = 0.0
-        step = EVENT_BLOCK // GL_NODES
+        n_w = W_PER_S * n
+        w_nodes, w_weights = gauss_legendre(n_w)
+        step = EVENT_BLOCK // n_w
         for i in range(0, s_all.size, step):
             s = s_all[i:i + step]
             w0 = 2.0 * s - np.minimum(b, s)
             span = np.maximum(np.minimum(w0 + reach, w_max) - w0, 0.0)
             w = (w0[:, None] + span[:, None] * w_nodes).ravel()
-            ss = np.repeat(s, GL_NODES)
+            ss = np.repeat(s, n_w)
             f = (g(2.0 * ss - w, ss) * pref * w * np.exp(-w * w / (2.0 * u))
                  * np.outer(span * s_wts[i:i + step], w_weights).ravel())
             total += float(np.sum(f))

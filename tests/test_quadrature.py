@@ -10,8 +10,8 @@ from scipy import integrate, stats
 from penalab import quadrature
 from penalab.exact_laws import DensitySpec, p_joint, p_max
 from penalab.expansion import phi_series_value
-from penalab.martingales import m_phi_xs
-from penalab.penalized_mc import ExpLinear, PhiOfMax, finite_t_value
+from penalab.martingales import m_mu_lambda_xs, m_phi_xs
+from penalab.penalized_mc import ExpLinear, KennedyWeight, PhiOfMax, finite_t_value
 from penalab.quadrature import (
     RectEvent,
     atom_weight,
@@ -25,6 +25,7 @@ from penalab.quadrature import (
     q_y_limit,
     rect_prob,
 )
+from penalab.weights import log_g_kennedy
 
 UNIFORM = DensitySpec.uniform(1.0)
 EXP1 = DensitySpec.exponential(1.0)
@@ -469,6 +470,42 @@ class TestMonotonicity:
             assert all(v2 >= v1 - 1e-10 for v1, v2 in zip(vals, vals[1:]))
 
 
+KENNEDY_LAM2 = KennedyWeight(2.0, DensitySpec.exponential(0.5, laplace_lambda=2.0))
+
+
+KENNEDY_PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
+
+
+def _kennedy_kernel(r):
+    """The lam = 1 Kennedy weight's conditional kernel at r over its value at
+    the origin with horizon 1 + r: the integrand of its finite-t value at u = 1."""
+    log_den = float(log_g_kennedy(np.zeros(1), np.zeros(1), 1.0 + r, 1.0, KENNEDY_PSI)[0])
+    return lambda x, s: np.exp(log_g_kennedy(x, s, r, 1.0, KENNEDY_PSI) - log_den)
+
+
+def _dense_event_rule(ev, g, points=(), reach=12.0):
+    """Integral of g p_joint over the event by one fixed rule: 32 s-nodes by
+    192 w-nodes (w = 2s - x) per s-piece at most sqrt(u) wide, cut at b and
+    at ``points``, over the window w <= reach sqrt(u)."""
+    u, b, c = ev.u, ev.b, ev.c
+    root_u = math.sqrt(u)
+    top = reach * root_u
+    s_hi = min(c, (max(b, 0.0) + top) / 2.0 if math.isfinite(b) else top)
+    cuts = np.unique([0.0, s_hi, *(p for p in (b, *points) if 0.0 < p < s_hi)])
+    edges = np.concatenate([np.linspace(lo, up, math.ceil((up - lo) / root_u), endpoint=False)
+                            for lo, up in zip(cuts[:-1], cuts[1:])] + [cuts[-1:]])
+    s_nodes, s_wts = np.polynomial.legendre.leggauss(32)
+    w_nodes, w_wts = np.polynomial.legendre.leggauss(192)
+    half = np.diff(edges)[:, None] / 2.0
+    s = (edges[:-1, None] + half * (s_nodes + 1.0)).ravel()
+    w0 = 2.0 * s - np.minimum(b, s)
+    w_half = np.maximum(top - w0, 0.0)[:, None] / 2.0
+    w = w0[:, None] + w_half * (w_nodes + 1.0)
+    ss = np.broadcast_to(s[:, None], w.shape)
+    f = g(2.0 * ss - w, ss) * p_joint(u, 2.0 * ss - w, ss) * w_half * w_wts
+    return float(np.dot(np.sum(f, axis=1), (half * s_wts).ravel()))
+
+
 class TestExpectOnEvent:
     def test_full_space_unit_weight(self):
         assert expect_on_event(FULL, lambda x, s: np.ones_like(x)) == pytest.approx(1.0, abs=1e-9)
@@ -497,3 +534,33 @@ class TestExpectOnEvent:
         monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 0)
         with pytest.raises(FloatingPointError):
             finite_t_value(ExpLinear(1.0, 1.0), RectEvent(4.0), 5.0)
+
+    def test_inner_rule_is_checked(self, monkeypatch):
+        # with as many w-nodes as s-nodes the inner rule is too coarse; the gap
+        # between levels must see it (6 fixed w-nodes gave 0.87 silently)
+        monkeypatch.setattr(quadrature, "W_PER_S", 1)
+        with pytest.raises(FloatingPointError):
+            finite_t_value(KENNEDY_LAM2, RectEvent(4.13), 4.13 + 0.053)
+
+    def test_one_refinement_resolves_a_late_gap(self, monkeypatch):
+        # the first two levels of this R2 call differ by 3.8e-8; the third settles it
+        pen, ev, t = ExpLinear(1.0, 1.0), RectEvent(4.1046), 4.1046 + 0.0577
+        assert finite_t_value(pen, ev, t) == pytest.approx(1.0, abs=1e-12)
+        monkeypatch.setattr(quadrature, "MAX_REFINE", 0)
+        with pytest.raises(FloatingPointError):
+            finite_t_value(pen, ev, t)
+
+    @pytest.mark.parametrize("ev", [EV, FULL], ids=["EV", "FULL"])
+    @pytest.mark.parametrize("g,points", [
+        pytest.param(lambda x, s: np.ones_like(x), (), id="unit"),
+        pytest.param(lambda x, s: m_phi_xs(x, s, UNIFORM), (1.0,), id="m_phi[uniform]"),
+        pytest.param(lambda x, s: m_mu_lambda_xs(x, s, 1.0, -2.0, 1.0), (), id="R1(-2,1)"),
+        pytest.param(lambda x, s: m_mu_lambda_xs(x, s, 1.0, 1.0, 1.0), (), id="R2(1,1)"),
+        pytest.param(lambda x, s: m_mu_lambda_xs(x, s, 1.0, 0.0, -1.0), (), id="R3(0,-1)"),
+    ] + [pytest.param(_kennedy_kernel(r), (1.0,), id=f"kennedy[r={r}]")
+         for r in (0.05, 5.0, 500.0)])
+    def test_matches_a_dense_fixed_rule(self, ev, g, points):
+        # the ladder stops at the first two levels that agree; its value must
+        # be the one of a rule with more nodes than any of its levels
+        assert expect_on_event(ev, g, points=points) == pytest.approx(
+            _dense_event_rule(ev, g, points), abs=1e-12)
