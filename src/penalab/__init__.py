@@ -66,7 +66,6 @@ from .penalized_mc import (
     PenaltyKind,
     PhiOfMax,
     bessel_penalization_check,
-    bridge_convergence_check,
     finite_t_value,
     max_conditional,
     penalized_estimate,

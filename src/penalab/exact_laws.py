@@ -357,6 +357,16 @@ class DensitySpec:
             out = g[idx] + np.clip(s, 0.0, width)
         return float(out) if out.ndim == 0 else out
 
+    @property
+    def kinks(self):
+        """Where pdf jumps or bends: a table's knots, a uniform's end, none
+        for an exponential."""
+        if self.family == "exponential":
+            return ()
+        if self.family == "uniform":
+            return (self.upper,)
+        return self.grid
+
     def effective_upper(self, eps: float = 1e-12) -> float:
         """Upper truncation point: tail mass beyond it is below eps."""
         if self.family == "exponential":

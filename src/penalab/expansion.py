@@ -22,9 +22,8 @@ import numpy as np
 
 from .exact_laws import DensitySpec
 from .martingales import f1_lambda_phi_xs, f1_phi_xs, m_kennedy_xs, m_phi_xs
-from .penalized_mc import KennedyWeight, PhiOfMax, finite_t_value, penalized_estimate
-from .quadrature import RectEvent, _knots, expect_on_event, q_phi_finite, q_phi_limit
-from .samplers import RngStream
+from .penalized_mc import KennedyWeight, finite_t_value
+from .quadrature import RectEvent, expect_on_event, q_phi_finite, q_phi_limit
 
 __all__ = [
     "RateFit",
@@ -120,12 +119,10 @@ def kennedy_series_value(lam: float, psi: DensitySpec, ev: RectEvent, t: float) 
 # ---------------------------------------------------------------------------
 
 def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
-                         t_list: Sequence[float] = DEFAULT_POLY_WINDOW,
-                         n: int = 0, rng: RngStream | None = None) -> dict:
+                         t_list: Sequence[float] = DEFAULT_POLY_WINDOW) -> dict:
     """Compare the fitted 1/t coefficient with its quadrature target.
 
-    The series is deterministic (quadrature); with n > 0 a Monte Carlo
-    series is fitted as well (wider tolerance).  The target is the weighted
+    The series is deterministic (quadrature).  The target is the weighted
     expectation of the martingale-form coefficient ``f1_phi_xs`` on the event.
     """
     u = ev.u
@@ -133,8 +130,7 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
         raise ValueError("the first-order expansion needs a finite fifth moment")
     series = [(t, phi_series_value(phi, ev, t)) for t in t_list]
     fit = fit_rate(series, model="poly")
-    end = (phi.effective_upper(), *_knots(phi))
-    target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi), points=end)
+    target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi), points=phi.kinks)
     limit = q_phi_limit(phi, ev)
 
     t_arr = np.array([row[0] for row in series])
@@ -145,7 +141,7 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
     second = float(np.max(resid[half:]))
     ratio = first / second if second > 0.0 else math.inf
 
-    report = {
+    return {
         "series": series,
         "fit": fit,
         "limit": limit,
@@ -153,16 +149,6 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
         "rel_err": abs(fit.c1 - target) / abs(target) if target != 0.0 else abs(fit.c1),
         "residual_half_ratio": ratio,
     }
-    if n > 0:
-        if rng is None:
-            raise ValueError("a Monte Carlo series needs an RngStream")
-        mc_series = []
-        for k, t in enumerate(t_list):
-            est = penalized_estimate(PhiOfMax(phi), ev, t, n, rng.substream(300 + k))
-            mc_series.append((t, est.value, est.stderr))
-        report["mc_series"] = mc_series
-        report["mc_fit"] = fit_rate(mc_series, model="poly")
-    return report
 
 
 def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
@@ -171,9 +157,9 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
     u = ev.u
     series = [(t, kennedy_series_value(lam, psi, ev, t)) for t in t_list]
     fit = fit_rate(series, model="discounted", lam=lam)
-    end = (psi.effective_upper(), *_knots(psi))
-    target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi), points=end)
-    limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi), points=end)
+    target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi),
+                             points=psi.kinks)
+    limit = expect_on_event(ev, lambda x, s: m_kennedy_xs(x, s, u, lam, psi), points=psi.kinks)
 
     # scaled residual diagnostics: (V - L) sqrt(t) e^{lam^2 t/2} t -> c1
     t_arr = np.array([row[0] for row in series])

@@ -3,8 +3,8 @@
 Each evaluator is a pure function of the state and its parameters, with unit
 value at the origin state.  The kernels (suffix ``_xs``) take scalars or
 arrays of states and back the quadrature and Monte Carlo modules.
-``m_phi_from_f`` computes the bivariate-penalty martingale from f itself, one
-state at a time; it is kept apart from ``m_phi_xs(x, s, phi_from_f(f))`` on
+``m_phi_from_f`` computes the bivariate-penalty martingale from f itself, in
+closed form; it is kept apart from ``m_phi_xs(x, s, phi_from_f(f))`` on
 purpose, as the other half of an oracle pair.
 """
 
@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import integrate
 
 from ._stable import SQRT_2PI, log_sinhc, sinhc
 from .exact_laws import (
@@ -21,7 +20,7 @@ from .exact_laws import (
     DensitySpec,
     ExponentialBivariate,
     Regime,
-    SeparableIndicator,
+    TabulatedGrid,
     classify_region,
     fbar,
     kennedy_transforms,
@@ -138,59 +137,38 @@ def f1_lambda_phi_xs(x, s, u, lam: float, psi: DensitySpec):
 # bivariate-penalty martingale (independent of the phi reduction)
 # ---------------------------------------------------------------------------
 
-def _m_exp_bivariate(x: float, s: float, f: ExponentialBivariate, fstar: float) -> float:
-    lam, mu = f.lam, f.mu
-
-    def inner(a):
-        # integral over y >= a+ of (2y - a) f(a + x, s v (y + x))
-        ap = max(a, 0.0)
-        ystar = max(s - x, ap)
-        # flat part: S v (y+x) = s for y in [a+, ystar]
-        flat = math.exp(lam * s) * ((ystar ** 2 - a * ystar) - (ap ** 2 - a * ap))
-        # growing part: integral (2y - a) e^{lam (y + x)} dy from ystar to inf (lam < 0)
-        e = math.exp(lam * (ystar + x))
-        grow = e * (-(2.0 * ystar - a) / lam + 2.0 / lam ** 2)
-        return math.exp(mu * (a + x)) * (flat + grow)
-
-    span = 45.0 / mu
-    lo = -span - abs(s - x)
-    hi = 45.0 / (-(lam + mu)) + abs(s - x) + 1.0
-    # inner has kinks where a+ and ystar switch branch
-    val, _ = integrate.quad(inner, lo, hi, points=sorted({0.0, s - x}),
-                            epsabs=1e-12, epsrel=1e-10, limit=300)
-    return fstar * val
-
-
-def m_phi_from_f(x: float, s: float, f: BivariatePenalty) -> float:
-    """Martingale of a bivariate penalty at one state, computed from f itself.
+def m_phi_from_f(x, s, f: BivariatePenalty):
+    """Martingale of a bivariate penalty, computed from f itself: f* times the
+    integral of (2y - a) f(a + x, s v (y + x)) over {y >= a+}.
 
     Must agree with m_phi_xs(x, s, phi_from_f(f)); the two routes are kept
-    independent on purpose.
+    independent on purpose.  Both families integrate in closed form.  For
+    f = e^{lam y + mu a} (mu > 0 > nu = lam + mu) and d = s - x, the region
+    a <= d, where f is flat in y up to d, gives the first two terms of
+
+        e^{nu s} [(2/lam^2 - d/lam)/mu + (d - 1/lam)/mu^2
+                  + 2/(lam^2 |nu|) + (d/|nu| + 1/nu^2)/|lam|],
+
+    and a > d the last two; every term is nonnegative.  A tabulated grid has
+    no route of its own.
     """
-    x, s = float(x), float(s)   # numpy scalars would slow the scalar quadrature
+    if isinstance(f, TabulatedGrid):
+        raise TypeError("m_phi_from_f has no route for a TabulatedGrid; "
+                        "use m_phi_xs(x, s, phi_from_f(f))")
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
     total = fbar(f)
     if not 0.0 < total < math.inf:
         raise ValueError("m_phi_from_f requires a finite, positive fbar(f)")
-    fstar = 1.0 / total
     if isinstance(f, ExponentialBivariate):
-        return _m_exp_bivariate(x, s, f, fstar)
-    if isinstance(f, SeparableIndicator):
-        if s > f.cutoff:
-            return 0.0
+        lam, mu = f.lam, f.mu
+        nu = lam + mu
+        d = s - x
+        bracket = ((2.0 / lam ** 2 - d / lam) / mu + (d - 1.0 / lam) / mu ** 2
+                   + 2.0 / (lam ** 2 * -nu) + (d / -nu + 1.0 / nu ** 2) / -lam)
+        out = np.exp(nu * s) * bracket / total
+    else:
         A = f.cutoff
-        # f* (A - x) * integral f1(b) (A - b) db
-        return fstar * (A - x) * (A * f._prefix(0, A) - f._prefix(1, A))
-    # generic table: nested trapezoids over the (shifted) support
-    a, y = f.a_grid, f.y_grid
-
-    def inner(av):
-        yy = np.linspace(max(av, 0.0), max(y[-1] - x, max(av, 0.0)) + 1e-9, 257)
-        sv = np.maximum(s, yy + x)
-        vals = np.where(sv <= y[-1], f._bilinear(np.full_like(yy, av + x), sv), 0.0)
-        return np.trapezoid((2.0 * yy - av) * vals, yy)
-
-    lo = float(a[0]) - x - 1.0
-    hi = float(a[-1]) - x + 1.0
-    agrid = np.linspace(lo, hi, 513)
-    vals = np.array([inner(av) for av in agrid])
-    return fstar * float(np.trapezoid(vals, agrid))
+        # (A - x) * integral f1(b) (A - b) db, below the cutoff
+        out = np.where(s > A, 0.0, (A - x) * (A * f._prefix(0, A) - f._prefix(1, A)) / total)
+    return float(out) if out.ndim == 0 else out

@@ -35,8 +35,7 @@ from .exact_laws import (
     p_max,
 )
 from .martingales import m_bar_xs
-from .quadrature import (RectEvent, _knots, atom_weight, expect_on_event, q_ay_finite, q_ay_limit,
-                         rect_prob)
+from .quadrature import RectEvent, expect_on_event
 from .samplers import RngStream, exact_bm_state, exact_two_time_state
 from .weights import log_g_explinear, log_g_kennedy, log_g_phi
 
@@ -53,7 +52,6 @@ __all__ = [
     "terminal_conditional",
     "bessel_weight",
     "bessel_penalization_check",
-    "bridge_convergence_check",
 ]
 
 CHUNK = 4096
@@ -229,8 +227,7 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     if isinstance(pen, ExpLinear):
         kinks = (pen.cap,)
     else:
-        shape = pen.phi if isinstance(pen, PhiOfMax) else pen.psi
-        kinks = (shape.effective_upper(), *_knots(shape))
+        kinks = (pen.phi if isinstance(pen, PhiOfMax) else pen.psi).kinks
     return expect_on_event(
         ev, lambda x, s: np.exp(_log_weight_conditional(pen, x, s, t - u) - log_den),
         w_max=w_max, points=kinks)
@@ -354,30 +351,3 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
                 "pass": bool(abs(est.value - target) <= tol),
             })
     return {"rows": rows, "all_pass": all(r["pass"] for r in rows)}
-
-
-def bridge_convergence_check(a: float, y: float, ev: RectEvent,
-                             t_list: Sequence[float], n: int, rng: RngStream) -> dict:
-    """Cross-validate the doubly conditioned law three ways.
-
-    (i) the closed form ``q_ay_finite`` over t_list, (ii) the exact Monte Carlo of
-    the same finite-t law (``terminal_conditional``), (iii) the limit value;
-    plus the atom-weight and unpenalized-bridge sanity rows.
-    """
-    limit = q_ay_limit(a, y, ev)
-    rows = []
-    for k, t in enumerate(t_list):
-        est = terminal_conditional(ev, t, y, n, rng.substream(8000 + k), a=a)
-        rows.append({"t": t, "quadrature": q_ay_finite(a, y, ev, t), "mc": est.value,
-                     "stderr": est.stderr, "n": est.n})
-    gaps = [abs(r["quadrature"] - limit) for r in rows]
-    trend_ok = all(g2 <= g1 * 1.05 + 1e-12 for g1, g2 in zip(gaps, gaps[1:]))
-    baseline = rect_prob(ev)
-    return {
-        "limit": limit,
-        "atom_weight": atom_weight(a, y),
-        "wiener_baseline": baseline,
-        "rows": rows,
-        "max_quadrature_gap": max(gaps),
-        "trend_decreasing": trend_ok,
-    }

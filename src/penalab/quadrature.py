@@ -277,7 +277,7 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
                          f"normaliser 2 E[Y; Y > a+] - a P(Y > a+) is {denom} at a = {a}")
     hi = phi.effective_upper(1e-13)
 
-    kinks = (*_knots(phi), ap)
+    kinks = (*phi.kinks, ap)
     if route == "bridge":
         # the terminal maxima y > a+, weight (2y - a) phi(y); below a+ the
         # weight is 0 and q_ay_limit is evaluated at a+ only to stay defined
@@ -304,11 +304,11 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
     """
     if route == "martingale":
         hi = phi.effective_upper(1e-13)
-        return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi, *_knots(phi)))
+        return expect_on_event(ev, lambda x, s: m_phi_xs(x, s, phi), points=(hi, *phi.kinks))
     if route != "mixture":
         raise ValueError("route must be 'mixture' or 'martingale'")
     return _level_mixture(ev, lambda y: q_y_limit(y, ev), lambda y: _log(phi.pdf(y)),
-                          phi.effective_upper(1e-13), _knots(phi))
+                          phi.effective_upper(1e-13), phi.kinks)
 
 
 def q_phi_finite(phi: DensitySpec, ev: RectEvent, t: float) -> float:
@@ -322,7 +322,7 @@ def q_phi_finite(phi: DensitySpec, ev: RectEvent, t: float) -> float:
         raise ValueError("horizon t must exceed the observation time u")
     return _level_mixture(ev, lambda y: q_y_finite(y, ev, t),
                           lambda y: _log(phi.pdf(y)) - y * y / (2.0 * t),
-                          phi.effective_upper(1e-13), _knots(phi), t)
+                          phi.effective_upper(1e-13), phi.kinks, t)
 
 
 def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
@@ -374,10 +374,6 @@ def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) ->
             return value
     raise FloatingPointError(f"{name} rule unresolved: {k // 2} and {k} "
                              f"nodes per piece differ by {gap:.2e}")
-
-
-def _knots(phi: DensitySpec):
-    return phi.grid if phi.family == "tabulated" else ()
 
 
 def _log(w):

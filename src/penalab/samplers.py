@@ -135,8 +135,7 @@ def exact_two_time_state(u: float, t: float, n: int, gen: np.random.Generator):
 # limit-law samplers
 # ---------------------------------------------------------------------------
 
-def sample_Q_y(y: float, horizon: float, step: float, rng: RngStream | None = None,
-               gen: np.random.Generator | None = None) -> Path:
+def sample_Q_y(y: float, horizon: float, step: float, gen: np.random.Generator) -> Path:
     """One path of the limit law pinned at terminal maximum y, exact at the
     grid times.
 
@@ -154,8 +153,6 @@ def sample_Q_y(y: float, horizon: float, step: float, rng: RngStream | None = No
     if y <= 0.0:
         raise ValueError("sample_Q_y requires y > 0")
     n = _check_grid(horizon, step)
-    if gen is None:
-        gen = (rng or RngStream(0)).generator()
     z = gen.standard_normal()
     passage = y * y / (z * z if z != 0.0 else 1.0)
     coords = np.zeros((3, n + 1))

@@ -134,6 +134,13 @@ class TestDensitySpec:
         assert e.moment(1) == pytest.approx(0.5, abs=1e-14)
         assert e.ppf(1 - math.exp(-2)) == pytest.approx(1.0, abs=1e-12)
 
+    def test_kinks(self):
+        # where the pdf jumps or bends: none for an exponential
+        assert tuple(DensitySpec.exponential(2.0).kinks) == ()
+        assert tuple(DensitySpec.uniform(2.0, laplace_lambda=1.0).kinks) == (2.0,)
+        grid = np.array([0.0, 0.5, 1.5])
+        assert np.array_equal(DensitySpec.tabulated(grid, [1.0, 2.0, 0.0]).kinks, grid)
+
     @staticmethod
     def _dense_oracle(spec, weight, lo, hi):
         # knot-aligned refinement keeps the trapezoid rule exact up to the

@@ -4,8 +4,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
-from penalab.exact_laws import DensitySpec, ExponentialBivariate, SeparableIndicator
+from penalab.exact_laws import (
+    DensitySpec,
+    ExponentialBivariate,
+    SeparableIndicator,
+    TabulatedGrid,
+    fbar,
+)
 from penalab.martingales import (
     f1_lambda_phi_xs,
     f1_phi_xs,
@@ -135,6 +142,49 @@ class TestFReduction:
     def test_infinite_mass_rejected(self):
         with pytest.raises(ValueError):
             m_phi_from_f(0.0, 0.0, ExponentialBivariate(0.0, -1.0))
+
+    @given(mu=st.floats(0.2, 3.0), beta=st.floats(0.2, 3.0), x=st.floats(-3.0, 3.0),
+           z=st.floats(0.0, 3.0))
+    @settings(max_examples=40, deadline=None)
+    def test_exponential_closed_form_vs_nested_quadrature(self, mu, beta, x, z):
+        # f* times the integral of (2y - a) f(a + x, s v (y + x)) over {y >= a+}:
+        # f is flat in y up to d = s - x, and the a-range is cut at 0 and d and
+        # ends where e^{mu a} or e^{-beta (a - d)} falls below e^{-40}
+        lam = -(mu + beta)
+        f = ExponentialBivariate(lam, mu)
+        s = max(x, 0.0) + z
+        d = s - x
+
+        def inner(a):
+            lo = max(a, 0.0)
+            flat = integrate.quad(lambda y: (2.0 * y - a) * math.exp(mu * (a + x) + lam * s),
+                                  lo, max(d, lo))[0]
+            grow = integrate.quad(lambda y: (2.0 * y - a) * math.exp(mu * (a + x) + lam * (y + x)),
+                                  max(d, lo), math.inf, epsabs=0.0, epsrel=1e-13)[0]
+            return flat + grow
+
+        cuts = (-40.0 / mu, 0.0, d, d + 40.0 / beta)
+        ref = sum(integrate.quad(inner, lo, hi, epsabs=0.0, epsrel=1e-13)[0]
+                  for lo, hi in zip(cuts, cuts[1:])) / fbar(f)
+        assert m_phi_from_f(x, s, f) == pytest.approx(ref, rel=1e-10)
+
+    def test_array_call_equals_scalar_calls(self):
+        g = np.linspace(-12.0, 1.0, 2000)
+        gen = RngStream(11).generator()
+        x = gen.normal(size=50)
+        s = np.maximum(x, 0.0) + np.abs(gen.normal(size=50))
+        for f in (self.F, ExponentialBivariate(-1.5, 0.5), SeparableIndicator(g, np.exp(g), 1.0)):
+            vals = m_phi_from_f(x, s, f)
+            assert isinstance(vals, np.ndarray) and vals.shape == x.shape
+            assert np.array_equal(vals, [m_phi_from_f(xi, si, f) for xi, si in zip(x, s)])
+            assert isinstance(m_phi_from_f(float(x[0]), float(s[0]), f), float)
+
+    def test_tabulated_grid_has_no_route(self):
+        a = np.linspace(-3.0, -0.5, 11)
+        y = np.linspace(0.5, 3.0, 11)
+        f = TabulatedGrid(a, y, np.exp(a[:, None] - y[None, :]))
+        with pytest.raises(TypeError, match=r"m_phi_xs\(x, s, phi_from_f\(f\)\)"):
+            m_phi_from_f(0.0, 1.0, f)
 
 
 class TestExpansionCoefficients:

@@ -17,13 +17,12 @@ from penalab.penalized_mc import (
     PhiOfMax,
     bessel_penalization_check,
     bessel_weight,
-    bridge_convergence_check,
     finite_t_value,
     max_conditional,
     penalized_estimate,
     terminal_conditional,
 )
-from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite, rect_prob
+from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite
 from penalab.samplers import RngStream
 
 UNIFORM = DensitySpec.uniform(1.0)
@@ -275,20 +274,12 @@ class TestBesselPenalization:
         assert m_bar_xs(np.array([1e-12]), 0.0, 1.0, -0.5)[0] == pytest.approx(1.0, abs=1e-10)
 
 
-class TestBridgeConvergence:
-    def test_report_structure_and_trend(self):
-        rep = bridge_convergence_check(0.0, 1.0, EV, [4.0, 16.0, 64.0], 200000, RngStream(21))
-        assert rep["trend_decreasing"]
-        assert rep["atom_weight"] == 0.5
-        assert rep["wiener_baseline"] == pytest.approx(rect_prob(EV), abs=1e-9)
-        assert [row["t"] for row in rep["rows"]] == [4.0, 16.0, 64.0]
-        for row in rep["rows"]:
-            assert row["n"] == 200000
-            assert row["quadrature"] == q_ay_finite(0.0, 1.0, EV, row["t"])
-            assert abs(row["mc"] - row["quadrature"]) <= 4 * row["stderr"]
-
-
 class TestTerminalConditional:
+    @pytest.mark.parametrize("k, t", [(0, 4.0), (1, 16.0), (2, 64.0)])
+    def test_doubly_pinned_matches_finite_t_closed_form(self, k, t):
+        est = terminal_conditional(EV, t, 1.0, 200000, RngStream(21).substream(8000 + k), a=0.0)
+        assert abs(est.value - q_ay_finite(0.0, 1.0, EV, t)) <= 4 * est.stderr
+
     @pytest.mark.parametrize("ev", [EV, RectEvent(1.0, b=0.25, c=1.5)])
     def test_max_pinned_matches_finite_t_quadrature(self, ev):
         # with c >= y the atom {S_u = y} (part B) contributes

@@ -36,16 +36,16 @@ def chi3_cdf(z):
 class TestReproducibility:
     def test_identical_streams_identical_paths(self):
         r = RngStream(99, 3)
-        p1 = sample_Q_y(1.0, 1.0, 1e-3, rng=r)
-        p2 = sample_Q_y(1.0, 1.0, 1e-3, rng=r)
+        p1 = sample_Q_y(1.0, 1.0, 1e-3, gen=r.generator())
+        p2 = sample_Q_y(1.0, 1.0, 1e-3, gen=r.generator())
         assert np.array_equal(p1.values, p2.values) and p1.hit_time == p2.hit_time
         x1, s1 = exact_bm_state(1.0, 100, r.generator())
         x2, s2 = exact_bm_state(1.0, 100, r.generator())
         assert np.array_equal(x1, x2) and np.array_equal(s1, s2)
 
     def test_distinct_streams_differ(self):
-        p1 = sample_Q_y(1.0, 1.0, 1e-3, rng=RngStream(99, 3))
-        p2 = sample_Q_y(1.0, 1.0, 1e-3, rng=RngStream(99, 4))
+        p1 = sample_Q_y(1.0, 1.0, 1e-3, gen=RngStream(99, 3).generator())
+        p2 = sample_Q_y(1.0, 1.0, 1e-3, gen=RngStream(99, 4).generator())
         assert not np.array_equal(p1.values, p2.values)
 
     def test_batch_reproducible(self):
@@ -57,15 +57,15 @@ class TestReproducibility:
 class TestPathInvariants:
     @pytest.mark.parametrize("seed", range(5))
     def test_runmax(self, seed):
-        p = sample_Q_y(0.5, 1.0, 1e-3, rng=RngStream(seed))
+        p = sample_Q_y(0.5, 1.0, 1e-3, gen=RngStream(seed).generator())
         assert np.all(np.diff(p.runmax) >= 0.0)
         assert np.all(p.runmax >= p.values)
 
     def test_grid_validation(self):
         with pytest.raises(ValueError):
-            sample_Q_y(1.0, 1.0, 0.0, rng=RngStream(0))
+            sample_Q_y(1.0, 1.0, 0.0, gen=RngStream(0).generator())
         with pytest.raises(ValueError):
-            sample_Q_y(1.0, 1.0, 0.3, rng=RngStream(0))  # not an integer number of steps
+            sample_Q_y(1.0, 1.0, 0.3, gen=RngStream(0).generator())  # not an integer number of steps
 
 
 class TestExactBmState:
@@ -122,7 +122,7 @@ class TestSampleQy:
     def test_path_caps_at_level_exactly(self):
         hits = 0
         for seed in range(10):
-            p = sample_Q_y(1.0, 3.0, 1e-3, rng=RngStream(seed))
+            p = sample_Q_y(1.0, 3.0, 1e-3, gen=RngStream(seed).generator())
             after = p.times >= p.hit_time
             assert p.values[0] == 0.0 and np.all(p.values < 1.0)
             assert np.all(p.runmax[after] == 1.0)
@@ -193,7 +193,7 @@ class TestSampleQy:
 
     def test_domain(self):
         with pytest.raises(ValueError):
-            sample_Q_y(-1.0, 1.0, 1e-3, rng=RngStream(0))
+            sample_Q_y(-1.0, 1.0, 1e-3, gen=RngStream(0).generator())
 
 
 class TestSampleQay:
