@@ -226,7 +226,7 @@ def criterion_9_kennedy_expansion(seed: int, scale: float = 1.0) -> list[Verdict
     rep = f1_kennedy_check(lam, PSI_KENNEDY, EVENT)
     _, _, phi1, c = kennedy_transforms(PSI_KENNEDY, lam)
     ys = np.linspace(0.0, 1.0, 1001)
-    dev = float(np.max(np.abs(phi1.pdf(ys) - 2.0 * ys)))
+    dev = float(np.max(np.abs(phi1(ys) - 2.0 * ys)))
     return [
         abs_verdict("kennedy-coefficient-rel-err", rep["rel_err"], 0.0, 0.15,
                     f"fit {rep['fit'].c1:.6f} vs target {rep['target']:.6f}"),

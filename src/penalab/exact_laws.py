@@ -125,15 +125,6 @@ def classify_region(lam: float, mu: float) -> Regime:
 # densities on [0, inf)
 # ---------------------------------------------------------------------------
 
-def _poly_segment_integral(k: int, alpha, beta, lo, hi):
-    """Integral of v^k (alpha + beta v) over [lo, hi] (exact, vectorized)."""
-    lo = np.asarray(lo, dtype=float)
-    hi = np.asarray(hi, dtype=float)
-    p1 = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-    p2 = (hi ** (k + 2) - lo ** (k + 2)) / (k + 2)
-    return alpha * p1 + beta * p2
-
-
 def _segment_integral(k: int, lam: float, lo, hi, f_lo, f_hi):
     """Integral of v^k e^{-lam v} f(v) over [lo, hi], f linear from f_lo to f_hi
     (exact, vectorized; k = 0 when lam != 0).  Both end values get nonnegative
@@ -512,11 +503,12 @@ def _tabgrid_cell_moments(f: TabulatedGrid):
     """Per-cell integrals of f, a*f and eta*f over {eta >= max(a, 0)}.
 
     Exact for the bilinear interpolant on every cell.  On a cell that straddles
-    the support boundary the eta-integrals run from the boundary and the
-    a-integrals use 3-node Gauss-Legendre on the pieces where the boundary is
-    linear, which is exact for the degree-4 polynomials they integrate.
-    The y-grid is refined _Y_REFINE-fold, keeping the original knots (which
-    reproduces the interpolant exactly), so downstream tabulations are dense.
+    the support boundary the eta-integrals run from the boundary, on the
+    shared segment rule, and the a-integrals use 3-node Gauss-Legendre on the
+    pieces where the boundary is linear, which is exact for the degree-4
+    polynomials they integrate.  The y-grid is refined _Y_REFINE-fold,
+    keeping the original knots (which reproduces the interpolant exactly), so
+    downstream tabulations are dense.
     """
     a, y = f.a_grid, f.y_grid
     yr = np.unique(np.concatenate([
@@ -562,12 +554,12 @@ def _tabgrid_cell_moments(f: TabulatedGrid):
         p = (pa - cell(lo_a)) / cell(hi_a - lo_a)
         f_lo = cell(F00[ii, jj]) + cell(F10[ii, jj] - F00[ii, jj]) * p
         f_hi = cell(F01[ii, jj]) + cell(F11[ii, jj] - F01[ii, jj]) * p
-        # on each a-node f is alpha + beta eta in eta
-        beta = (f_hi - f_lo) / cell(hi_y - lo_y)
-        alpha = f_lo - beta * cell(lo_y)
+        # on each a-node f is linear in eta; its eta-integrals run from the boundary
         lo_eta = np.clip(np.maximum(pa, 0.0), cell(lo_y), cell(hi_y))
-        i0 = _poly_segment_integral(0, alpha, beta, lo_eta, cell(hi_y))
-        i1 = _poly_segment_integral(1, alpha, beta, lo_eta, cell(hi_y))
+        q = (lo_eta - cell(lo_y)) / cell(hi_y - lo_y)
+        f_eta = f_lo * (1.0 - q) + f_hi * q
+        i0 = _segment_integral(0, 0.0, lo_eta, cell(hi_y), f_eta, f_hi)
+        i1 = _segment_integral(1, 0.0, lo_eta, cell(hi_y), f_eta, f_hi)
         m0[ii, jj] = np.sum(wa * i0, axis=(1, 2))
         ma[ii, jj] = np.sum(wa * pa * i0, axis=(1, 2))
         my[ii, jj] = np.sum(wa * i1, axis=(1, 2))
@@ -606,30 +598,23 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     # upper-tail mass of f above each refined knot (exact cell suffix sums)
     col = np.sum(m0, axis=0)
     tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
-    # wedge integral of (y - a) f(a, y) over a < y at every knot y, as
-    # (a-segment, knot) arrays of the piecewise-linear rows, cut at a = y
-    # by the segment bounds; blocks of 256 knots keep those arrays
-    # smaller than the cell tables above
-    a_col = f.a_grid[:, None]
-    wedge = np.empty_like(grid)
-    for k in range(0, grid.size, 256):
-        cols = slice(k, k + 256)
-        yv = grid[None, cols]
-        rows = table[:, cols]
-        r_slope = np.diff(rows, axis=0) / np.diff(a_col, axis=0)
-        r_alpha = rows[:-1] - a_col[:-1] * r_slope
-        hi = np.minimum(a_col[1:], yv)
-        lo = np.minimum(a_col[:-1], yv)
-        wedge[cols] = np.sum(yv * _poly_segment_integral(0, r_alpha, r_slope, lo, hi)
-                             - _poly_segment_integral(1, r_alpha, r_slope, lo, hi), axis=0)
+    # wedge integral of (y - a) f(a, y) over a < y at every knot y, one
+    # a-segment of the piecewise-linear rows at a time (knot-sized arrays),
+    # cut at a = y; in v = y - a the integrand is v times a linear function
+    a = f.a_grid
+    wedge = np.zeros_like(grid)
+    for i in range(a.size - 1):
+        hi = np.minimum(a[i + 1], grid)
+        q = (hi - a[i]) / (a[i + 1] - a[i])
+        f_hi = table[i] * (1.0 - q) + table[i + 1] * q
+        wedge += _segment_integral(1, 0.0, grid - hi, grid - np.minimum(a[i], grid), f_hi, table[i])
     raw = (tail + wedge) / total
     if grid[0] > 1e-8:
         # below the table's y-floor the upper tail is flat and the wedge
         # vanishes: the reduced density is constant there, with a genuine
         # jump at the floor (where the table switches on) pinned by an
         # epsilon knot
-        head = np.linspace(0.0, grid[0], 65, endpoint=False)
-        head = np.append(head, grid[0] - 1e-9 * max(grid[0], 1.0))
+        head = np.array([0.0, grid[0] - 1e-9 * max(grid[0], 1.0)])
         grid = np.concatenate((head, grid))
         raw = np.concatenate((np.full(head.size, tail[0] / total), raw))
     raw = np.maximum(raw, 0.0)
@@ -646,15 +631,14 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
 def kennedy_transforms(psi: DensitySpec, lam: float):
     """Derive (Phi, varphi, phi1, c) from a Laplace-normalized shape psi.
 
-    Requires integral psi(z) e^{-lam z} dz = 1 within 1e-6.  Raises
-    DegeneracyError when c = integral psi(x)(1 - lam x) dx vanishes.  The
-    result is built once per (psi, lam) and kept in psi's cache.
+    All three functions are closed forms in psi's tails, for y >= 0:
+    Phi(y) = 1 - e^{lam y} int_y^inf psi(z) e^{-lam z} dz, varphi = Phi' and
+    phi1(y) = (psi(y) - lam T0(y)) / c with T0(y) = int_y^inf psi.  Requires
+    integral psi(z) e^{-lam z} dz = 1 within 1e-6.  Raises DegeneracyError
+    when c = integral psi(x)(1 - lam x) dx vanishes.
     """
     if lam <= 0.0:
         raise ValueError("kennedy_transforms requires lam > 0")
-    key = ("kennedy", lam)
-    if key in psi._cache:
-        return psi._cache[key]
     psi.require_laplace_normalized(lam)
     c = psi.mass() - lam * psi.moment(1)
     if abs(c) < 1e-12:
@@ -670,14 +654,7 @@ def kennedy_transforms(psi: DensitySpec, lam: float):
         out = psi.pdf(y) - lam * np.exp(lam * y) * psi.laplace_tail(y, lam)
         return float(out) if out.ndim == 0 else out
 
-    hi = psi.effective_upper(1e-14)
-    grid = np.linspace(0.0, hi, 2 ** 15 + 1)
-    vals = (psi.pdf(grid) - lam * psi.tail_moment(0, grid)) / c
-    if np.any(vals < -1e-10 * max(1.0, float(np.max(np.abs(vals))))):
-        raise ValueError("phi1 is signed for this psi; not representable as a density")
-    vals = np.maximum(vals, 0.0)
-    mass = float(np.trapezoid(vals, grid))
-    if abs(mass - 1.0) > 1e-6:
-        raise ValueError(f"phi1 mass {mass} deviates from 1 beyond 1e-6")
-    psi._cache[key] = Phi, varphi, DensitySpec.tabulated(grid, vals), c
-    return psi._cache[key]
+    def phi1(y):
+        return (psi.pdf(y) - lam * psi.tail(y)) / c
+
+    return Phi, varphi, phi1, c

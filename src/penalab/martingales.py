@@ -127,10 +127,19 @@ def f1_phi_xs(x, s, u, phi: DensitySpec):
 
 
 def f1_lambda_phi_xs(x, s, u, lam: float, psi: DensitySpec):
-    """First discounted expansion coefficient for the Kennedy weight."""
-    _, _, phi1, c = kennedy_transforms(psi, lam)
-    pref = c / (lam ** 3 * SQRT_2PI)
-    return pref * (m_phi_xs(x, s, phi1) - m_kennedy_xs(x, s, u, lam, psi))
+    """First discounted expansion coefficient for the Kennedy weight,
+    c (M^{phi1} - M^kappa) / (lam^3 sqrt(2 pi)) with phi1 = (psi - lam T0) / c.
+
+    In psi's tail moments T_k(s) = int_s^inf v^k psi(v) dv,
+    c M^{phi1}(x, s) = psi(s)(s - x) + (1 + lam x) T0(s) - lam T1(s),
+    exact for every family.
+    """
+    c = kennedy_transforms(psi, lam)[3]
+    x = np.asarray(x, dtype=float)
+    s = np.asarray(s, dtype=float)
+    c_m_phi1 = (psi.pdf(s) * (s - x) + (1.0 + lam * x) * psi.tail_moment(0, s)
+                - lam * psi.tail_moment(1, s))
+    return (c_m_phi1 - c * m_kennedy_xs(x, s, u, lam, psi)) / (lam ** 3 * SQRT_2PI)
 
 
 # ---------------------------------------------------------------------------

@@ -222,9 +222,11 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
             + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
                      + log_norm_sf((d + rho * r) / sr)))
     else:
+        # the rule starts where psi(x + z) switches on, at z = max(d, grid[0] - x)
         nodes, wts = gauss_legendre(KENNEDY_GL_NODES)
-        span = np.maximum(psi.upper - s, 0.0)
-        z = d[..., None] + span[..., None] * nodes
+        lo = np.maximum(s, psi.grid[0])
+        span = np.maximum(psi.upper - lo, 0.0)
+        z = (lo - x)[..., None] + span[..., None] * nodes
         k = np.exp(-lam * z) * psi.pdf(x[..., None] + z) * _h_bar(z, r, lam)
         moving = span * (k @ wts)
     return flat + moving

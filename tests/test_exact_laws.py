@@ -14,7 +14,6 @@ from penalab.exact_laws import (
     Regime,
     SeparableIndicator,
     TabulatedGrid,
-    _poly_segment_integral,
     _tabgrid_cell_moments,
     classify_region,
     drift_max_tail,
@@ -305,19 +304,48 @@ class TestBivariatePenalties:
         col = np.sum(m0, axis=0)
         tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
         ref = np.empty_like(yr)
+
+        def power_difference(k, alpha, beta, lo, hi):
+            # integral of v^k (alpha + beta v) over [lo, hi]
+            return (alpha * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+                    + beta * (hi ** (k + 2) - lo ** (k + 2)) / (k + 2))
+
         for j, yv in enumerate(yr):
             row = np.where(yv >= np.maximum(a, 0.0), table[:, j], 0.0)
             slope = np.diff(row) / np.diff(a)
             alpha = row[:-1] - a[:-1] * slope
             hi = np.minimum(a[1:], yv)
             lo = np.minimum(a[:-1], yv)
-            wedge = yv * _poly_segment_integral(0, alpha, slope, lo, hi) \
-                - _poly_segment_integral(1, alpha, slope, lo, hi)
+            wedge = yv * power_difference(0, alpha, slope, lo, hi) \
+                - power_difference(1, alpha, slope, lo, hi)
             ref[j] = tail[j] + float(np.sum(wedge))
         phi = phi_from_f(tab)
         assert np.array_equal(phi.grid, yr)
-        # only the summation order differs from the loop
+        # the segment rule and the power differences agree to roundoff
         assert np.max(np.abs(phi.values - ref / np.trapezoid(ref, yr))) < 1e-14
+
+    def test_floor_above_zero_gets_a_two_knot_head(self):
+        # below the y-floor the reduced density is the constant upper-tail
+        # mass of f over fbar(f), with its jump at the floor pinned by one
+        # epsilon knot
+        a = np.linspace(-3.0, -0.5, 41)
+        y = np.linspace(0.5, 3.0, 41)
+        aa, yy = np.meshgrid(a, y, indexing="ij")
+        tab = TabulatedGrid(a, y, np.exp(aa - yy))
+        m0, _, _, yr, _ = _tabgrid_cell_moments(tab)
+        phi = phi_from_f(tab)
+        eps = 1e-9 * max(y[0], 1.0)
+        assert np.array_equal(phi.grid[:2], [0.0, y[0] - eps])
+        assert np.array_equal(phi.grid[2:], yr)
+        level = phi.values[0]
+        # up to the tabulation's renormalization, checked to 1e-6
+        assert level == pytest.approx(float(np.sum(m0)) / fbar(tab), rel=1e-6)
+        ys = np.linspace(0.0, y[0] - eps, 101)
+        assert np.all(phi.pdf(ys) == level)
+        assert np.max(np.abs(phi.cdf(ys) - level * ys)) < 1e-15
+        # across the epsilon knot the cdf climbs by the trapezoid to pdf(y0)
+        jump = 0.5 * eps * (level + phi.pdf(y[0]))
+        assert phi.cdf(y[0]) == pytest.approx(level * (y[0] - eps) + jump, abs=1e-15)
 
 
 def _diagonal_table():
@@ -384,8 +412,8 @@ class TestKennedyTransforms:
         c0 = self.LAM / (1.0 - math.exp(-self.LAM))
         assert c == pytest.approx(c0 / 2.0, abs=1e-12)
         ys = np.linspace(0, 1, 501)
-        assert np.max(np.abs(phi1.pdf(ys) - 2.0 * ys)) < 1e-8
-        assert phi1.mass() == pytest.approx(1.0, abs=1e-12)
+        assert np.max(np.abs(phi1(ys) - 2.0 * ys)) < 1e-12
+        assert integrate.quad(phi1, 0.0, 1.0)[0] == pytest.approx(1.0, abs=1e-12)
 
     def test_phi_at_zero(self):
         Phi, _, _, _ = kennedy_transforms(self.PSI, self.LAM)
@@ -405,7 +433,7 @@ class TestKennedyTransforms:
             _, _, phi1, c = kennedy_transforms(psi, lam)
             assert c == pytest.approx((rate + lam) * (rate - lam) / rate ** 2, rel=1e-12)
             for y in (0.0, 0.5, 2.0):
-                assert phi1.pdf(y) == pytest.approx(rate * math.exp(-rate * y), abs=5e-7)
+                assert phi1(y) == pytest.approx(rate * math.exp(-rate * y), abs=1e-12)
 
     def test_degenerate_c_rejected(self):
         psi = DensitySpec.exponential(self.LAM, laplace_lambda=self.LAM)  # psi = 2 lam e^{-lam z}
@@ -422,8 +450,3 @@ class TestKennedyTransforms:
                 build()
             messages.add(str(err.value))
         assert len(messages) == 1
-
-    def test_built_once_per_shape_and_lambda(self):
-        psi = DensitySpec.uniform(1.0, laplace_lambda=self.LAM)
-        first = kennedy_transforms(psi, self.LAM)
-        assert kennedy_transforms(psi, self.LAM) is first

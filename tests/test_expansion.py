@@ -85,8 +85,9 @@ class TestKennedySeries:
         rep = f1_kennedy_check(1.0, PSI, EV)
         assert rep["rel_err"] < 0.15
 
-    def test_phi1_is_built_once(self, monkeypatch):
-        # the coefficient target evaluates f1_lambda_phi_xs at every quad node
+    def test_builds_no_tabulated_density(self, monkeypatch):
+        # the coefficient target evaluates f1_lambda_phi_xs at every rule
+        # node, in closed form in psi's tail moments
         tabulated = DensitySpec.tabulated
         calls = []
 
@@ -96,7 +97,7 @@ class TestKennedySeries:
 
         monkeypatch.setattr(DensitySpec, "tabulated", staticmethod(counted))
         f1_kennedy_check(1.0, DensitySpec.uniform(1.0, laplace_lambda=1.0), EV)
-        assert len(calls) == 1
+        assert calls == []
 
     def test_scaled_residuals_approach_target(self):
         rep = f1_kennedy_check(1.0, PSI, EV)

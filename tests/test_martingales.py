@@ -212,13 +212,41 @@ class TestExpansionCoefficients:
         assert f1_lambda_phi_xs(0.0, 0.0, 0.0, 1.0, PSI) == pytest.approx(0.0, abs=1e-12)
 
     def test_f1_lambda_phi_composition(self):
-        # equals the prefactor times the difference of the two martingales
+        # equals the prefactor times the difference of the two martingales;
+        # for the uniform psi, phi1 = 2y on [0, 1] is an exact 2-knot table
         from penalab.exact_laws import kennedy_transforms
 
-        _, _, phi1, c = kennedy_transforms(PSI, 1.0)
+        c = kennedy_transforms(PSI, 1.0)[3]
+        phi1 = DensitySpec.tabulated([0.0, 1.0], [0.0, 2.0])
         expected = c / math.sqrt(2 * math.pi) * (m_phi_xs(0.0, 0.5, phi1)
                                                  - m_kennedy_xs(0.0, 0.5, 0.0, 1.0, PSI))
         assert f1_lambda_phi_xs(0.0, 0.5, 0.0, 1.0, PSI) == pytest.approx(expected, rel=1e-10)
+
+    @pytest.mark.parametrize("psi,lam", [
+        (DensitySpec.exponential(2.0, laplace_lambda=1.0), 1.0),
+        (DensitySpec.exponential(0.5, laplace_lambda=1.0), 1.0),
+        (DensitySpec.exponential(3.0, laplace_lambda=2.0), 2.0),
+        (DensitySpec.tabulated(np.linspace(0.0, 2.0, 41), np.exp(-np.linspace(0.0, 2.0, 41)),
+                               laplace_lambda=1.0), 1.0),
+    ], ids=["exp-2-1", "exp-0.5-1", "exp-3-2", "tabulated"])
+    def test_f1_lambda_phi_matches_quadrature_of_phi1(self, psi, lam):
+        # c M^{phi1}(x, s) = c phi1(s)(s - x) + int_s^inf c phi1, with
+        # c phi1 = psi - lam T0, by quad against the closed form in T0 and T1
+        from penalab.exact_laws import kennedy_transforms
+
+        c = kennedy_transforms(psi, lam)[3]
+
+        def c_phi1(y):
+            return psi.pdf(y) - lam * psi.tail(y)
+
+        top = psi.upper if psi.family == "tabulated" else math.inf
+        for x, s, u in [(-0.5, 0.3, 1.0), (0.2, 0.6, 0.5), (0.0, 1.5, 2.0), (-1.0, 0.0, 0.1)]:
+            kinks = [k for k in psi.kinks if s < k < top]
+            tail, _ = integrate.quad(c_phi1, s, top, points=kinks or None,
+                                     epsabs=0.0, epsrel=1e-13, limit=200)
+            expected = (c_phi1(s) * (s - x) + tail
+                        - c * m_kennedy_xs(x, s, u, lam, psi)) / (lam ** 3 * math.sqrt(2 * math.pi))
+            assert f1_lambda_phi_xs(x, s, u, lam, psi) == pytest.approx(expected, rel=1e-12)
 
 
 N_MART = 100000

@@ -415,6 +415,23 @@ class TestConditionalWeightKernels:
             got = float(np.exp(log_g_kennedy(np.array([x]), np.array([s]), r, lam, psi))[0])
             assert got == pytest.approx(exact, rel=rel)
 
+    @pytest.mark.parametrize("x,s,r", [(0.0, 0.2, 0.3), (-0.5, 0.1, 2.0)])
+    def test_kennedy_kernel_starts_where_a_late_table_switches_on(self, x, s, r):
+        # psi = e^{-y} on 41 knots of [0.5, 2] and s below its first knot:
+        # psi(x + z) is 0 for z < 0.5 - x, and a rule from z = d would run
+        # across the jump there; from 0.5 - x it is at the knot-crossing level
+        from penalab.weights import _h_bar, g_kennedy_bar
+
+        lam = 1.0
+        grid = np.linspace(0.5, 2.0, 41)
+        psi = DensitySpec.tabulated(grid, np.exp(-grid), laplace_lambda=lam)
+        moving, _ = integrate.quad(lambda z: math.exp(-lam * z) * psi.pdf(x + z) * _h_bar(z, r, lam),
+                                   s - x, 2.0 - x, points=list(grid - x), epsabs=0.0,
+                                   epsrel=1e-13, limit=200)
+        # psi(s) = 0, so the flat part vanishes
+        got = float(g_kennedy_bar(np.array([x]), np.array([s]), r, lam, psi)[0])
+        assert got == pytest.approx(moving, rel=1e-5)
+
     def test_kennedy_kernel_is_nonnegative_as_d_vanishes(self):
         # at s = A the moving part is empty and the flat part is
         # psi(A) d hbar(0) (1 + O(d)), hbar(0) = 2 lam Phi(lam sr) + sqrt(2/(pi r)) e^{-lam^2 r/2}

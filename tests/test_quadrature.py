@@ -263,6 +263,7 @@ class TestQayFinite:
     @given(a=st.floats(-3.0, 2.0), gap=st.floats(0.02, 4.0), u=st.floats(0.1, 4.0),
            log_r=st.floats(-3.0, 1.7), b=EVENT_B, c=EVENT_C)
     @example(a=-0.5, gap=2.0, u=1.0, log_r=0.3, b=math.inf, c=1.0)   # c < y < b
+    @example(a=-1.2899689501842968e-306, gap=1.0, u=1.0, log_r=0.0, b=0.0, c=math.inf)
     @settings(max_examples=40, deadline=None)
     def test_matches_nested_quadrature(self, a, gap, u, log_r, b, c):
         y, r = max(a, 0.0) + gap, 10.0 ** log_r
@@ -297,7 +298,9 @@ def _q_ay_finite_nested(a, y, u, b, c, t):
     opts = dict(epsabs=1e-13, epsrel=1e-12, limit=200)
 
     def over_x(f, hi):
-        if a < hi:
+        # a piece above a narrower than roundoff (a = -1e-306, hi = 0) is
+        # left inside the one integral up to hi: quad cannot integrate it alone
+        if hi - a > 1e-12 * max(1.0, abs(a)):
             return (integrate.quad(f, -math.inf, a, **opts)[0]
                     + integrate.quad(f, a, hi, **opts)[0])
         return integrate.quad(f, -math.inf, hi, **opts)[0]
