@@ -133,10 +133,10 @@ def _segment_integral(k: int, lam: float, lo, hi, f_lo, f_hi):
     """
     h = hi - lo
     if lam == 0.0:
-        t, w = gauss_legendre((k + 3) // 2)
-        v = np.multiply.outer(h, t) + np.expand_dims(lo, -1)
-        f = np.multiply.outer(f_lo, 1.0 - t) + np.multiply.outer(f_hi, t)
-        return h * np.sum(w * v ** k * f, axis=-1)
+        total = 0.0
+        for t, w in zip(*gauss_legendre((k + 3) // 2)):
+            total = total + w * (h * t + lo) ** k * (f_lo * (1.0 - t) + f_hi * t)
+        return h * total
     c = lam * h
     return 0.5 * h * np.exp(-lam * lo) * (f_lo * special.hyp1f1(1.0, 3.0, -c)
                                           + f_hi * special.hyp1f1(2.0, 3.0, -c))
@@ -340,11 +340,10 @@ class DensitySpec:
             width = g[idx + 1] - g[idx]
             slope = (self.values[idx + 1] - v0) / width
             resid = qc - kc[idx]
-            with np.errstate(invalid="ignore", divide="ignore"):
-                disc = np.sqrt(np.maximum(v0 * v0 + 2.0 * slope * resid, 0.0))
-                s_quad = np.where(slope != 0.0, (disc - v0) / np.where(slope != 0.0, slope, 1.0), 0.0)
-                s_lin = np.where(v0 > 0.0, resid / np.where(v0 > 0.0, v0, 1.0), 0.0)
-            s = np.where(np.abs(slope) * width > 1e-13 * np.maximum(v0, 1e-300), s_quad, s_lin)
+            # the root of v0 s + slope s^2 / 2 = resid in its cancellation-free
+            # form; only a zero-mass segment (v0 = disc = 0) maps to s = 0
+            root = v0 + np.sqrt(np.maximum(v0 * v0 + 2.0 * slope * resid, 0.0))
+            s = np.divide(2.0 * resid, root, out=np.zeros_like(root), where=root > 0.0)
             out = g[idx] + np.clip(s, 0.0, width)
         return float(out) if out.ndim == 0 else out
 

@@ -15,7 +15,7 @@ Coefficient extraction is limited by roundoff rather than sampling noise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -40,13 +40,12 @@ DEFAULT_DISCOUNTED_WINDOW = (4.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0)
 
 @dataclass(frozen=True)
 class RateFit:
-    """Weighted least-squares fit of a rate model over a t-window."""
+    """Least-squares fit of a rate model over a t-window."""
 
     q_limit: float
     c1: float
     residual: float
     window: tuple[float, ...]
-    extra: dict = field(default_factory=dict, compare=False)
 
 
 def _regressor(model: str, t: np.ndarray, lam: float | None) -> np.ndarray:
@@ -60,14 +59,11 @@ def _regressor(model: str, t: np.ndarray, lam: float | None) -> np.ndarray:
 
 
 def fit_rate(series: Sequence, model: str = "poly", lam: float | None = None) -> RateFit:
-    """Fit value(t) = q_limit + c1 * regressor(t) by weighted least squares.
+    """Fit value(t) = q_limit + c1 * regressor(t) by least squares.
 
-    ``series`` holds (t, value) or (t, value, stderr) tuples with strictly
-    increasing t; stderr entries, when present and positive, set the weights.
+    ``series`` holds (t, value) pairs with strictly increasing t.
     """
-    rows = [tuple(map(float, row)) for row in series]
-    t = np.array([r[0] for r in rows])
-    v = np.array([r[1] for r in rows])
+    t, v = np.array(series, dtype=float).T
     if t.size < 4:
         raise ValueError("rate fitting needs at least 4 points")
     if np.any(np.diff(t) <= 0.0):
@@ -76,24 +72,13 @@ def fit_rate(series: Sequence, model: str = "poly", lam: float | None = None) ->
         raise ValueError("the t-window must span at least a factor of 8")
     if not np.all(np.isfinite(v)):
         raise ValueError("series values must be finite")
-    sig = np.array([r[2] if len(r) > 2 else 0.0 for r in rows])
-    w = np.ones_like(sig)
-    w[sig > 0.0] = sig[sig > 0.0] ** -2
 
     design = np.column_stack([np.ones_like(t), _regressor(model, t, lam)])
-    sq = np.sqrt(w)
-    sol, _, rank, _ = np.linalg.lstsq(design * sq[:, None], v * sq, rcond=None)
+    sol, _, rank, _ = np.linalg.lstsq(design, v, rcond=None)
     if rank < 2:
         raise ValueError("singular design: cannot separate the limit from the rate term")
-    fitted = design @ sol
-    resid = float(np.max(np.abs(fitted - v)))
-    extra = {"model": model, "lam": lam}
-    if np.any(sig > 0.0):
-        cov = np.linalg.inv(design.T @ (design * w[:, None]))
-        extra["q_limit_stderr"] = float(math.sqrt(cov[0, 0]))
-        extra["c1_stderr"] = float(math.sqrt(cov[1, 1]))
-    return RateFit(q_limit=float(sol[0]), c1=float(sol[1]), residual=resid,
-                   window=tuple(t), extra=extra)
+    resid = float(np.max(np.abs(design @ sol - v)))
+    return RateFit(q_limit=float(sol[0]), c1=float(sol[1]), residual=resid, window=tuple(t))
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy import special
 
 from ._stable import SQRT_2PI, log_sinhc, sinhc
 from .exact_laws import (
@@ -58,23 +59,18 @@ def m_mu_lambda_xs(x, s, u, lam: float, mu: float):
         return -(lam + mu) * e * (s - x) + e
     if region is Regime.R2:
         return np.exp((lam + mu) * x - (lam + mu) ** 2 * u / 2.0)
-    # R3: mu < 0.  Factored exponential form keeps cosh/sinh from overflowing.
+    # R3: mu < 0 and lam + 2 mu < 0.  With d = s - x the value is
+    # e^{(lam+mu) s - mu^2 u/2} ((lam + 2 mu) e^{-mu d} - lam e^{mu d}) / (2 mu),
+    # summed without cancellation: for lam > 0 the two terms have one sign, and
+    # for lam <= 0 the bracket is e^{-mu d} (1 - lam d exprel(2 mu d)), a sum
+    # of nonnegative terms.  e^{-mu d} goes into the common exponent, so a large
+    # d cannot overflow on its own.
     d = s - x
-    q = np.abs(mu) * d
-    c_grow = (lam + 2.0 * mu) / (2.0 * mu)       # > 0 in R3
-    c_dec = -lam / (2.0 * mu)
-    small = q < 1e-4
-    qs = np.where(small, q, 0.0)
-    series = np.cosh(mu * np.where(small, d, 0.0)) \
-        - (lam + mu) * np.where(small, d, 0.0) * sinhc(mu * np.where(small, d, 0.0))
-    # masked big-branch lanes can hit inf - inf for subnormal mu; the small
-    # branch supplies those values, so the noise is discarded below
-    with np.errstate(over="ignore", invalid="ignore"):
-        bracket = c_grow + c_dec * np.exp(-2.0 * np.where(small, 1.0, q))
-        big_val = np.exp((lam + mu) * s - mu ** 2 * u / 2.0 + np.where(small, 0.0, q)) * bracket
-    small_val = np.exp((lam + mu) * s - mu ** 2 * u / 2.0) * series
-    out = np.where(small, small_val, big_val)
-    return out
+    if lam > 0.0:
+        bracket = (lam + 2.0 * mu - lam * np.exp(2.0 * mu * d)) / (2.0 * mu)
+    else:
+        bracket = 1.0 - lam * d * special.exprel(2.0 * mu * d)
+    return np.exp((lam + mu) * s - mu ** 2 * u / 2.0 - mu * d) * bracket
 
 
 def m_kennedy_xs(x, s, u, lam: float, psi: DensitySpec):

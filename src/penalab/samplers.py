@@ -253,10 +253,8 @@ def q_level_terminal_batch(levels, horizon: float, gen: np.random.Generator):
     and X_u = 2 S_u - sqrt(S_u^2 - 2 u log U).  Every array is drawn for all
     n paths, so the draws do not depend on which paths hit.
 
-    Returns a dict with the positions ``x``, the running maxima ``s``, the
-    ``hit`` flags, the exact first-passage times ``hit_time`` (beyond u, the
-    residual passage from X_u, drawn afresh) and the total supremum
-    ``sup_total``, which is the level.
+    Returns the positions x and the running maxima s; a path has hit its
+    level by time u exactly where s equals it.
     """
     levels = np.asarray(levels, dtype=float)
     if np.any(levels <= 0.0):
@@ -275,17 +273,8 @@ def q_level_terminal_batch(levels, horizon: float, gen: np.random.Generator):
     s_free = np.minimum(s_free, np.nextafter(levels, 0.0))
     # 1 - U lies in (0, 1], so its log is finite
     x_free = 2.0 * s_free - np.sqrt(s_free * s_free - 2.0 * u * np.log(1.0 - gen.random(n)))
-    z_tail = gen.standard_normal(n)
-    z_tail[z_tail == 0.0] = 1.0
-
     x = np.where(hit, levels - np.sqrt(np.maximum(u - passage, 0.0)) * chi3, x_free)
-    return {
-        "x": x,
-        "s": np.where(hit, levels, s_free),
-        "hit": hit,
-        "hit_time": np.where(hit, passage, u + (levels - x) ** 2 / (z_tail * z_tail)),
-        "sup_total": levels.copy(),
-    }
+    return x, np.where(hit, levels, s_free)
 
 
 def mixture_levels(a, y, n: int, gen: np.random.Generator) -> np.ndarray:
@@ -304,6 +293,6 @@ def mixture_levels(a, y, n: int, gen: np.random.Generator) -> np.ndarray:
 def level_event_frequency(levels, ev: RectEvent, gen: np.random.Generator):
     """(p, stderr): the frequency of ``ev`` among level-pinned paths and its
     binomial standard error."""
-    out = q_level_terminal_batch(levels, ev.u, gen)
-    p = float(np.mean(ev.indicator(out["x"], out["s"])))
-    return p, math.sqrt(max(p * (1.0 - p), 1e-12) / out["x"].size)
+    x, s = q_level_terminal_batch(levels, ev.u, gen)
+    p = float(np.mean(ev.indicator(x, s)))
+    return p, math.sqrt(max(p * (1.0 - p), 1e-12) / x.size)

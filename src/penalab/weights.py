@@ -41,8 +41,17 @@ __all__ = [
 ]
 
 # fixed Gauss-Legendre nodes of the tabulated-shape tails (phi and Kennedy psi)
-PHI_GL_NODES = 96
-KENNEDY_GL_NODES = 64
+TABLE_GL_NODES = 96
+
+
+def _table_tail(shape: DensitySpec, x, s, kernel):
+    """Integral of shape(v) kernel(v - x) over v from max(s, grid[0]) to the
+    end of a tabulated shape, by TABLE_GL_NODES-node Gauss-Legendre."""
+    nodes, wts = gauss_legendre(TABLE_GL_NODES)
+    lo = np.maximum(s, shape.grid[0])
+    span = np.maximum(shape.grid[-1] - lo, 0.0)
+    v = lo[..., None] + span[..., None] * nodes
+    return span * ((shape.pdf(v) * kernel(v - x[..., None])) @ wts)
 
 
 # ---------------------------------------------------------------------------
@@ -75,13 +84,7 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
             norm_sf(z) - norm_sf((A - x) / sr), 0.0)
         tail = np.where(s >= A, 0.0, tail)
     else:
-        nodes, wts = gauss_legendre(PHI_GL_NODES)
-        lo = np.maximum(s, phi.grid[0])
-        hi = phi.grid[-1]
-        span = np.maximum(hi - lo, 0.0)
-        v = lo[..., None] + span[..., None] * nodes
-        dens = phi.pdf(v) * np.exp(-0.5 / r * (v - x[..., None]) ** 2)
-        tail = span * (dens @ wts)
+        tail = _table_tail(phi, x, s, lambda z: np.exp(-0.5 / r * z ** 2))
     return flat + tail
 
 
@@ -222,13 +225,7 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
             + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
                      + log_norm_sf((d + rho * r) / sr)))
     else:
-        # the rule starts where psi(x + z) switches on, at z = max(d, grid[0] - x)
-        nodes, wts = gauss_legendre(KENNEDY_GL_NODES)
-        lo = np.maximum(s, psi.grid[0])
-        span = np.maximum(psi.upper - lo, 0.0)
-        z = (lo - x)[..., None] + span[..., None] * nodes
-        k = np.exp(-lam * z) * psi.pdf(x[..., None] + z) * _h_bar(z, r, lam)
-        moving = span * (k @ wts)
+        moving = _table_tail(psi, x, s, lambda z: np.exp(-lam * z) * _h_bar(z, r, lam))
     return flat + moving
 
 

@@ -167,6 +167,13 @@ class TestDensitySpec:
         y = spec.ppf(q)
         assert spec.cdf(y) == pytest.approx(q, abs=1e-9)
 
+    def test_tabulated_ppf_roundtrip_on_a_nearly_flat_table(self):
+        # the root (disc - v0) / slope cancelled here: 6.5e-8 off on these levels
+        grid = np.linspace(0.0, 2.0, 21)
+        spec = DensitySpec.tabulated(grid, 1.0 + 1e-9 * np.sin(7.0 * grid))
+        q = np.linspace(0.0, 1.0, 1001)
+        assert np.max(np.abs(spec.cdf(spec.ppf(q)) - q)) <= 1e-14
+
     def test_tabulated_validation(self):
         with pytest.raises(ValueError):
             DensitySpec.tabulated([0.0, 1.0], [1.0, -0.2])

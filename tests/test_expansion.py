@@ -14,7 +14,6 @@ from penalab.expansion import (
 from penalab.martingales import f1_phi_xs, m_mu_lambda_xs
 from penalab.penalized_mc import ExpLinear, bessel_weight, finite_t_value
 from penalab.quadrature import RectEvent, expect_on_event
-from penalab.samplers import RngStream
 
 UNIFORM = DensitySpec.uniform(1.0)
 PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
@@ -28,15 +27,6 @@ class TestFitRate:
         assert fit.q_limit == pytest.approx(0.3, abs=1e-12)
         assert fit.c1 == pytest.approx(1.0, abs=1e-10)
         assert fit.residual < 1e-12
-
-    def test_noisy_recovery_within_fitted_stderr(self):
-        gen = RngStream(42).generator()
-        sigma = 1e-3
-        ts = [8.0, 16.0, 32.0, 64.0, 128.0, 256.0]
-        series = [(t, 0.3 + 1.0 / t + sigma * gen.normal(), sigma) for t in ts]
-        fit = fit_rate(series)
-        assert abs(fit.c1 - 1.0) <= 3 * fit.extra["c1_stderr"]
-        assert abs(fit.q_limit - 0.3) <= 3 * fit.extra["q_limit_stderr"]
 
     def test_window_validation(self):
         with pytest.raises(ValueError):

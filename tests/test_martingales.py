@@ -1,8 +1,9 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -66,6 +67,35 @@ class TestMMuLambda:
     def test_r3_large_argument_stable(self):
         val = m_mu_lambda_xs(-40.0, 2.0, 1.0, -1.0, -3.0)
         assert np.isfinite(val) and val > 0.0
+
+    @staticmethod
+    def _r3_reference(x, s, u, lam, mu):
+        """e^{(lam+mu) s - mu^2 u/2} ((lam + 2 mu) e^{-mu d} - lam e^{mu d}) / (2 mu) at 40 digits."""
+        with mpmath.workdps(40):
+            x, s, u, lam, mu = (mpmath.mpf(v) for v in (x, s, u, lam, mu))
+            d = s - x
+            return float(mpmath.exp((lam + mu) * s - mu * mu * u / 2)
+                         * ((lam + 2 * mu) * mpmath.exp(-mu * d) - lam * mpmath.exp(mu * d)) / (2 * mu))
+
+    # the worst of 3000 random states for the former masked series, switched at |mu| d = 1e-4:
+    # 4.3e-13 relative off
+    @example(x=-2.5072487696008494, s=0.0006253533711912697, u=3.81654046138603,
+             lam=-0.4233076839820036, mu=-5.1206204554727815e-05)
+    @given(x=st.floats(-5.0, 3.0), s=st.floats(0.0, 3.0), u=st.floats(0.0, 5.0),
+           lam=st.floats(-4.0, 4.0), mu=st.floats(-4.0, -1e-12))
+    @settings(max_examples=200, deadline=None)
+    def test_r3_matches_a_40_digit_reference(self, x, s, u, lam, mu):
+        assume(x <= s and lam + 2.0 * mu < 0.0)
+        ref = self._r3_reference(x, s, u, lam, mu)
+        assert m_mu_lambda_xs(x, s, u, lam, mu) == pytest.approx(ref, rel=1e-13, abs=0.0)
+
+    def test_r3_at_subnormal_mu(self):
+        # at mu = -5e-324 the value is e^{lam s} (1 - lam d) to roundoff
+        x, s = np.array([-1.0, 0.0, 0.4]), np.array([0.5, 0.0, 0.4])
+        for lam in (0.0, -0.5):
+            got = m_mu_lambda_xs(x, s, 1.0, lam, -5e-324)
+            assert np.all(np.isfinite(got))
+            assert got == pytest.approx(np.exp(lam * s) * (1.0 - lam * (s - x)), rel=1e-15)
 
     @given(x=st.floats(-5, 5), d=st.floats(0, 5), lam=st.floats(-4, 4), mu=st.floats(-4, 4))
     @settings(max_examples=200)

@@ -12,7 +12,7 @@ from penalab.exact_laws import (
     h_cdf,
     phi_from_f,
 )
-from penalab.quadrature import RectEvent, q_ay_limit, q_phi_limit, q_y_limit
+from penalab.quadrature import RectEvent, _cond_mean_block, q_ay_limit, q_phi_limit, q_y_limit
 from penalab.report import ks_test
 from penalab.samplers import (
     Path,
@@ -49,9 +49,9 @@ class TestReproducibility:
         assert not np.array_equal(p1.values, p2.values)
 
     def test_batch_reproducible(self):
-        o1 = q_level_terminal_batch(np.full(100, 1.0), 0.5, RngStream(5).generator())
-        o2 = q_level_terminal_batch(np.full(100, 1.0), 0.5, RngStream(5).generator())
-        assert np.array_equal(o1["x"], o2["x"]) and np.array_equal(o1["hit_time"], o2["hit_time"])
+        x1, s1 = q_level_terminal_batch(np.full(100, 1.0), 0.5, RngStream(5).generator())
+        x2, s2 = q_level_terminal_batch(np.full(100, 1.0), 0.5, RngStream(5).generator())
+        assert np.array_equal(x1, x2) and np.array_equal(s1, s2)
 
 
 class TestPathInvariants:
@@ -147,49 +147,32 @@ class TestSampleQy:
         cdf = lambda t: 2 * special.ndtr(-1.0 / np.sqrt(np.maximum(t, 1e-300)))
         assert ks_test(ht, cdf, level=KS_LEVEL).passed
 
-    def test_hit_time_law_conditioned_on_window(self):
-        W = 4.0
-        out = q_level_terminal_batch(np.full(20000, 1.0), W, RngStream(11).generator())
-        ht = np.sort(out["hit_time"][out["hit"]])
-        fw = 2 * special.ndtr(-1.0 / math.sqrt(W))
-        cdf = lambda t: 2 * special.ndtr(-1.0 / np.sqrt(np.maximum(t, 1e-12))) / fw
-        assert ks_test(ht, cdf, level=KS_LEVEL).passed
-
     def test_event_frequency_matches_quadrature(self):
         n = 30000
-        out = q_level_terminal_batch(np.full(n, 1.0), 1.0, RngStream(12).generator())
-        p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
+        x, s = q_level_terminal_batch(np.full(n, 1.0), 1.0, RngStream(12).generator())
+        p = float(np.mean((x <= EV.b) & (s <= EV.c)))
         target = q_y_limit(1.0, EV)
         se = math.sqrt(target * (1 - target) / n)
         assert abs(p - target) <= 3 * se
 
     def test_hit_branch_is_level_minus_bessel3(self):
-        # after the passage at T <= u, (y - X_u) / sqrt(u - T) is chi_3
+        # on {S_u = y}, X_u is y minus a Bessel(3) run since the passage: the
+        # pinned block of q_y_limit, int_{a <= b} (y - a) p_joint(u, a, y) da,
+        # over its total P(T_y <= u)
         u = 2.0
-        out = q_level_terminal_batch(np.full(40000, 1.0), u, RngStream(29).generator())
-        h = out["hit"]
-        scaled = (1.0 - out["x"][h]) / np.sqrt(u - out["hit_time"][h])
-        assert ks_test(np.sort(scaled), chi3_cdf, level=KS_LEVEL).passed
+        x, s = q_level_terminal_batch(np.full(40000, 1.0), u, RngStream(29).generator())
+        block = np.vectorize(lambda b: _cond_mean_block(u, 1.0, b))
+        cdf = lambda b: block(b) / block(1.0)
+        assert ks_test(np.sort(x[s == 1.0]), cdf, level=KS_LEVEL).passed
 
     def test_batch_state_invariants(self):
         levels = RngStream(30).generator().exponential(1.0, 20000) + 1e-3
-        out = q_level_terminal_batch(levels, 1.5, RngStream(31).generator())
-        x, s, hit = out["x"], out["s"], out["hit"]
+        x, s = q_level_terminal_batch(levels, 1.5, RngStream(31).generator())
         assert np.all(x <= s) and np.all(s >= 0.0) and np.all(s <= levels)
-        assert np.all(s[hit] == levels[hit]) and np.all(s[~hit] < levels[~hit])
-        assert np.all(out["hit_time"][hit] <= 1.5) and np.all(out["hit_time"][~hit] > 1.5)
-        assert np.array_equal(out["sup_total"], levels)
-
-    def test_exact_tail_passage_law(self):
-        # beyond-window hit times follow the residual first-passage law
-        gen = RngStream(13).generator()
-        out = q_level_terminal_batch(np.full(30000, 2.5), 1.0, gen)
-        m = ~out["hit"]
-        t_rem = out["hit_time"][m] - 1.0
-        d = 2.5 - out["x"][m]
-        z = d / np.sqrt(t_rem)
-        # d/sqrt(T) ~ |N(0,1)| by construction
-        assert ks_test(np.sort(z), lambda v: 2 * stats.norm.cdf(v) - 1, level=KS_LEVEL).passed
+        # a path has hit by time u with probability P(T_y <= u) = 2 Q(y / sqrt(u))
+        p_hit = 2.0 * special.ndtr(-levels / math.sqrt(1.5))
+        se = math.sqrt(np.sum(p_hit * (1.0 - p_hit))) / levels.size
+        assert abs(np.mean(s == levels) - np.mean(p_hit)) <= 3 * se
 
     def test_domain(self):
         with pytest.raises(ValueError):
@@ -221,8 +204,8 @@ class TestSampleQay:
         n = 30000
         gen = RngStream(17).generator()
         levels = mixture_levels(0.0, 1.0, n, gen)
-        out = q_level_terminal_batch(levels, 1.0, gen)
-        p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
+        x, s = q_level_terminal_batch(levels, 1.0, gen)
+        p = float(np.mean((x <= EV.b) & (s <= EV.c)))
         target = q_ay_limit(0.0, 1.0, EV)
         se = math.sqrt(target * (1 - target) / n)
         assert abs(p - target) <= 3 * se
@@ -245,8 +228,8 @@ class TestSampleQphi:
         n = 30000
         gen = RngStream(19).generator()
         levels = np.maximum(self.PHI.ppf(gen.random(n)), 1e-9)
-        out = q_level_terminal_batch(levels, 1.0, gen)
-        p = float(np.mean((out["x"] <= EV.b) & (out["s"] <= EV.c)))
+        x, s = q_level_terminal_batch(levels, 1.0, gen)
+        p = float(np.mean((x <= EV.b) & (s <= EV.c)))
         target = q_phi_limit(self.PHI, EV)
         se = math.sqrt(target * (1 - target) / n)
         assert abs(p - target) <= 3 * se

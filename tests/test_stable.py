@@ -1,8 +1,9 @@
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate, special
 
-from penalab._stable import _TAIL_E_CUT, gauss_tail_e, log_gauss_tail_e
+from penalab._stable import _TAIL_E_CUT, gauss_tail_e, log_gauss_tail_e, sinhc
 
 # crosses 0 and both sides of the series switch at |alpha| = _TAIL_E_CUT
 ALPHAS = np.concatenate([np.linspace(-36.0, 36.0, 73),
@@ -43,3 +44,17 @@ class TestGaussTailE:
         assert isinstance(gauss_tail_e(0.5), float)
         assert isinstance(log_gauss_tail_e(-0.5), float)
         assert gauss_tail_e(np.array([0.5])).shape == (1,)
+
+
+class TestSinhc:
+    def test_within_two_ulp_of_a_40_digit_reference(self):
+        mag = np.logspace(-300.0, 2.8, 601)
+        z = np.concatenate((-mag[::-1], [0.0], mag))
+        with mpmath.workdps(40):
+            ref = np.array([float(mpmath.sinh(v) / v) if v else 1.0 for v in map(mpmath.mpf, z)])
+        got = sinhc(z)
+        assert np.all(np.abs(got - ref) <= 2.0 * np.spacing(ref))
+
+    def test_scalar_in_scalar_out(self):
+        assert sinhc(0.0) == 1.0 and isinstance(sinhc(0.0), float)
+        assert sinhc(np.array([0.0, 1e-320])).tolist() == [1.0, 1.0]
