@@ -357,10 +357,8 @@ def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) ->
     # a cut below the smallest normal float would round first-piece nodes to y = 0
     cuts = np.unique([0.0, hi, *(p for p in cuts if np.finfo(float).tiny < p < hi)])
     pieces = np.ceil(np.diff(cuts) / width).astype(int)
-    # edge i of cut interval j is cuts[j] + i (its width / its pieces)
-    j = np.repeat(np.arange(pieces.size), pieces)
-    i = np.arange(j.size) - np.repeat(np.cumsum(pieces) - pieces, pieces)
-    edges = np.append(cuts[j] + i * (np.diff(cuts) / pieces)[j], cuts[-1])
+    edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
+                            for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])
     lo, span = edges[:-1, None], np.diff(edges)[:, None]
 
     def level(k):

@@ -45,13 +45,13 @@ TABLE_GL_NODES = 96
 
 
 def _table_tail(shape: DensitySpec, x, s, kernel):
-    """Integral of shape(v) kernel(v - x) over v from max(s, grid[0]) to the
+    """Integral of shape(v) kernel(v, x) over v from max(s, grid[0]) to the
     end of a tabulated shape, by TABLE_GL_NODES-node Gauss-Legendre."""
     nodes, wts = gauss_legendre(TABLE_GL_NODES)
     lo = np.maximum(s, shape.grid[0])
     span = np.maximum(shape.grid[-1] - lo, 0.0)
     v = lo[..., None] + span[..., None] * nodes
-    return span * ((shape.pdf(v) * kernel(v - x[..., None])) @ wts)
+    return span * ((shape.pdf(v) * kernel(v, x[..., None])) @ wts)
 
 
 # ---------------------------------------------------------------------------
@@ -84,7 +84,7 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
             norm_sf(z) - norm_sf((A - x) / sr), 0.0)
         tail = np.where(s >= A, 0.0, tail)
     else:
-        tail = _table_tail(phi, x, s, lambda z: np.exp(-0.5 / r * z ** 2))
+        tail = _table_tail(phi, x, s, lambda v, x: np.exp(-0.5 / r * (v - x) ** 2))
     return flat + tail
 
 
@@ -225,7 +225,8 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
             + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
                      + log_norm_sf((d + rho * r) / sr)))
     else:
-        moving = _table_tail(psi, x, s, lambda z: np.exp(-lam * z) * _h_bar(z, r, lam))
+        moving = _table_tail(psi, x, s,
+                             lambda v, x: np.exp(-lam * (v - x)) * _h_bar(v - x, r, lam))
     return flat + moving
 
 

@@ -77,8 +77,7 @@ class TestMMuLambda:
             return float(mpmath.exp((lam + mu) * s - mu * mu * u / 2)
                          * ((lam + 2 * mu) * mpmath.exp(-mu * d) - lam * mpmath.exp(mu * d)) / (2 * mu))
 
-    # the worst of 3000 random states for the former masked series, switched at |mu| d = 1e-4:
-    # 4.3e-13 relative off
+    # the former masked series, switched at |mu| d = 1e-4, was 4.3e-13 relative off here
     @example(x=-2.5072487696008494, s=0.0006253533711912697, u=3.81654046138603,
              lam=-0.4233076839820036, mu=-5.1206204554727815e-05)
     @given(x=st.floats(-5.0, 3.0), s=st.floats(0.0, 3.0), u=st.floats(0.0, 5.0),
