@@ -20,7 +20,6 @@ from .exact_laws import (
     SeparableIndicator,
     TabulatedGrid,
     classify_region,
-    drift_max_tail,
     fbar,
     h_cdf,
     kennedy_transforms,

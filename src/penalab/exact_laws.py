@@ -34,7 +34,6 @@ __all__ = [
     "fbar",
     "phi_from_f",
     "kennedy_transforms",
-    "drift_max_tail",
 ]
 
 
@@ -85,15 +84,6 @@ def p_bessel3(r, z):
     z = np.asarray(z, dtype=float)
     out = np.where(z > 0.0, SQRT_2_OVER_PI / r ** 1.5 * z * z * np.exp(-z * z / (2.0 * r)), 0.0)
     return float(out) if out.ndim == 0 else out
-
-
-def drift_max_tail(mu: float, x: float) -> float:
-    """P(S_inf > x) = exp(2 mu x) for Brownian motion with drift mu < 0."""
-    if mu >= 0.0:
-        raise ValueError("drift_max_tail requires mu < 0 (S_inf is infinite otherwise)")
-    if x < 0.0:
-        raise ValueError("drift_max_tail requires x >= 0")
-    return math.exp(2.0 * mu * x)
 
 
 # ---------------------------------------------------------------------------

@@ -91,10 +91,11 @@ PenaltyKind = PhiOfMax | BivariateF | ExpLinear | KennedyWeight
 @dataclass(frozen=True)
 class Estimate:
     """A ratio estimate; ``ess`` is the Kish effective sample size
-    (sum w)^2 / sum w^2 of its weights."""
+    (sum w)^2 / sum w^2 of its weights.  ``value`` and ``stderr`` are arrays
+    for a vector-valued functional."""
 
-    value: float
-    stderr: float
+    value: float | np.ndarray
+    stderr: float | np.ndarray
     n: int
     seed: tuple[int, int]
     ess: float
@@ -133,26 +134,57 @@ def _log_weight_conditional(pen: PenaltyKind, xu, su, r: float):
     raise TypeError(f"no conditional kernel for {pen!r}; use mode='terminal'")
 
 
-def _ratio_with_stderr(vals: np.ndarray, logw: np.ndarray):
-    """Self-normalized ratio with a delta-method standard error and the
-    Kish effective sample size of the weights."""
-    n = vals.size
-    shift = float(np.max(logw))
-    if not math.isfinite(shift):
-        raise ValueError("degenerate weights: all penalty weights vanished")
-    w = np.exp(logw - shift)
-    sw = float(np.sum(w))
-    if sw <= 0.0:
-        raise ValueError("degenerate weights: all penalty weights vanished")
-    vw = vals * w
-    r = float(np.sum(vw)) / sw
-    wbar = sw / n
-    w2bar = float(np.mean(w * w))
-    var_vw = float(np.mean(vw * vw)) - (float(np.mean(vw))) ** 2
-    var_w = w2bar - wbar ** 2
-    cov = float(np.mean(vw * w)) - float(np.mean(vw)) * wbar
-    var_r = (var_vw - 2.0 * r * cov + r * r * var_w) / (n * wbar * wbar)
-    return r, math.sqrt(max(var_r, 0.0)), n * wbar * wbar / w2bar
+class _WeightedSums:
+    """Streamed sums of a self-normalized ratio: sum w, sum w^2, and per row
+    of the values sum v w, sum (v w)^2 and sum v w^2, with w = e^{logw - shift}.
+
+    ``shift`` is the largest log-weight seen so far; a chunk that raises it
+    rescales the sums by e^{old - new}, so memory stays O(chunk)."""
+
+    def __init__(self):
+        self.shift = -math.inf
+        self.sw = self.sww = 0.0
+        self.svw = self.svv = self.svww = 0.0
+        self.n = 0
+
+    def add(self, vals: np.ndarray, logw: np.ndarray) -> None:
+        self.n += logw.size
+        top = float(np.max(logw))
+        if not top < math.inf:
+            raise ValueError("degenerate weights: a log-weight is NaN or +inf")
+        if top > self.shift:
+            scale = math.exp(self.shift - top)
+            self.sw *= scale
+            self.svw *= scale
+            self.sww *= scale * scale
+            self.svv *= scale * scale
+            self.svww *= scale * scale
+            self.shift = top
+        if self.shift == -math.inf:
+            return     # every weight so far vanished
+        w = np.exp(logw - self.shift)
+        vw = vals * w
+        self.sw += float(np.sum(w))
+        self.sww += float(np.sum(w * w))
+        self.svw += np.sum(vw, axis=-1)
+        self.svv += np.sum(vw * vw, axis=-1)
+        self.svww += np.sum(vw * w, axis=-1)
+
+    def ratio(self):
+        """The ratio sum v w / sum w, its delta-method standard error and the
+        Kish effective sample size (sum w)^2 / sum w^2 of the weights."""
+        if self.shift == -math.inf:
+            raise ValueError("degenerate weights: all penalty weights vanished")
+        n = self.n
+        r = self.svw / self.sw
+        wbar = self.sw / n
+        w2bar = self.sww / n
+        vwbar = self.svw / n
+        var_vw = self.svv / n - vwbar ** 2
+        var_w = w2bar - wbar ** 2
+        cov = self.svww / n - vwbar * wbar
+        var_r = (var_vw - 2.0 * r * cov + r * r * var_w) / (n * wbar * wbar)
+        return r, np.sqrt(np.maximum(var_r, 0.0)), n * wbar * wbar / w2bar
 
 
 def _event_values(ev):
@@ -168,10 +200,13 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
     """Ratio estimator of the penalized probability (or functional mean).
 
     ``ev`` is a RectEvent, or a pair (u, g) with g a vectorized functional
-    of the state (X_u, S_u).  ``mode``: "conditional" weights each draw by
-    the exact conditional expectation of F_t given the time-u state;
-    "terminal" evaluates F_t at an exact draw of (X_t, S_t); "auto" picks
-    "conditional" when a kernel exists.
+    of the state (X_u, S_u).  A g that returns shape (k, m) for m states is
+    k functionals at once: ``value`` and ``stderr`` are length-k arrays, all
+    from the same draws and weights, and ``ess`` is their shared Kish number.
+    ``mode``: "conditional" weights each draw by the exact conditional
+    expectation of F_t given the time-u state; "terminal" evaluates F_t at an
+    exact draw of (X_t, S_t); "auto" picks "conditional" when a kernel exists.
+    The ratio sums are streamed chunk by chunk, so memory is O(CHUNK k).
     """
     u, val_fn = _event_values(ev)
     if t <= u:
@@ -179,32 +214,26 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
     pen = _normalize_penalty(pen)
     if mode == "auto":
         mode = "terminal" if isinstance(pen, BivariateF) else "conditional"
+    if mode not in ("conditional", "terminal"):
+        raise ValueError("mode must be 'auto', 'conditional' or 'terminal'")
     if n < 2:
         raise ValueError("need at least two samples")
 
-    vals_parts = []
-    logw_parts = []
-    done = 0
-    ci = 0
-    while done < n:
+    sums = _WeightedSums()
+    for ci, done in enumerate(range(0, n, CHUNK)):
         m = min(CHUNK, n - done)
         gen = rng.generator(ci)
         if mode == "conditional":
             xu, su = exact_bm_state(u, m, gen)
             logw = _log_weight_conditional(pen, xu, su, t - u)
-        elif mode == "terminal":
+        else:
             xu, su, xt, st = exact_two_time_state(u, t, m, gen)
             logw = _log_weight_terminal(pen, xt, st)
-        else:
-            raise ValueError("mode must be 'auto', 'conditional' or 'terminal'")
-        vals_parts.append(val_fn(xu, su))
-        logw_parts.append(np.asarray(logw, dtype=float))
-        done += m
-        ci += 1
+        sums.add(val_fn(xu, su), np.asarray(logw, dtype=float))
 
-    vals = np.concatenate(vals_parts)
-    logw = np.concatenate(logw_parts)
-    r, se, ess = _ratio_with_stderr(vals, logw)
+    r, se, ess = sums.ratio()
+    if np.ndim(r) == 0:
+        r, se = float(r), float(se)
     return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
 
 
@@ -337,17 +366,18 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
 
     rows = []
     for k, t in enumerate(t_list):
-        for b in b_levels:
-            # the same draws for every b
-            est = penalized_estimate(pen, (u, lambda x, s, b=b: 2.0 * s - x <= b), t, n,
-                                     rng.substream(7000 + k))
+        # one estimate for every b, on the same draws
+        est = penalized_estimate(
+            pen, (u, lambda x, s: np.stack([2.0 * s - x <= b for b in b_levels])), t, n,
+            rng.substream(7000 + k))
+        for b, value, stderr in zip(b_levels, est.value.tolist(), est.stderr.tolist()):
             target = finite_t_value(pen, RectEvent(u), t, w_max=b)
-            tol = 3.0 * est.stderr
+            tol = 3.0 * stderr
             rows.append({
                 "penalty": label, "event": (u, b), "t": t, "b": b,
-                "value": est.value, "stderr": est.stderr, "n": est.n, "ess": est.ess,
+                "value": value, "stderr": stderr, "n": est.n, "ess": est.ess,
                 "target": target, "target_source": "finite-t quadrature", "tol": tol,
                 "limit": limits[b],
-                "pass": bool(abs(est.value - target) <= tol),
+                "pass": bool(abs(value - target) <= tol),
             })
     return {"rows": rows, "all_pass": all(r["pass"] for r in rows)}

@@ -46,12 +46,18 @@ TABLE_GL_NODES = 96
 
 def _table_tail(shape: DensitySpec, x, s, kernel):
     """Integral of shape(v) kernel(v, x) over v from max(s, grid[0]) to the
-    end of a tabulated shape, by TABLE_GL_NODES-node Gauss-Legendre."""
+    end of a tabulated shape, by TABLE_GL_NODES-node Gauss-Legendre; 0 on
+    the states with s at or past the end, where the rule does not run."""
     nodes, wts = gauss_legendre(TABLE_GL_NODES)
+    x, s = np.broadcast_arrays(x, s)
+    out = np.zeros(s.shape)
+    live = s < shape.grid[-1]
+    x, s = x[live], s[live]
     lo = np.maximum(s, shape.grid[0])
-    span = np.maximum(shape.grid[-1] - lo, 0.0)
-    v = lo[..., None] + span[..., None] * nodes
-    return span * ((shape.pdf(v) * kernel(v, x[..., None])) @ wts)
+    span = shape.grid[-1] - lo
+    v = lo[:, None] + span[:, None] * nodes
+    out[live] = span * ((shape.pdf(v) * kernel(v, x[:, None])) @ wts)
+    return out
 
 
 # ---------------------------------------------------------------------------

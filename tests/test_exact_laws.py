@@ -16,7 +16,6 @@ from penalab.exact_laws import (
     TabulatedGrid,
     _tabgrid_cell_moments,
     classify_region,
-    drift_max_tail,
     fbar,
     h_cdf,
     kennedy_transforms,
@@ -85,13 +84,6 @@ class TestScalarDensities:
         assert p_bessel3(1.0, -1.0) == 0.0
         val, _ = integrate.quad(lambda z: p_bessel3(1.0, z), 0, 40)
         assert val == pytest.approx(1.0, abs=QUAD_TOL)
-
-    def test_drift_max_tail(self):
-        assert drift_max_tail(-1.0, 0.0) == 1.0
-        assert drift_max_tail(-1.0, math.log(2) / 2) == pytest.approx(0.5, abs=1e-15)
-        assert drift_max_tail(-0.5, 1.0) == pytest.approx(math.exp(-1), abs=1e-15)
-        with pytest.raises(ValueError):
-            drift_max_tail(0.0, 1.0)
 
 
 class TestRegimes:

@@ -174,6 +174,7 @@ class TestFReduction:
 
     @given(mu=st.floats(0.2, 3.0), beta=st.floats(0.2, 3.0), x=st.floats(-3.0, 3.0),
            z=st.floats(0.0, 3.0))
+    @example(mu=0.25, beta=1.0, x=0.0, z=2.2250738585072014e-308)   # d of 1e-308
     @settings(max_examples=40, deadline=None)
     def test_exponential_closed_form_vs_nested_quadrature(self, mu, beta, x, z):
         # f* times the integral of (2y - a) f(a + x, s v (y + x)) over {y >= a+}:
@@ -186,10 +187,11 @@ class TestFReduction:
 
         def inner(a):
             lo = max(a, 0.0)
-            flat = integrate.quad(lambda y: (2.0 * y - a) * math.exp(mu * (a + x) + lam * s),
-                                  lo, max(d, lo))[0]
+            hi = max(d, lo)
+            # the flat part in closed form: quad warns on a width d - lo of 1e-308
+            flat = (hi - lo) * (hi + lo - a) * math.exp(mu * (a + x) + lam * s)
             grow = integrate.quad(lambda y: (2.0 * y - a) * math.exp(mu * (a + x) + lam * (y + x)),
-                                  max(d, lo), math.inf, epsabs=0.0, epsrel=1e-13)[0]
+                                  hi, math.inf, epsabs=0.0, epsrel=1e-13)[0]
             return flat + grow
 
         cuts = (-40.0 / mu, 0.0, d, d + 40.0 / beta)

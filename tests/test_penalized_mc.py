@@ -24,6 +24,7 @@ from penalab.penalized_mc import (
 )
 from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite
 from penalab.samplers import RngStream
+from penalab.weights import log_g_explinear
 
 UNIFORM = DensitySpec.uniform(1.0)
 PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
@@ -118,6 +119,146 @@ class TestRatioEstimator:
         narrow = DensitySpec.uniform(1e-9)
         with pytest.raises(ValueError):
             penalized_estimate(PhiOfMax(narrow), EV, 4.0, 2000, RngStream(11))
+
+
+def _one_shot_ratio(vals, logw):
+    """The self-normalized ratio, its delta-method stderr and Kish ESS from
+    whole arrays, one shift by the global maximum log-weight."""
+    n = logw.size
+    w = np.exp(logw - np.max(logw))
+    vw = vals * w
+    r = vw.sum() / w.sum()
+    wbar, w2bar, vwbar = w.mean(), np.mean(w * w), vw.mean()
+    var_vw = np.mean(vw * vw) - vwbar ** 2
+    var_w = w2bar - wbar ** 2
+    cov = np.mean(vw * w) - vwbar * wbar
+    var_r = (var_vw - 2.0 * r * cov + r * r * var_w) / (n * wbar * wbar)
+    return r, math.sqrt(max(var_r, 0.0)), n * wbar * wbar / w2bar
+
+
+class TestSharedDraws:
+    EV2 = RectEvent(1.0, b=0.25, c=1.0)
+    TABULATED = DensitySpec.tabulated(np.linspace(0.0, 1.5, 61),
+                                      0.3 + np.linspace(0.0, 1.5, 61) ** 2)
+
+    @pytest.mark.parametrize("pen", [PhiOfMax(TABULATED), ExpLinear(1.0, 1.0),
+                                     KennedyWeight(1.0, PSI)],
+                             ids=["tabulated-phi", "R2(1,1)", "kennedy"])
+    def test_vector_functional_is_the_scalar_calls(self, pen):
+        # three functionals from one kernel pass equal three scalar estimates
+        # on the same stream; n spans three chunks
+        rng = RngStream(40)
+        fns = [EV.indicator, self.EV2.indicator, lambda x, s: s]
+        both = penalized_estimate(pen, (1.0, lambda x, s: np.stack([f(x, s) for f in fns])),
+                                  32.0, 10000, rng)
+        assert both.value.shape == both.stderr.shape == (3,)
+        for j, f in enumerate(fns):
+            one = penalized_estimate(pen, (1.0, f), 32.0, 10000, rng)
+            assert both.value[j] == pytest.approx(one.value, rel=1e-12)
+            assert both.stderr[j] == pytest.approx(one.stderr, rel=1e-12)
+            assert (both.n, both.seed, both.ess) == (one.n, one.seed, one.ess)
+
+    @staticmethod
+    def _raised_states(monkeypatch, offset):
+        """Patch the state sampler so chunk k has its running max raised by
+        offset(k), which keeps s >= x; return the list the draws go to."""
+        from penalab import penalized_mc
+
+        drawn = []
+        real = penalized_mc.exact_bm_state
+
+        def raised(u, m, gen):
+            x, s = real(u, m, gen)
+            s = s + offset(len(drawn))
+            drawn.append((x, s))
+            return x, s
+
+        monkeypatch.setattr(penalized_mc, "exact_bm_state", raised)
+        return drawn
+
+    def test_streamed_sums_match_the_one_shot_ratio(self, monkeypatch):
+        # with e^{S_t} weights the largest log-weight sits in the last of four
+        # chunks, so the running shift rises and rescales the sums
+        from penalab.penalized_mc import CHUNK
+
+        drawn = self._raised_states(monkeypatch, lambda k: 3.0 * k)
+        pen, t, n = ExpLinear(1.0, 0.0), 8.0, 3 * CHUNK + 500
+        est = penalized_estimate(pen, (1.0, lambda x, s: np.stack([x, s])), t, n,
+                                 RngStream(41))
+        x, s = (np.concatenate(a) for a in zip(*drawn))
+        logw = log_g_explinear(x, s, t - 1.0, 1.0, 0.0)
+        assert len(drawn) == 4 and np.argmax(logw) >= 3 * CHUNK
+        for j, vals in enumerate((x, s)):
+            r, se, ess = _one_shot_ratio(vals, logw)
+            assert est.value[j] == pytest.approx(r, rel=1e-12)
+            assert est.stderr[j] == pytest.approx(se, rel=1e-12)
+            assert est.ess == pytest.approx(ess, rel=1e-12)
+
+    def test_a_chunk_of_vanished_weights_adds_nothing(self, monkeypatch):
+        # capped at 1.5: the first chunk's states all have s >= 2 (log-weight
+        # -inf), the later ones mostly lie below the cap
+        from penalab.penalized_mc import CHUNK
+
+        drawn = self._raised_states(monkeypatch, lambda k: 2.0 if k == 0 else 0.0)
+        pen, n = ExpLinear(0.0, -1.0, cap=1.5), 3 * CHUNK
+        est = penalized_estimate(pen, EV, 8.0, n, RngStream(42))
+        x, s = (np.concatenate(a) for a in zip(*drawn))
+        logw = log_g_explinear(x, s, 7.0, 0.0, -1.0, 1.5)
+        assert np.all(logw[:CHUNK] == -np.inf) and np.isfinite(est.value)
+        r, se, ess = _one_shot_ratio(EV.indicator(x, s).astype(float), logw)
+        assert (est.value, est.stderr, est.ess) == pytest.approx((r, se, ess), rel=1e-12)
+
+    def test_all_vanished_weights_still_raise(self):
+        # every state above the cap: log-weight -inf in every chunk
+        from penalab.penalized_mc import CHUNK
+
+        with pytest.raises(ValueError, match="degenerate"):
+            penalized_estimate(ExpLinear(0.0, -1.0, cap=-1.0), EV, 8.0, 2 * CHUNK + 1,
+                               RngStream(43))
+
+    def test_criterion_6_runs_one_kernel_pass_per_regime(self, monkeypatch):
+        # 3 regimes x n states, where one estimate per event took 6 n
+        from penalab import acceptance, penalized_mc
+
+        counts = self._count_kernel_states(monkeypatch, acceptance)
+        acceptance.criterion_6_regime_table(12345, scale=0.001)
+        assert counts == {"calls": 3, "states": 3 * 10000}
+
+    def test_bessel_check_runs_one_kernel_pass_per_horizon(self, monkeypatch):
+        from penalab import penalized_mc
+
+        counts = self._count_kernel_states(monkeypatch, penalized_mc)
+        rep = penalized_mc.bessel_penalization_check(-1.0, -1.0, 1.0, [8.0, 16.0], 3000,
+                                                     RngStream(44), b_levels=(0.8, 1.6))
+        assert len(rep["rows"]) == 4
+        assert counts == {"calls": 2, "states": 2 * 3000}
+
+    @staticmethod
+    def _count_kernel_states(monkeypatch, caller):
+        """Count penalized_estimate calls made through ``caller`` and the
+        log_g_explinear states evaluated inside them."""
+        from penalab import penalized_mc
+
+        counts = {"calls": 0, "states": 0}
+        inside = []
+        real_estimate, real_kernel = penalized_mc.penalized_estimate, penalized_mc.log_g_explinear
+
+        def estimate(*args, **kwargs):
+            counts["calls"] += 1
+            inside.append(True)
+            try:
+                return real_estimate(*args, **kwargs)
+            finally:
+                inside.pop()
+
+        def kernel(x, s, *args):
+            if inside:
+                counts["states"] += np.size(x)
+            return real_kernel(x, s, *args)
+
+        monkeypatch.setattr(caller, "penalized_estimate", estimate)
+        monkeypatch.setattr(penalized_mc, "log_g_explinear", kernel)
+        return counts
 
 
 class TestUnitMeanInvariant:
