@@ -43,6 +43,7 @@ from .samplers import (
     RngStream,
     draw_penalty_pairs,
     exact_bm_state,
+    exact_two_time_state,
     level_event_frequency,
     mixture_levels,
 )
@@ -67,9 +68,9 @@ def criterion_1_density_oracles(seed: int, scale: float = 1.0) -> list[Verdict]:
     x, s = exact_bm_state(1.0, n, rng.generator(0))
     v1 = ks_test(np.sort(s), lambda z: h_cdf(1.0, np.maximum(z, 0.0)),
                  name="ks-running-max", provenance="max law at t=1")
-    bess = np.sqrt(np.sum(rng.generator(1).standard_normal((3, n)) ** 2, axis=0))
-    v2 = ks_test(np.sort(bess), _chi3_cdf, name="ks-bessel3",
-                 provenance="Bessel(3) marginal at t=1")
+    _, _, xt, st = exact_two_time_state(0.5, 1.0, n, rng.generator(1))
+    v2 = ks_test(np.sort(2.0 * st - xt), _chi3_cdf, name="ks-bessel3",
+                 provenance="Bessel(3) marginal at t=1, two-time draw from u=0.5")
     v3 = ks_test(np.sort(2.0 * s - x), _chi3_cdf, name="ks-pitman-2s-x",
                  provenance="reflected path marginal at t=1")
     return [v1, v2, v3]
@@ -79,22 +80,17 @@ def criterion_2_unit_means(seed: int, scale: float = 1.0) -> list[Verdict]:
     """Every weight martingale has empirical mean 1 within 4 stderr."""
     n = max(int(100000 * scale), 1000)
     rng = RngStream(seed, 2)
-    lam = 1.0
-    cases = []
-    for tag, fn in [
+    cases = [
         ("m_phi[exp(1)]", lambda x, s, u: m_phi_xs(x, s, PHI_EXP)),
         ("m_phi[uniform(1)]", lambda x, s, u: m_phi_xs(x, s, PHI_UNIFORM)),
-        ("m_kennedy[lam=1]", lambda x, s, u: m_kennedy_xs(x, s, u, lam, PSI_KENNEDY)),
+        ("m_kennedy[lam=1]", lambda x, s, u: m_kennedy_xs(x, s, u, 1.0, PSI_KENNEDY)),
         ("m_mu_lambda[R1(-2.5,1)]", lambda x, s, u: m_mu_lambda_xs(x, s, u, -2.5, 1.0)),
         ("m_mu_lambda[R2(0.5,0.25)]", lambda x, s, u: m_mu_lambda_xs(x, s, u, 0.5, 0.25)),
         ("m_mu_lambda[R3(0,-1)]", lambda x, s, u: m_mu_lambda_xs(x, s, u, 0.0, -1.0)),
-    ]:
-        cases.append((tag, fn))
+    ]
     verdicts = []
-    k = 0
-    for u in (0.5, 1.0, 2.0):
+    for k, u in enumerate((0.5, 1.0, 2.0)):
         x, s = exact_bm_state(u, n, rng.generator(k))
-        k += 1
         for tag, fn in cases:
             vals = np.asarray(fn(x, s, u), dtype=float)
             se = float(np.std(vals)) / math.sqrt(n)

@@ -310,11 +310,11 @@ class DensitySpec:
         return float(out) if np.ndim(out) == 0 else out
 
     def ppf(self, q):
-        """Inverse CDF; only meaningful under the unit-mass normalization."""
+        """Inverse CDF under the unit-mass normalization, whose mass may be 1 + ulp."""
         if self.laplace_lambda is not None:
             raise ValueError("ppf requires the unit-mass normalization")
         q = np.asarray(q, dtype=float)
-        if np.any((q < 0.0) | (q > 1.0)):
+        if np.any((q < 0.0) | (q > max(1.0, self.mass()))):
             raise ValueError("quantile levels must lie in [0, 1]")
         if self.family == "exponential":
             out = -np.log1p(-np.minimum(q, 1.0 - 1e-16)) / self.rate

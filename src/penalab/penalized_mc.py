@@ -5,8 +5,8 @@ u < t is the ratio E[1_G F_t] / E[F_t].  Because every in-scope weight is a
 function of (X_t, S_t), the default estimator replaces F_t by its exact
 conditional expectation given (X_u, S_u) (same estimand, finite variance even
 for exponential weights at t ~ 10^3, where raw terminal weighting has an
-effective sample size of order n e^{-ct}).  The raw terminal estimator is
-kept as mode="terminal" for cross-checks at small t.
+effective sample size of order n e^{-ct}).  A kind with no kernel is weighted
+by F_t itself, at an exact draw of (X_t, S_t).
 
 Conditioning on the terminal state is exact too: ``max_conditional`` samples
 the law given S_u = y, and ``terminal_conditional`` the law given S_t = y, or
@@ -61,10 +61,13 @@ CHUNK = 4096
 class PhiOfMax:
     phi: DensitySpec
 
+    def log_terminal(self, xt, st):
+        return np.log(self.phi.pdf(st))
 
-@dataclass(frozen=True)
-class BivariateF:
-    f: BivariatePenalty
+    def log_kernel(self, x, s, r: float):
+        return log_g_phi(x, s, r, self.phi)
+
+    kinks = property(lambda self: self.phi.kinks)
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,14 @@ class ExpLinear:
     mu: float
     cap: float = math.inf
 
+    def log_terminal(self, xt, st):
+        return np.where(st <= self.cap, self.lam * st + self.mu * xt, -np.inf)
+
+    def log_kernel(self, x, s, r: float):
+        return log_g_explinear(x, s, r, self.lam, self.mu, self.cap)
+
+    kinks = property(lambda self: (self.cap,))
+
 
 @dataclass(frozen=True)
 class KennedyWeight:
@@ -84,7 +95,40 @@ class KennedyWeight:
     def __post_init__(self):
         self.psi.require_laplace_normalized(self.lam)
 
+    def log_terminal(self, xt, st):
+        return np.log(self.psi.pdf(st)) + self.lam * (st - xt)
 
+    def log_kernel(self, x, s, r: float):
+        return log_g_kennedy(x, s, r, self.lam, self.psi)
+
+    kinks = property(lambda self: self.psi.kinks)
+
+
+@dataclass(frozen=True)
+class BivariateF:
+    """The weight f(X_t, S_t).  The exponential family takes ``ExpLinear``'s
+    kernel and kinks; the other families have no conditional kernel."""
+
+    f: BivariatePenalty
+    log_kernel = None
+    kinks = ()
+
+    def __post_init__(self):
+        if isinstance(self.f, ExponentialBivariate):
+            exp = ExpLinear(self.f.lam, self.f.mu)
+            object.__setattr__(self, "log_kernel", exp.log_kernel)
+            object.__setattr__(self, "kinks", exp.kinks)
+
+    def log_terminal(self, xt, st):
+        out = np.full(xt.shape, -np.inf)
+        ok = st >= np.maximum(xt, 0.0)
+        out[ok] = np.log(np.maximum(self.f.evaluate(xt[ok], st[ok]), 0.0))
+        return out
+
+
+# A penalty kind provides log_terminal(xt, st) = log F_t, log_kernel(x, s, r) =
+# log E[F_t | X_u = x, S_u = s] at r = t - u (None for a kind with no kernel),
+# and kinks, the s where that kernel bends.
 PenaltyKind = PhiOfMax | BivariateF | ExpLinear | KennedyWeight
 
 
@@ -100,38 +144,10 @@ class Estimate:
     seed: tuple[int, int]
     ess: float
 
-
-def _normalize_penalty(pen: PenaltyKind) -> PenaltyKind:
-    if isinstance(pen, BivariateF) and isinstance(pen.f, ExponentialBivariate):
-        return ExpLinear(pen.f.lam, pen.f.mu)
-    return pen
-
-
-def _log_weight_terminal(pen: PenaltyKind, xt, st):
-    with np.errstate(divide="ignore"):
-        if isinstance(pen, PhiOfMax):
-            return np.log(pen.phi.pdf(st))
-        if isinstance(pen, ExpLinear):
-            return np.where(st <= pen.cap, pen.lam * st + pen.mu * xt, -np.inf)
-        if isinstance(pen, KennedyWeight):
-            return np.log(pen.psi.pdf(st)) + pen.lam * (st - xt)
-        if isinstance(pen, BivariateF):
-            vals = np.where(st >= np.maximum(xt, 0.0), 1.0, 0.0)
-            out = np.full(xt.shape, -np.inf)
-            ok = vals > 0.0
-            out[ok] = np.log(np.maximum(pen.f.evaluate(xt[ok], st[ok]), 0.0))
-            return out
-    raise TypeError(f"unsupported penalty {pen!r}")
-
-
-def _log_weight_conditional(pen: PenaltyKind, xu, su, r: float):
-    if isinstance(pen, PhiOfMax):
-        return log_g_phi(xu, su, r, pen.phi)
-    if isinstance(pen, ExpLinear):
-        return log_g_explinear(xu, su, r, pen.lam, pen.mu, pen.cap)
-    if isinstance(pen, KennedyWeight):
-        return log_g_kennedy(xu, su, r, pen.lam, pen.psi)
-    raise TypeError(f"no conditional kernel for {pen!r}; use mode='terminal'")
+    def __post_init__(self):
+        if np.ndim(self.value) == 0:
+            object.__setattr__(self, "value", float(self.value))
+            object.__setattr__(self, "stderr", float(self.stderr))
 
 
 class _WeightedSums:
@@ -195,45 +211,39 @@ def _event_values(ev):
     return u, lambda x, s: np.asarray(g(x, s), dtype=float)
 
 
-def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream,
-                       mode: str = "auto") -> Estimate:
+def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream) -> Estimate:
     """Ratio estimator of the penalized probability (or functional mean).
 
     ``ev`` is a RectEvent, or a pair (u, g) with g a vectorized functional
     of the state (X_u, S_u).  A g that returns shape (k, m) for m states is
     k functionals at once: ``value`` and ``stderr`` are length-k arrays, all
     from the same draws and weights, and ``ess`` is their shared Kish number.
-    ``mode``: "conditional" weights each draw by the exact conditional
-    expectation of F_t given the time-u state; "terminal" evaluates F_t at an
-    exact draw of (X_t, S_t); "auto" picks "conditional" when a kernel exists.
-    The ratio sums are streamed chunk by chunk, so memory is O(CHUNK k).
+    A kind with a kernel weights each draw by the exact conditional
+    expectation of F_t given the time-u state; a kind without one by F_t at
+    an exact draw of (X_t, S_t).  The ratio sums are streamed chunk by chunk,
+    so memory is O(CHUNK k).
     """
     u, val_fn = _event_values(ev)
     if t <= u:
         raise ValueError("horizon t must exceed the observation time u")
-    pen = _normalize_penalty(pen)
-    if mode == "auto":
-        mode = "terminal" if isinstance(pen, BivariateF) else "conditional"
-    if mode not in ("conditional", "terminal"):
-        raise ValueError("mode must be 'auto', 'conditional' or 'terminal'")
     if n < 2:
         raise ValueError("need at least two samples")
 
+    kernel = pen.log_kernel
     sums = _WeightedSums()
     for ci, done in enumerate(range(0, n, CHUNK)):
         m = min(CHUNK, n - done)
         gen = rng.generator(ci)
-        if mode == "conditional":
+        if kernel is not None:
             xu, su = exact_bm_state(u, m, gen)
-            logw = _log_weight_conditional(pen, xu, su, t - u)
+            logw = kernel(xu, su, t - u)
         else:
             xu, su, xt, st = exact_two_time_state(u, t, m, gen)
-            logw = _log_weight_terminal(pen, xt, st)
+            with np.errstate(divide="ignore"):
+                logw = pen.log_terminal(xt, st)
         sums.add(val_fn(xu, su), np.asarray(logw, dtype=float))
 
     r, se, ess = sums.ratio()
-    if np.ndim(r) == 0:
-        r, se = float(r), float(se)
     return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
 
 
@@ -250,23 +260,20 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     u = ev.u
     if t <= u:
         raise ValueError("horizon must exceed the event time")
-    pen = _normalize_penalty(pen)
-    zero = np.zeros(1)
-    log_den = float(_log_weight_conditional(pen, zero, zero, t)[0])
-    if isinstance(pen, ExpLinear):
-        kinks = (pen.cap,)
-    else:
-        kinks = (pen.phi if isinstance(pen, PhiOfMax) else pen.psi).kinks
-    return expect_on_event(
-        ev, lambda x, s: np.exp(_log_weight_conditional(pen, x, s, t - u) - log_den),
-        w_max=w_max, points=kinks)
+    kernel = pen.log_kernel
+    if kernel is None:
+        raise TypeError(f"no conditional kernel for {pen!r}")
+    log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
+    return expect_on_event(ev, lambda x, s: np.exp(kernel(x, s, t - u) - log_den),
+                           w_max=w_max, points=pen.kinks)
 
 
 def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> Estimate:
     """E[g(X_u, S_u) | S_u = y], a plain mean over exact draws.
 
     Given S_u = y, 2 y - X_u = sqrt(y^2 - 2 u log U) with U uniform; g must
-    be vectorized over (x, s) arrays.
+    be vectorized over (x, s) arrays, and a g of shape (k, n) gives length-k
+    ``value`` and ``stderr``.
     """
     if y <= 0.0 or u <= 0.0:
         raise ValueError("need y > 0 and u > 0")
@@ -274,14 +281,15 @@ def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> 
         raise ValueError("need at least two samples")
     x = 2.0 * y - np.sqrt(y * y - 2.0 * u * np.log(1.0 - rng.generator().random(n)))
     vals = np.asarray(g(x, np.full(n, y)), dtype=float)
-    return Estimate(float(np.mean(vals)), float(np.std(vals)) / math.sqrt(n), n,
+    return Estimate(np.mean(vals, axis=-1), np.std(vals, axis=-1) / math.sqrt(n), n,
                     (rng.seed, rng.stream_id), float(n))
 
 
 def terminal_conditional(ev, t: float, y: float, n: int, rng: RngStream,
                          a: float | None = None) -> Estimate:
     """P(G | S_t = y), or with ``a`` P(G | X_t = a, S_t = y), for an event or
-    functional G at time u < t, as in ``penalized_estimate``.
+    functional G at time u < t, as in ``penalized_estimate`` (a functional of
+    shape (k, n) gives length-k ``value`` and ``stderr``).
 
     Given the time-u state (x, s) and r = t - u, the terminal state has a
     closed-form density, which splits the conditional law into two exact
@@ -321,8 +329,8 @@ def terminal_conditional(ev, t: float, y: float, n: int, rng: RngStream,
     part_a = val_fn(xu, su) * dens
     atom = p_max(u, y)
     part_b = max_conditional(lambda x, s: val_fn(x, s) * kernel(x), y, u, n, rng)
-    value = (float(np.mean(part_a)) + atom * part_b.value) / denom
-    stderr = math.hypot(float(np.std(part_a)) / math.sqrt(n), atom * part_b.stderr) / denom
+    value = (np.mean(part_a, axis=-1) + atom * part_b.value) / denom
+    stderr = np.hypot(np.std(part_a, axis=-1) / math.sqrt(n), atom * part_b.stderr) / denom
     s1, s2 = float(np.sum(dens)), float(np.sum(dens * dens))
     return Estimate(value, stderr, n, (rng.seed, rng.stream_id), s1 * s1 / s2 if s2 > 0.0 else 0.0)
 

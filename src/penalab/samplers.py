@@ -84,10 +84,6 @@ class Path:
     def times(self) -> np.ndarray:
         return self.step * np.arange(self.values.size)
 
-    @property
-    def horizon(self) -> float:
-        return self.step * (self.values.size - 1)
-
     def write_csv(self, fh) -> None:
         """Dump the trajectory as CSV rows (t, x, s)."""
         fh.write("t,x,s\n")

@@ -1,4 +1,5 @@
 import math
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -7,7 +8,15 @@ from scipy import integrate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from penalab.exact_laws import DensitySpec, ExponentialBivariate, h_cdf, p_bessel3, p_joint, p_max
+from penalab.exact_laws import (
+    DensitySpec,
+    ExponentialBivariate,
+    SeparableIndicator,
+    h_cdf,
+    p_bessel3,
+    p_joint,
+    p_max,
+)
 from penalab.expansion import phi_series_value
 from penalab.martingales import m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from penalab.penalized_mc import (
@@ -32,6 +41,18 @@ EV = RectEvent(1.0, b=0.0, c=0.5)
 FULL = RectEvent(1.0)
 
 
+@dataclass(frozen=True)
+class TerminalOnly:
+    """A kind's view without its kernel: the estimator weights by F_t itself,
+    at an exact draw of (X_t, S_t)."""
+
+    pen: object
+    log_kernel = None
+
+    def log_terminal(self, xt, st):
+        return self.pen.log_terminal(xt, st)
+
+
 class TestRatioEstimator:
     @pytest.mark.parametrize("pen", [
         PhiOfMax(UNIFORM),
@@ -52,8 +73,8 @@ class TestRatioEstimator:
 
     def test_terminal_and_conditional_agree(self):
         t = 16.0
-        a = penalized_estimate(ExpLinear(-2.0, 1.0), EV, t, 60000, RngStream(3), mode="terminal")
-        b = penalized_estimate(ExpLinear(-2.0, 1.0), EV, t, 60000, RngStream(4), mode="conditional")
+        a = penalized_estimate(TerminalOnly(ExpLinear(-2.0, 1.0)), EV, t, 60000, RngStream(3))
+        b = penalized_estimate(ExpLinear(-2.0, 1.0), EV, t, 60000, RngStream(4))
         assert abs(a.value - b.value) <= 3.5 * math.hypot(a.stderr, b.stderr)
 
     def test_r2_estimate_is_drifted_wiener(self):
@@ -101,16 +122,15 @@ class TestRatioEstimator:
         assert est1.value == est2.value
 
     def test_ess_is_n_for_flat_weights(self):
-        est = penalized_estimate(ExpLinear(0.0, 0.0), EV, 8.0, 3000, RngStream(31),
-                                 mode="terminal")
+        est = penalized_estimate(TerminalOnly(ExpLinear(0.0, 0.0)), EV, 8.0, 3000, RngStream(31))
         assert est.ess == pytest.approx(3000.0, rel=1e-12)
 
     def test_ess_is_kish_of_the_weights(self):
         from penalab.samplers import exact_two_time_state
 
         # n below one chunk: the estimator draws from generator(0)
-        est = penalized_estimate(ExpLinear(-2.0, 1.0), EV, 16.0, 4000, RngStream(32),
-                                 mode="terminal")
+        est = penalized_estimate(TerminalOnly(ExpLinear(-2.0, 1.0)), EV, 16.0, 4000,
+                                 RngStream(32))
         _, _, xt, st = exact_two_time_state(1.0, 16.0, 4000, RngStream(32).generator(0))
         w = np.exp(-2.0 * st + xt)
         assert est.ess == pytest.approx(w.sum() ** 2 / np.sum(w * w), rel=1e-9)
@@ -288,6 +308,15 @@ class TestMaxConditional:
             with pytest.raises(ValueError):
                 max_conditional(lambda x, s: x, y, 1.0, 2000, RngStream(17))
 
+    def test_stacked_functionals_are_the_scalar_calls(self):
+        # a (2, n) functional gives two means, not the mean of the two
+        both = max_conditional(lambda x, s: np.stack([x, s]), 1.0, 1.0, 20000, RngStream(5))
+        assert both.value.shape == both.stderr.shape == (2,)
+        for j, g in enumerate((lambda x, s: x, lambda x, s: s)):
+            one = max_conditional(g, 1.0, 1.0, 20000, RngStream(5))
+            assert both.value[j] == pytest.approx(one.value, abs=1e-12)
+            assert both.stderr[j] == pytest.approx(one.stderr, abs=1e-12)
+
 
 class TestFiniteTValue:
     @given(pen=st.sampled_from([PhiOfMax(UNIFORM), PhiOfMax(DensitySpec.exponential(1.5)),
@@ -327,11 +356,63 @@ class TestFiniteTValue:
         assert finite_t_value(f, EV, 16.0) == finite_t_value(ExpLinear(-2.0, 1.0), EV, 16.0)
 
     def test_needs_a_conditional_kernel(self):
-        from penalab.exact_laws import SeparableIndicator
-
         g = np.linspace(-3.0, 1.0, 41)
         with pytest.raises(TypeError):
             finite_t_value(BivariateF(SeparableIndicator(g, np.exp(g), 1.0)), EV, 16.0)
+
+
+def _separable_value(f, ev, t, nodes):
+    """E[1_G f(X_t, S_t)] / E[f(X_t, S_t)] for f = f1(a) 1{y <= A}: q_ay_finite
+    mixed with weight f1(a) p_joint(t, a, y) over max(a, 0) < y <= A, by a
+    fixed Gauss-Legendre product rule cut at f1's knots, at a = 0 and at y = c."""
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    x, w = (x + 1.0) / 2.0, w / 2.0
+    a_cuts = np.union1d(f.f1_grid, [0.0])
+    num = den = 0.0
+    for a0, a1 in zip(a_cuts[:-1], a_cuts[1:]):
+        for a, wa in zip(a0 + (a1 - a0) * x, (a1 - a0) * w):
+            lo = max(a, 0.0)
+            y_cuts = [lo] + ([ev.c] if lo < ev.c < f.cutoff else []) + [f.cutoff]
+            for y0, y1 in zip(y_cuts[:-1], y_cuts[1:]):
+                y = y0 + (y1 - y0) * x
+                dens = wa * (y1 - y0) * w * f.f1(a) * p_joint(t, a, y)
+                num += float(np.sum(dens * q_ay_finite(a, y, ev, t)))
+                den += float(np.sum(dens))
+    return num / den
+
+
+@dataclass(frozen=True)
+class ShiftedKernel:
+    """A kind whose log-kernel is another kind's plus a constant."""
+
+    pen: object
+    shift: float
+
+    def log_kernel(self, x, s, r):
+        return self.pen.log_kernel(x, s, r) + self.shift
+
+    kinks = property(lambda self: self.pen.kinks)
+
+
+class TestKernelFreeRoute:
+    F = SeparableIndicator(np.linspace(-3.0, 1.0, 41), np.exp(np.linspace(-3.0, 1.0, 41)), 1.0)
+
+    def test_reference_rule_is_converged(self):
+        assert _separable_value(self.F, EV, 4.0, 8) == pytest.approx(
+            _separable_value(self.F, EV, 4.0, 16), abs=1e-13)
+
+    def test_separable_indicator_matches_the_exact_value(self):
+        # f1 = e^a on 41 knots of [-3, 1], A = 1: no kernel, so terminal weights
+        pen = BivariateF(self.F)
+        assert pen.log_kernel is None
+        est = penalized_estimate(pen, EV, 4.0, 200000, RngStream(45))
+        exact = _separable_value(self.F, EV, 4.0, 8)
+        assert abs(est.value - exact) <= 3.5 * est.stderr
+
+    def test_a_constant_in_the_log_kernel_cancels(self):
+        pen = ExpLinear(-2.0, 1.0)
+        assert finite_t_value(ShiftedKernel(pen, 7.5), EV, 16.0) == pytest.approx(
+            finite_t_value(pen, EV, 16.0), abs=1e-12)
 
 
 class TestRegimeCheck:
@@ -391,13 +472,13 @@ class TestBesselPenalization:
                                     0.0, row["b"], epsabs=1e-13, epsrel=1e-12, limit=200)
             assert row["limit"] == pytest.approx(law, abs=1e-12)
 
-    def test_terminal_mode_honours_the_cap(self):
+    def test_terminal_route_honours_the_cap(self):
         # raw terminal weights e^{-R_t} 1{J_t <= 1} against the exact finite-t
         # value, an independent check of the capped conditional kernel
         pen = bessel_weight(0.0, 0.0, trivial=True)
         t, b = 4.0, 0.8
-        est = penalized_estimate(pen, (1.0, lambda x, s: 2.0 * s - x <= b), t, 200000,
-                                 RngStream(23), mode="terminal")
+        est = penalized_estimate(TerminalOnly(pen), (1.0, lambda x, s: 2.0 * s - x <= b), t,
+                                 200000, RngStream(23))
         exact = finite_t_value(pen, RectEvent(1.0), t, w_max=b)
         assert abs(est.value - exact) <= 4.0 * est.stderr
 
@@ -438,6 +519,20 @@ class TestTerminalConditional:
         est = terminal_conditional(RectEvent(1.0), 8.0, 0.7, 200000, RngStream(26), a=-0.5)
         assert abs(est.value - 1.0) <= 4 * est.stderr
         assert 0.0 < est.ess <= est.n
+
+    @pytest.mark.parametrize("a", [None, 0.3])
+    def test_stacked_events_are_the_scalar_calls(self, a):
+        # EVENT and EVENT2 of criterion 6, stacked: two values from one call
+        events = (EV, RectEvent(1.0, b=0.25, c=1.0))
+        both = terminal_conditional(
+            (1.0, lambda x, s: np.stack([ev.indicator(x, s) for ev in events])), 4.0, 1.0,
+            20000, RngStream(5), a=a)
+        assert both.value.shape == both.stderr.shape == (2,)
+        for j, ev in enumerate(events):
+            one = terminal_conditional(ev, 4.0, 1.0, 20000, RngStream(5), a=a)
+            assert both.value[j] == pytest.approx(one.value, abs=1e-12)
+            assert both.stderr[j] == pytest.approx(one.stderr, abs=1e-12)
+            assert both.ess == one.ess
 
     @pytest.mark.parametrize("t,y,a", [(1.0, 1.0, None), (0.5, 1.0, 0.0), (4.0, 0.0, None),
                                        (4.0, -1.0, None), (4.0, 0.5, 1.0), (4.0, 0.5, 0.5)])
