@@ -290,10 +290,10 @@ CRITERIA = [
 
 
 def run_suite(seed: int = 12345, scale: float = 1.0, which=None):
-    """Run the acceptance criteria; returns (verdicts, all_pass)."""
+    """Run the acceptance criteria; returns their verdicts."""
     verdicts = []
     for idx, (label, fn) in enumerate(CRITERIA, start=1):
         if which is not None and idx not in which:
             continue
         verdicts.extend(fn(seed, scale))
-    return verdicts, all(v.passed for v in verdicts)
+    return verdicts

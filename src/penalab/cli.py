@@ -219,8 +219,7 @@ def _cmd_verify(args, verdicts):
     which = None
     if args.only:
         which = {int(k) for k in args.only.split(",")}
-    vs, _ = acceptance.run_suite(seed=args.seed, scale=args.scale, which=which)
-    _emit(vs, verdicts)
+    _emit(acceptance.run_suite(seed=args.seed, scale=args.scale, which=which), verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -418,7 +418,12 @@ class SeparableIndicator:
 
 @dataclass(frozen=True)
 class TabulatedGrid:
-    """f tabulated on a rectangular (a, y) grid, bilinear inside, 0 outside."""
+    """f tabulated on a rectangular (a, y) grid, bilinear inside, 0 outside.
+
+    Construction builds the exact cell moments once (``_cells``, the tuple of
+    ``_tabgrid_cell_moments``); ``fbar``, ``phi_from_f`` and the pair draws
+    all read them.
+    """
 
     a_grid: np.ndarray
     y_grid: np.ndarray
@@ -437,6 +442,7 @@ class TabulatedGrid:
         object.__setattr__(self, "a_grid", a)
         object.__setattr__(self, "y_grid", y)
         object.__setattr__(self, "table", t)
+        object.__setattr__(self, "_cells", _tabgrid_cell_moments(self))
 
     def _bilinear(self, a, y):
         a = np.asarray(a, dtype=float)
@@ -479,7 +485,7 @@ def fbar(f: BivariatePenalty) -> float:
         # A * integral (A - a) f1(a) da, exact on the tabulation
         return float(A * (A * f._prefix(0, A) - f._prefix(1, A)))
     if isinstance(f, TabulatedGrid):
-        _, ma, my, _, _ = _tabgrid_cell_moments(f)
+        _, ma, my, _, _ = f._cells
         return float(np.sum(2.0 * my - ma))
     raise TypeError(f"unsupported penalty type {type(f)!r}")
 
@@ -497,7 +503,10 @@ def _tabgrid_cell_moments(f: TabulatedGrid):
     pieces where the boundary is linear, which is exact for the degree-4
     polynomials they integrate.  The y-grid is refined _Y_REFINE-fold,
     keeping the original knots (which reproduces the interpolant exactly), so
-    downstream tabulations are dense.
+    downstream tabulations are dense.  ``TabulatedGrid`` runs this once, at
+    construction; 2 my - ma is the exact mass of (2 eta - a) f on each refined
+    cell, also on the cells the boundary cuts, and picks the cell of a pair
+    draw.
     """
     a, y = f.a_grid, f.y_grid
     yr = np.unique(np.concatenate([
@@ -572,18 +581,14 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     checked to be 1 within 1e-6 before the (exact) renormalization that
     tabulation applies.
     """
-    if isinstance(f, TabulatedGrid):
-        # one cell-moment pass gives both fbar(f) and the upper tails below
-        m0, ma, my, grid, table = _tabgrid_cell_moments(f)
-        total = float(np.sum(2.0 * my - ma))
-    else:
-        total = fbar(f)
+    total = fbar(f)
     if not 0.0 < total < math.inf:
         raise ValueError("phi_from_f requires a finite, positive fbar(f)")
     if isinstance(f, ExponentialBivariate):
         return DensitySpec.exponential(-(f.lam + f.mu))
     if isinstance(f, SeparableIndicator):
         return DensitySpec.uniform(f.cutoff)
+    m0, _, _, grid, table = f._cells
     # upper-tail mass of f above each refined knot (exact cell suffix sums)
     col = np.sum(m0, axis=0)
     tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))

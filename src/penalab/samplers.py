@@ -70,15 +70,13 @@ class Path:
     ``runmax`` is the running maximum of the stored values, and the level
     itself from its first passage on.  ``hit_time`` is the
     exact first-passage time of the designated level and may exceed the
-    window.  ``sup_total`` is the supremum of the full (untruncated)
-    trajectory when the construction pins it down.
+    window.
     """
 
     step: float
     values: np.ndarray
     runmax: np.ndarray
     hit_time: float | None = None
-    sup_total: float | None = None
 
     @property
     def times(self) -> np.ndarray:
@@ -169,20 +167,21 @@ def sample_Q_y(y: float, horizon: float, step: float, gen: np.random.Generator) 
     values = y - np.sqrt(np.sum(bridge * bridge, axis=0))
     runmax = np.maximum.accumulate(values)
     runmax[times >= passage] = y
-    return Path(step=step, values=values, runmax=runmax, hit_time=passage, sup_total=y)
+    return Path(step=step, values=values, runmax=runmax, hit_time=passage)
 
 
 def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
     """n draws of (a, y) from the normalized density (2y - a) f(a, y).
 
-    Every family is drawn as whole arrays, and each table is built once per
-    call.  The exponential family uses exact Exp/Gamma(2) mixtures.  The
-    separable indicator inverts the CDF of the a-marginal (A - a) f1(a),
-    tabulated by the trapezoid rule on 8193 points, then the conditional
-    level exactly.  A tabulated grid picks a cell by its midpoint-rule mass
-    and a uniform point inside it: the draw is exact only up to the midpoint
-    rule and the bilinear shape inside a cell, which the uniform point
-    ignores.  In the two table families row k of the uniforms holds the
+    Every family is drawn as whole arrays from the exact integrals of
+    ``exact_laws``.  The exponential family uses exact Exp/Gamma(2) mixtures.
+    The separable indicator inverts the exact CDF of the a-marginal
+    (A - a) f1(a), interpolated between 8193 points, then the conditional
+    level exactly.  A tabulated grid picks a refined cell of its cell table
+    by its exact mass, then a point in the cell's supported part: y uniform
+    above max(a_lo, 0), then a uniform below y; on a cell the boundary does
+    not cut the point is uniform, which ignores the bilinear shape inside
+    the cell.  In the two table families row k of the uniforms holds the
     uniforms of draw k, in order, so splitting n across calls does not
     change the draws.
     """
@@ -203,10 +202,9 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
     if isinstance(f, SeparableIndicator):
         A = f.cutoff
         g = f.f1_grid
-        # marginal of a on the tabulation: (A - a) f1(a), sampled on a refined grid
+        # CDF of the a-marginal (A - a) f1(a), exact at 8193 points
         fine = np.linspace(g[0], g[-1], 8193)
-        dens = (A - fine) * f.f1(fine)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))))
+        cdf = A * f._prefix(0, fine) - f._prefix(1, fine)
         if cdf[-1] <= 0.0:
             raise ValueError("penalty carries no mass")
         cdf /= cdf[-1]
@@ -216,22 +214,17 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
         y = 0.5 * (a + np.sqrt(a * a + 4.0 * u[:, 1] * A * (A - a)))
         return a, np.minimum(y, A)
     if isinstance(f, TabulatedGrid):
-        a, yg = f.a_grid, f.y_grid
-        aa, yy = np.meshgrid(0.5 * (a[:-1] + a[1:]), 0.5 * (yg[:-1] + yg[1:]), indexing="ij")
-        da = np.diff(a)[:, None]
-        dy = np.diff(yg)[None, :]
-        supported = yy >= np.maximum(aa, 0.0)
-        mass = np.where(supported, (2.0 * yy - aa) * f._bilinear(aa, yy) * da * dy, 0.0)
-        flat = mass.ravel()
-        total = flat.sum()
-        if total <= 0.0:
+        _, ma, my, yr, _ = f._cells
+        a = f.a_grid
+        cdf = np.cumsum(2.0 * my - ma)
+        if cdf[-1] <= 0.0:
             raise ValueError("penalty table carries no mass")
         u = gen.random((n, 3))
-        idx = np.minimum(np.searchsorted(np.cumsum(flat) / total, u[:, 0]), flat.size - 1)
-        ia, iy = np.unravel_index(idx, mass.shape)
-        av = a[ia] + u[:, 1] * (a[ia + 1] - a[ia])
-        yv = yg[iy] + u[:, 2] * (yg[iy + 1] - yg[iy])
-        return av, np.maximum(yv, np.maximum(av, 0.0) + 1e-12)
+        ia, iy = np.unravel_index(np.searchsorted(cdf, u[:, 0] * cdf[-1]), my.shape)
+        y_lo = np.maximum(yr[iy], np.maximum(a[ia], 0.0))
+        yv = y_lo + u[:, 2] * (yr[iy + 1] - y_lo)
+        av = a[ia] + u[:, 1] * (np.minimum(a[ia + 1], yv) - a[ia])
+        return av, yv
     raise TypeError(f"unsupported penalty type {type(f)!r}")
 
 

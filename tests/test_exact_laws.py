@@ -394,7 +394,7 @@ class TestTabulatedAcrossTheDiagonal:
 
 
 class TestOneCellMomentPass:
-    def test_phi_from_f_runs_the_cell_moments_once(self, monkeypatch):
+    def test_one_pass_serves_phi_from_f_fbar_and_the_draws(self, monkeypatch):
         passes = []
         inner = exact_laws._tabgrid_cell_moments
 
@@ -405,9 +405,11 @@ class TestOneCellMomentPass:
         monkeypatch.setattr(exact_laws, "_tabgrid_cell_moments", counted)
         tab = _diagonal_table()
         phi_from_f(tab)
+        total = fbar(tab)
+        draw_penalty_pairs(tab, 10, RngStream(0).generator())
         assert len(passes) == 1
         _, ma, my, _, _ = passes[0]
-        assert float(np.sum(2.0 * my - ma)) == pytest.approx(fbar(tab), rel=1e-12)
+        assert float(np.sum(2.0 * my - ma)) == pytest.approx(total, rel=1e-12)
 
 
 class TestKennedyTransforms:

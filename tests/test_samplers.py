@@ -127,7 +127,6 @@ class TestSampleQy:
             assert p.values[0] == 0.0 and np.all(p.values < 1.0)
             assert np.all(p.runmax[after] == 1.0)
             assert np.array_equal(p.runmax[~after], np.maximum.accumulate(p.values)[~after])
-            assert p.sup_total == 1.0
             hits += bool(after.any())
         # both branches, a passage inside the window and one beyond it, occur
         assert 0 < hits < 10
@@ -268,37 +267,62 @@ def tabulated_penalty():
     return TabulatedGrid(a, y, np.exp(aa - yy))
 
 
+def diagonal_penalty():
+    # nonzero on both sides of the diagonal y = a
+    a = np.linspace(-1.0, 2.0, 31)
+    y = np.linspace(0.0, 3.0, 31)
+    aa, yy = np.meshgrid(a, y, indexing="ij")
+    return TabulatedGrid(a, y, np.exp(-aa ** 2 - yy))
+
+
 TABLE_PENALTIES = [pytest.param(separable_penalty(), id="separable"),
-                   pytest.param(tabulated_penalty(), id="tabulated")]
+                   pytest.param(tabulated_penalty(), id="tabulated"),
+                   pytest.param(diagonal_penalty(), id="diagonal")]
 
 
 def reference_penalty_pair(f, gen):
-    """One (a, y) draw per call, rebuilding the table each time: the scalar
+    """One (a, y) draw per call, rebuilding the CDF each time: the scalar
     form of the table-family draws, kept as the reference for the batched
     sampler."""
     if isinstance(f, SeparableIndicator):
         A = f.cutoff
         g = f.f1_grid
         fine = np.linspace(g[0], g[-1], 8193)
-        dens = (A - fine) * f.f1(fine)
-        cdf = np.concatenate(([0.0], np.cumsum(0.5 * (dens[1:] + dens[:-1]) * np.diff(fine))))
+        cdf = A * f._prefix(0, fine) - f._prefix(1, fine)
         cdf /= cdf[-1]
         av = float(np.interp(gen.random(), cdf, fine))
         q = gen.random()
         yv = 0.5 * (av + math.sqrt(av * av + 4.0 * q * A * (A - av)))
         return av, min(yv, A)
-    a, yg = f.a_grid, f.y_grid
-    aa, yy = np.meshgrid(0.5 * (a[:-1] + a[1:]), 0.5 * (yg[:-1] + yg[1:]), indexing="ij")
-    da = np.diff(a)[:, None]
-    dy = np.diff(yg)[None, :]
-    supported = yy >= np.maximum(aa, 0.0)
-    mass = np.where(supported, (2.0 * yy - aa) * f._bilinear(aa, yy) * da * dy, 0.0)
-    flat = mass.ravel()
-    idx = int(np.searchsorted(np.cumsum(flat) / flat.sum(), gen.random()))
-    ia, iy = np.unravel_index(min(idx, flat.size - 1), mass.shape)
-    av = a[ia] + gen.random() * (a[ia + 1] - a[ia])
-    yv = yg[iy] + gen.random() * (yg[iy + 1] - yg[iy])
-    return av, max(yv, max(av, 0.0) + 1e-12)
+    _, ma, my, yr, _ = f._cells
+    a = f.a_grid
+    cdf = np.cumsum(2.0 * my - ma)
+    idx = int(np.searchsorted(cdf, gen.random() * cdf[-1]))
+    ia, iy = np.unravel_index(idx, my.shape)
+    ua, uy = gen.random(), gen.random()
+    y_lo = max(yr[iy], a[ia], 0.0)
+    yv = y_lo + uy * (yr[iy + 1] - y_lo)
+    return a[ia] + ua * (min(a[ia + 1], yv) - a[ia]), yv
+
+
+def brute_cell_masses(f, n=3000):
+    """Normalized masses of (2y - a) f(a, y) over {y >= max(a, 0)} on the
+    table's cells, by a masked midpoint rule on n x n points per cell."""
+    a, y, t = f.a_grid, f.y_grid, f.table
+    w = (np.arange(n) + 0.5) / n
+    mass = np.zeros((a.size - 1, y.size - 1))
+    for i in range(a.size - 1):
+        for j in range(y.size - 1):
+            yv = y[j] + w * (y[j + 1] - y[j])
+            for p in np.array_split(w, 10):
+                av = (a[i] + p * (a[i + 1] - a[i]))[:, None]
+                # bilinear f: linear in a on both y-edges, then linear in y
+                lo = (t[i, j] + p * (t[i + 1, j] - t[i, j]))[:, None]
+                hi = (t[i, j + 1] + p * (t[i + 1, j + 1] - t[i, j + 1]))[:, None]
+                dens = (2.0 * yv - av) * (lo + w * (hi - lo))
+                mass[i, j] += float(np.sum(np.where(yv >= np.maximum(av, 0.0), dens, 0.0)))
+    mass *= np.outer(np.diff(a), np.diff(y))
+    return mass / mass.sum()
 
 
 class TestTablePenaltyDraws:
@@ -322,6 +346,23 @@ class TestTablePenaltyDraws:
         assert np.all(y >= np.maximum(a, 0.0))
         levels = mixture_levels(a, y, n, gen)
         assert ks_test(np.sort(levels), phi_from_f(f).cdf, level=KS_LEVEL).passed
+
+    def test_cells_cut_by_the_diagonal_get_their_exact_mass(self):
+        # coarse cells cut by y = a and y = 0; cell (1, 0) holds only the
+        # triangle 0.5 <= a <= y <= 1
+        f = TabulatedGrid(np.array([-1.0, 0.5, 2.0]), np.array([0.0, 1.0, 3.0]),
+                          np.array([[1.0, 4.0, 0.5], [0.2, 3.0, 1.0], [2.0, 0.1, 3.0]]))
+        p = brute_cell_masses(f)
+        assert p == pytest.approx(np.array([[0.10719, 0.55378], [0.00659, 0.33243]]), abs=1e-5)
+        n = 400000
+        a, y = draw_penalty_pairs(f, n, RngStream(7).generator())
+        assert np.all(y >= np.maximum(a, 0.0))
+        ia = np.minimum(np.searchsorted(f.a_grid, a, side="right") - 1, 1)
+        iy = np.minimum(np.searchsorted(f.y_grid, y, side="right") - 1, 1)
+        counts = np.zeros((2, 2))
+        np.add.at(counts, (ia, iy), 1.0)
+        z = (counts - n * p) / np.sqrt(n * p * (1.0 - p))
+        assert np.all(np.abs(z) <= 4.0), z
 
     def test_unsupported_penalty_rejected(self):
         with pytest.raises(TypeError):
