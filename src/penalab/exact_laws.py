@@ -115,21 +115,67 @@ def classify_region(lam: float, mu: float) -> Regime:
 # densities on [0, inf)
 # ---------------------------------------------------------------------------
 
-def _segment_integral(k: int, lam: float, lo, hi, f_lo, f_hi):
-    """Integral of v^k e^{-lam v} f(v) over [lo, hi], f linear from f_lo to f_hi
-    (exact, vectorized; k = 0 when lam != 0).  Both end values get nonnegative
-    weights, so no digits cancel however narrow the segment: Gauss-Legendre on
-    (k + 3) // 2 nodes, or 1F1(1; 3; -c) / 2 and 1F1(2; 3; -c) / 2 at c = lam h.
+# terms of the Hermite expansion in ``_LinearTable.gauss_tail``, on panels at
+# most sqrt(r / 2) wide (the truncation bound is in its docstring)
+HERMITE_TERMS = 30
+
+
+def _centred_moments(half, mean, slope):
+    """Integrals of (mean + slope u / half) u^n / n! over [-half, half] for
+    n < HERMITE_TERMS: 2 half^{n+1} / n! times mean / (n + 1) for even n and
+    slope / (n + 2) for odd n, so only the linear function's end values
+    (mean +- slope) enter."""
+    out = []
+    power = 2.0 * half
+    for n in range(HERMITE_TERMS):
+        out.append(power * (mean / (n + 1) if n % 2 == 0 else slope / (n + 2)))
+        power = power * (half / (n + 1))
+    return out
+
+
+def _hermite_sum(t, coef, scale: float):
+    """Sum over n of scale^n h_n(t) coef[n], with the Hermite functions
+    h_n(t) = (-d/dt)^n e^{-t^2} from h_{n+1} = 2t h_n - 2n h_{n-1}."""
+    a = 2.0 * scale * t
+    b = 2.0 * scale * scale
+    h_prev = np.exp(-t * t)
+    h = a * h_prev
+    acc = coef[0] * h_prev + coef[1] * h
+    for n in range(1, len(coef) - 1):
+        h_prev, h = h, a * h - (b * n) * h_prev
+        acc += coef[n + 1] * h
+    return acc
+
+
+def _segment_integral(k: int, lam: float, lo, hi, f_lo, f_hi, centre=None):
+    """Integral of v^k e^{-lam v} f(v) over [lo, hi], f linear from f_lo to
+    f_hi (exact, vectorized; k = 0 when lam != 0), or of (v - centre)^k f(v)
+    with a ``centre``.  Both end values get nonnegative weights, so no digits
+    cancel however narrow the segment: Gauss-Legendre on (k + 3) // 2 nodes,
+    or 1F1(1; 3; -c) / 2 and 1F1(2; 3; -c) / 2 at c = lam h.  The centre
+    moves the nodes, not the ends, so a narrow segment keeps its width
+    exactly.
     """
     h = hi - lo
     if lam == 0.0:
+        start = lo if centre is None else lo - centre
         total = 0.0
         for t, w in zip(*gauss_legendre((k + 3) // 2)):
-            total = total + w * (h * t + lo) ** k * (f_lo * (1.0 - t) + f_hi * t)
+            total = total + w * (h * t + start) ** k * (f_lo * (1.0 - t) + f_hi * t)
         return h * total
     c = lam * h
     return 0.5 * h * np.exp(-lam * lo) * (f_lo * special.hyp1f1(1.0, 3.0, -c)
                                           + f_hi * special.hyp1f1(2.0, 3.0, -c))
+
+
+def _clip_to_segment(grid, values, y):
+    """y clipped to the table, the index j of the knot that ends its segment,
+    and the table's value there from the distances to both knots (exact at a
+    knot, accurate near a zero)."""
+    yc = np.clip(y, grid[0], grid[-1])
+    j = np.minimum(np.searchsorted(grid, yc, side="right"), grid.size - 1)
+    lo, hi = grid[j - 1], grid[j]
+    return yc, j, values[j - 1] * ((hi - yc) / (hi - lo)) + values[j] * ((yc - lo) / (hi - lo))
 
 
 class _LinearTable:
@@ -141,6 +187,7 @@ class _LinearTable:
         self.grid = grid
         self.values = values
         self._suffix = {}
+        self._hermite = {}
 
     def suffix(self, k: int = 0, lam: float = 0.0) -> np.ndarray:
         """Integrals of v^k e^{-lam v} t(v) from each knot to the table's end."""
@@ -153,13 +200,79 @@ class _LinearTable:
 
     def tail(self, y, k: int = 0, lam: float = 0.0):
         """Integral of v^k e^{-lam v} t(v) over [y, grid end], y clipped to the table."""
-        g, v = self.grid, self.values
-        yc = np.clip(y, g[0], g[-1])
-        idx = np.minimum(np.searchsorted(g, yc, side="right") - 1, g.size - 2)
-        lo, hi = g[idx], g[idx + 1]
-        # t(yc) from the distances to both knots: exact at a knot, accurate near a zero
-        t_y = v[idx] * ((hi - yc) / (hi - lo)) + v[idx + 1] * ((yc - lo) / (hi - lo))
-        return _segment_integral(k, lam, yc, hi, t_y, v[idx + 1]) + self.suffix(k, lam)[idx + 1]
+        yc, j, t_y = _clip_to_segment(self.grid, self.values, y)
+        return (_segment_integral(k, lam, yc, self.grid[j], t_y, self.values[j])
+                + self.suffix(k, lam)[j])
+
+    def _panels(self, count: int):
+        """The table cut into ``count`` equal panels, cached per count: the
+        knots with the panel edges added, their values, the panel centres,
+        the panel of the segment after each knot (count at the last knot),
+        the moments of t(v) (v - c)^n / n! (n < HERMITE_TERMS) from each
+        knot to the end of its panel, c that panel's centre, and the moments
+        of whole panels."""
+        if count not in self._hermite:
+            edges = np.linspace(self.grid[0], self.grid[-1], count + 1)
+            knots = np.union1d(self.grid, edges)
+            vals = np.interp(knots, self.grid, self.values)
+            centres = 0.5 * (edges[:-1] + edges[1:])
+            pan = np.minimum(np.searchsorted(edges, knots, side="right") - 1, count)
+            c = centres[pan[:-1]]
+            seg = np.stack([_segment_integral(n, 0.0, knots[:-1], knots[1:], vals[:-1],
+                                              vals[1:], c) / math.factorial(n)
+                            for n in range(HERMITE_TERMS)], axis=1)
+            mom = np.zeros((HERMITE_TERMS, knots.size))
+            first = np.searchsorted(knots, edges)
+            for k in range(count):
+                a, b = first[k], first[k + 1]
+                mom[:, a:b] = np.cumsum(seg[a:b][::-1], axis=0)[::-1].T
+            self._hermite[count] = (knots, vals, centres, pan, mom, mom[:, first[:-1]])
+        return self._hermite[count]
+
+    def gauss_tail(self, x, y, r: float):
+        """Integral of t(v) e^{-(v - x)^2 / 2r} over [y, grid end], y clipped
+        to the table, for x <= y: the Hermite expansion of the fast Gauss
+        transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
+
+        The table is cut into P = ceil(width / sqrt(r / 2)) equal panels.
+        With c a panel's centre, t = (x - c)/sqrt(2r) and
+        sigma = (v - c)/sqrt(2r), so that |sigma| <= 1/4 on the panel,
+
+            e^{-(v - x)^2 / 2r} = e^{-(t - sigma)^2} = sum_n h_n(t) sigma^n / n!,
+
+        and a panel contributes the Hermite functions h_n(t) contracted with
+        its exact moments of t(v) (v - c)^n, scaled by (2r)^{-n/2}: from the
+        first knot above y to the panel's end (cached per P), and for the
+        segment at y, which lies in one panel, about that segment's own
+        midpoint (``_centred_moments``).  Cramer's inequality
+        |h_n(t)| <= 1.09 2^{n/2} sqrt(n!) e^{-t^2/2} bounds the terms from
+        n = HERMITE_TERMS = 30 on by 2.0e-30 e^{-t^2/2} times the mass
+        expanded, while that mass contributes at least e^{-(|t| + 1/4)^2}
+        times itself.  So the truncation is below 1e-13 relative wherever
+        |t| <= 8.3, that is wherever the tail is above ~2.5e-32 of the mass
+        it comes from; past that, the far field, relative digits go.  The
+        sum is clamped at >= 0.
+        """
+        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        count = max(1, math.ceil((self.grid[-1] - self.grid[0]) / math.sqrt(0.5 * r)))
+        knots, vals, centres, pan, mom, whole = self._panels(count)
+        yc, j, t_y = _clip_to_segment(knots, vals, y)
+        scale = 1.0 / math.sqrt(2.0 * r)
+        # the segment at y, expanded about its midpoint
+        half = 0.5 * (knots[j] - yc)
+        out = _hermite_sum((x - yc - half) * scale,
+                           _centred_moments(half, 0.5 * (vals[j] + t_y), 0.5 * (vals[j] - t_y)),
+                           scale)
+        # from the next knot j: the rest of its panel, then whole panels up to
+        # 55 beyond it; the centres of the rest lie more than 27.3 sqrt(2r)
+        # above x, where e^{-t^2} underflows to 0
+        own = np.minimum(pan[j], count - 1)
+        out += _hermite_sum((x - centres[own]) * scale, mom[:, j], scale)
+        for m in range(1, min(count, 56)):
+            live = pan[j] + m < count
+            k = np.where(live, pan[j] + m, 0)
+            out += _hermite_sum((x - centres[k]) * scale, whole[:, k] * live, scale)
+        return np.maximum(out, 0.0)
 
 
 @dataclass
@@ -376,7 +489,12 @@ class ExponentialBivariate:
 
 @dataclass(frozen=True)
 class SeparableIndicator:
-    """f(a, y) = f1(a) * 1_{[0, A]}(y), with f1 tabulated on (-inf, A]."""
+    """f(a, y) = f1(a) * 1_{[0, A]}(y), with f1 tabulated on (-inf, A].
+
+    Construction builds the exact CDF of the a-marginal (A - a) f1(a) once,
+    at 8193 points (``_a_cdf``, the points and the CDF, normalized when the
+    mass is positive); the pair draws read it.
+    """
 
     f1_grid: np.ndarray
     f1_values: np.ndarray
@@ -398,6 +516,11 @@ class SeparableIndicator:
         object.__setattr__(self, "f1_grid", g)
         object.__setattr__(self, "f1_values", v)
         object.__setattr__(self, "_table", _LinearTable(g, v))
+        fine = np.linspace(g[0], g[-1], 8193)
+        cdf = self.cutoff * self._prefix(0, fine) - self._prefix(1, fine)
+        if cdf[-1] > 0.0:
+            cdf /= cdf[-1]
+        object.__setattr__(self, "_a_cdf", (fine, cdf))
 
     def f1(self, a):
         return np.interp(a, self.f1_grid, self.f1_values, left=0.0, right=0.0)

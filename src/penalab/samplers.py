@@ -176,9 +176,9 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
     Every family is drawn as whole arrays from the exact integrals of
     ``exact_laws``.  The exponential family uses exact Exp/Gamma(2) mixtures.
     The separable indicator inverts the exact CDF of the a-marginal
-    (A - a) f1(a), interpolated between 8193 points, then the conditional
-    level exactly.  A tabulated grid picks a refined cell of its cell table
-    by its exact mass, then a point in the cell's supported part: y uniform
+    (A - a) f1(a), built at construction and interpolated between 8193
+    points, then the conditional level exactly.  A tabulated grid picks a
+    refined cell of its cell table by its exact mass, then a point in the cell's supported part: y uniform
     above max(a_lo, 0), then a uniform below y; on a cell the boundary does
     not cut the point is uniform, which ignores the bilinear shape inside
     the cell.  In the two table families row k of the uniforms holds the
@@ -201,13 +201,9 @@ def draw_penalty_pairs(f: BivariatePenalty, n: int, gen: np.random.Generator):
         return y - s, y
     if isinstance(f, SeparableIndicator):
         A = f.cutoff
-        g = f.f1_grid
-        # CDF of the a-marginal (A - a) f1(a), exact at 8193 points
-        fine = np.linspace(g[0], g[-1], 8193)
-        cdf = A * f._prefix(0, fine) - f._prefix(1, fine)
+        fine, cdf = f._a_cdf
         if cdf[-1] <= 0.0:
             raise ValueError("penalty carries no mass")
-        cdf /= cdf[-1]
         u = gen.random((n, 2))
         a = np.interp(u[:, 0], cdf, fine)
         # conditional level: CDF y(y - a) / (A (A - a)) on (a+, A]

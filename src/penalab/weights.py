@@ -6,12 +6,13 @@ For a weight F_t = f(X_t, S_t) and r = t - u, the conditional kernel is
     g(x, s, r) = E[ f(X_t, S_t) | X_u = x, S_u = s ],
 
 computed in closed form (exponential weights), via error functions (density
-and Kennedy weights with a uniform or exponential shape) or by fixed-node
-Gauss-Legendre (tabulated shapes only).  Every ``log_g_*`` returns the full
-log g, so the exact finite-horizon law integrates g(., r = t - u) / g(0, 0, t)
-for any weight; the large factors (e.g. exp(mu^2 r / 2)) stay on the log
-scale.  ``g_phi_hat`` and ``g_kennedy_bar`` are the linear-scale kernels
-without their known factor.
+and Kennedy weights with a uniform or exponential shape), by the exact
+Hermite expansion of ``exact_laws._LinearTable.gauss_tail`` (tabulated phi)
+or by fixed-node Gauss-Legendre (tabulated Kennedy psi).  Every ``log_g_*``
+returns the full log g, so the exact finite-horizon law integrates
+g(., r = t - u) / g(0, 0, t) for any weight; the large factors (e.g.
+exp(mu^2 r / 2)) stay on the log scale.  ``g_phi_hat`` and ``g_kennedy_bar``
+are the linear-scale kernels without their known factor.
 """
 
 from __future__ import annotations
@@ -40,24 +41,8 @@ __all__ = [
     "log_g_kennedy",
 ]
 
-# fixed Gauss-Legendre nodes of the tabulated-shape tails (phi and Kennedy psi)
+# fixed Gauss-Legendre nodes of the tabulated Kennedy psi's moving part
 TABLE_GL_NODES = 96
-
-
-def _table_tail(shape: DensitySpec, x, s, kernel):
-    """Integral of shape(v) kernel(v, x) over v from max(s, grid[0]) to the
-    end of a tabulated shape, by TABLE_GL_NODES-node Gauss-Legendre; 0 on
-    the states with s at or past the end, where the rule does not run."""
-    nodes, wts = gauss_legendre(TABLE_GL_NODES)
-    x, s = np.broadcast_arrays(x, s)
-    out = np.zeros(s.shape)
-    live = s < shape.grid[-1]
-    x, s = x[live], s[live]
-    lo = np.maximum(s, shape.grid[0])
-    span = shape.grid[-1] - lo
-    v = lo[:, None] + span[:, None] * nodes
-    out[live] = span * ((shape.pdf(v) * kernel(v, x[:, None])) @ wts)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -90,7 +75,7 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
             norm_sf(z) - norm_sf((A - x) / sr), 0.0)
         tail = np.where(s >= A, 0.0, tail)
     else:
-        tail = _table_tail(phi, x, s, lambda v, x: np.exp(-0.5 / r * (v - x) ** 2))
+        tail = phi._table().gauss_tail(x, s, r)
     return flat + tail
 
 
@@ -231,8 +216,18 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
             + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
                      + log_norm_sf((d + rho * r) / sr)))
     else:
-        moving = _table_tail(psi, x, s,
-                             lambda v, x: np.exp(-lam * (v - x)) * _h_bar(v - x, r, lam))
+        # the Gauss-Legendre rule from max(s, grid[0]) to the end of the
+        # table, on the states with s below the end
+        nodes, wts = gauss_legendre(TABLE_GL_NODES)
+        x, s = np.broadcast_arrays(x, s)
+        moving = np.zeros(s.shape)
+        live = s < psi.grid[-1]
+        x, s = x[live, None], s[live]
+        lo = np.maximum(s, psi.grid[0])
+        span = psi.grid[-1] - lo
+        v = lo[:, None] + span[:, None] * nodes
+        kernel = np.exp(-lam * (v - x)) * _h_bar(v - x, r, lam)
+        moving[live] = span * ((psi.pdf(v) * kernel) @ wts)
     return flat + moving
 
 

@@ -1,6 +1,7 @@
 import math
 from dataclasses import dataclass
 
+import mpmath
 import numpy as np
 import pytest
 from scipy import integrate
@@ -36,6 +37,9 @@ from penalab.samplers import RngStream
 from penalab.weights import log_g_explinear
 
 UNIFORM = DensitySpec.uniform(1.0)
+# a table with a feature narrower than its other segments
+SPIKE = DensitySpec.tabulated([0.0, 0.999, 0.9995, 1.0005, 1.001, 1.5],
+                              [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
 EV = RectEvent(1.0, b=0.0, c=0.5)
 FULL = RectEvent(1.0)
@@ -601,11 +605,11 @@ class TestConditionalWeightKernels:
     TABULATED = DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
                                       np.exp(-np.linspace(0.0, 2.0, 41)))
 
-    # fixed 96-node Gauss-Legendre across the kinks of a piecewise-linear phi
-    # is good to 1.8e-6 relative on these states
+    # the spike is narrower than the old 96-node rule's spacing, which
+    # returned 0 on it; the exact tables are good to 1e-12 relative
     @pytest.mark.parametrize("phi,rel", [(UNIFORM, 1e-9), (DensitySpec.exponential(1.5), 1e-9),
-                                         (TABULATED, 5e-6)],
-                             ids=["uniform", "exponential", "tabulated"])
+                                         (TABULATED, 1e-12), (SPIKE, 1e-12)],
+                             ids=["uniform", "exponential", "tabulated", "spike"])
     def test_phi_kernel_is_the_conditional_expectation(self, phi, rel):
         # phi(s) P(S_r < s - x) + int_{s-x}^inf phi(x + m) p_max(r, m) dm
         from penalab.weights import log_g_phi
@@ -668,6 +672,80 @@ class TestConditionalWeightKernels:
         # 1.1e-6 relative here
         got = float(g_kennedy_bar(np.array([x]), np.array([s]), r, lam, psi)[0])
         assert got == pytest.approx(moving, rel=2e-6)
+
+    @pytest.mark.xfail(strict=True, reason="the tabulated Kennedy moving part runs a fixed "
+                       "96-node Gauss-Legendre rule, whose nodes miss a spike narrower "
+                       "than their spacing")
+    @pytest.mark.parametrize("x,s,r", [(-0.5, 0.3, 2.0), (0.0, 0.0, 2.0)])
+    def test_kennedy_kernel_sees_a_narrow_table(self, x, s, r):
+        # psi(s) = 0 below the spike, so the kernel is its moving part alone;
+        # the rule returns exactly 0 at these states
+        from penalab.weights import _h_bar, g_kennedy_bar
+
+        lam = 1.0
+        psi = DensitySpec.tabulated(SPIKE.grid, SPIKE.values, laplace_lambda=lam)
+        moving, _ = integrate.quad(
+            lambda z: math.exp(-lam * z) * psi.pdf(x + z) * _h_bar(z, r, lam), s - x, 1.5 - x,
+            points=list(psi.grid[1:-1] - x), epsabs=0.0, epsrel=1e-13, limit=200)
+        got = float(g_kennedy_bar(np.array([x]), np.array([s]), r, lam, psi)[0])
+        assert got == pytest.approx(moving, rel=1e-12)
+
+    @staticmethod
+    def _segment_tail(grid, values, x, lo, r):
+        # int_lo^end t(v) e^{-(v - x)^2/2r} dv for the piecewise-linear t, one
+        # segment at a time in closed form: with t = alpha + beta v on it and
+        # z = (v - x)/sqrt(r), sqrt(r) [t(x) sqrt(2 pi) (Phi(z1) - Phi(z0))
+        # + beta sqrt(r) (e^{-z0^2/2} - e^{-z1^2/2})], in 50-digit arithmetic
+        with mpmath.workdps(50):
+            x, r = mpmath.mpf(x), mpmath.mpf(r)
+            sr, total = mpmath.sqrt(r), mpmath.mpf(0)
+            for a, b, fa, fb in zip(grid[:-1], grid[1:], values[:-1], values[1:]):
+                if b <= lo:
+                    continue
+                a, b, fa, fb = map(mpmath.mpf, (a, b, fa, fb))
+                beta = (fb - fa) / (b - a)
+                z0, z1 = (max(a, mpmath.mpf(lo)) - x) / sr, (b - x) / sr
+                band = (mpmath.erfc(z0 / mpmath.sqrt(2)) - mpmath.erfc(z1 / mpmath.sqrt(2))) / 2
+                total += sr * ((fa + beta * (x - a)) * mpmath.sqrt(2 * mpmath.pi) * band
+                               + beta * sr * (mpmath.exp(-z0 * z0 / 2) - mpmath.exp(-z1 * z1 / 2)))
+            return total
+
+    @given(gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8),
+           values=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=9, max_size=9),
+           spike=st.tuples(st.floats(0.0, 1.0), st.floats(1e-6, 1e-2), st.floats(1e-3, 100.0)),
+           log_r=st.floats(math.log(0.05), math.log(500.0)),
+           states=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 12.0)),
+                           min_size=1, max_size=6))
+    @settings(max_examples=60, deadline=None)
+    def test_tabulated_phi_kernel_matches_segment_closed_forms(self, gaps, values, spike,
+                                                               log_r, states):
+        # a table of 2-9 knots with a spike at a sub-spacing width inserted in
+        # one of its segments; states from below the table to past its end,
+        # x down to 12 sqrt(r) below s (far below the mass)
+        from penalab.weights import g_phi_hat
+
+        grid = np.concatenate(([0.2], 0.2 + np.cumsum(gaps)))
+        vals = np.array(values[:grid.size])
+        where, width, peak = spike
+        seg = min(int(where * (grid.size - 1)), grid.size - 2)
+        mid = grid[seg] + (grid[seg + 1] - grid[seg]) * (0.25 + 0.5 * where)
+        half = width * (grid[seg + 1] - grid[seg]) / 4.0
+        knots = np.array([mid - half, mid, mid + half])
+        grid, vals = (np.concatenate((grid, knots)),
+                      np.concatenate((vals, np.interp(knots, grid, vals) + [0.0, peak, 0.0])))
+        order = np.argsort(grid)
+        phi = DensitySpec.tabulated(grid[order], vals[order])
+        r = math.exp(log_r)
+        for frac, depth in states:
+            s = -0.5 + (phi.upper + 0.7) * frac
+            x = s - depth * math.sqrt(r)
+            with mpmath.workdps(50):
+                flat = phi.pdf(s) * mpmath.sqrt(mpmath.pi * r / 2) * mpmath.erf(
+                    depth / mpmath.sqrt(2))
+                exact = float(flat + self._segment_tail(phi.grid, phi.values, x, s, r))
+            got = float(g_phi_hat(np.array([x]), np.array([s]), r, phi)[0])
+            if exact > 1e-30:      # the tables have unit mass
+                assert got == pytest.approx(exact, rel=1e-12)
 
     def test_kennedy_kernel_is_nonnegative_as_d_vanishes(self):
         # at s = A the moving part is empty and the flat part is

@@ -33,6 +33,8 @@ FULL = RectEvent(1.0)
 EV = RectEvent(1.0, b=0.0, c=0.5)
 _TAB_GRID = np.linspace(0.0, 1.5, 301)
 TABULATED = DensitySpec.tabulated(_TAB_GRID, 0.3 + _TAB_GRID ** 2)
+SPIKE = DensitySpec.tabulated([0.0, 0.999, 0.9995, 1.0005, 1.001, 1.5],
+                              [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
 EVENT_B = st.one_of(st.floats(-2.0, 3.0), st.sampled_from([-math.inf, math.inf]))
 EVENT_C = st.one_of(st.floats(0.05, 4.0), st.just(math.inf))
@@ -436,10 +438,14 @@ class TestQphiFinite:
             finite_t_value(PhiOfMax(phi), ev, u + r), abs=1e-10)
 
     def test_tabulated_matches_kernel_route(self):
-        # the kernel's fixed Gauss-Legendre rule across the knots is good to a few 1e-7
-        for ev, t in ((EV, 8.0), (RectEvent(0.7, 0.9, 1.2), 33.0)):
-            assert q_phi_finite(TABULATED, ev, t) == pytest.approx(
-                finite_t_value(PhiOfMax(TABULATED), ev, t), abs=1e-6)
+        # both routes are exact on the tables.  While the kernel ran a fixed
+        # Gauss-Legendre rule across the knots they were a few 1e-7 apart, and
+        # below the spike, narrower than the rule's node spacing, the kernel
+        # was 0 and the kernel route raised FloatingPointError
+        for phi, ev, t in ((TABULATED, EV, 8.0), (TABULATED, RectEvent(0.7, 0.9, 1.2), 33.0),
+                           (SPIKE, EV, 8.0)):
+            assert q_phi_finite(phi, ev, t) == pytest.approx(
+                finite_t_value(PhiOfMax(phi), ev, t), abs=1e-12)
 
     @pytest.mark.parametrize("u,t", [(1.0, 8.0), (0.3, 0.35), (2.0, 500.0)])
     def test_tabulated_full_event_mass(self, u, t):
