@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from ._stable import SQRT_2_OVER_PI, gauss_legendre
+from ._stable import SQRT_2_OVER_PI, SQRT_2PI, gauss_legendre, norm_sf
 
 __all__ = [
     "DegeneracyError",
@@ -133,17 +133,29 @@ def _centred_moments(half, mean, slope):
     return out
 
 
-def _hermite_sum(t, coef, scale: float):
-    """Sum over n of scale^n h_n(t) coef[n], with the Hermite functions
-    h_n(t) = (-d/dt)^n e^{-t^2} from h_{n+1} = 2t h_n - 2n h_{n-1}."""
+def _hermite_sum(diff, coef, r: float, lam: float = 0.0):
+    """Sum over n of coef[n] k_n, k_n the n-th derivative at z = -diff of
+    k(z) = e^{-lam^2 r/2} e^{-z^2/2r} + j(z), j(z) = lam sqrt(2 pi r) e^{-lam z}
+    Q((z - lam r)/sqrt(r)).  The Gaussian's are scale^n h_n(t), scale =
+    (2r)^{-1/2} and t = diff scale, with the Hermite functions
+    h_n(t) = (-d/dt)^n e^{-t^2} from h_{n+1} = 2t h_n - 2n h_{n-1}; and
+    j' = -lam k gives j_{n+1} = -lam k_n."""
+    scale = 1.0 / math.sqrt(2.0 * r)
+    t = diff * scale
     a = 2.0 * scale * t
     b = 2.0 * scale * scale
-    h_prev = np.exp(-t * t)
-    h = a * h_prev
-    acc = coef[0] * h_prev + coef[1] * h
-    for n in range(1, len(coef) - 1):
+    h_prev, h = 0.0, np.exp(-0.5 * lam * lam * r - t * t)
+    if lam > 0.0:
+        j = lam * SQRT_2PI * math.sqrt(r) * np.exp(lam * diff) * norm_sf((-diff - lam * r) / math.sqrt(r))
+    acc = 0.0
+    for n, c in enumerate(coef):
+        if lam > 0.0:
+            j += h              # k_n
+            acc += c * j
+            j *= -lam           # j_{n+1}
+        else:
+            acc += c * h
         h_prev, h = h, a * h - (b * n) * h_prev
-        acc += coef[n + 1] * h
     return acc
 
 
@@ -229,49 +241,58 @@ class _LinearTable:
             self._hermite[count] = (knots, vals, centres, pan, mom, mom[:, first[:-1]])
         return self._hermite[count]
 
-    def gauss_tail(self, x, y, r: float):
-        """Integral of t(v) e^{-(v - x)^2 / 2r} over [y, grid end], y clipped
-        to the table, for x <= y: the Hermite expansion of the fast Gauss
-        transform (Greengard & Strain, SIAM J. Sci. Stat. Comput. 12, 1991).
+    def gauss_tail(self, x, y, r: float, lam: float = 0.0):
+        """Integral of t(v) k(v - x) over [y, grid end], y clipped to the
+        table, for x <= y: k(z) = e^{-z^2/2r} at lam = 0, and for lam > 0 the
+        Kennedy kernel of ``_hermite_sum``.  This is the Hermite expansion of
+        the fast Gauss transform (Greengard & Strain, SIAM J. Sci. Stat.
+        Comput. 12, 1991).
 
-        The table is cut into P = ceil(width / sqrt(r / 2)) equal panels.
-        With c a panel's centre, t = (x - c)/sqrt(2r) and
-        sigma = (v - c)/sqrt(2r), so that |sigma| <= 1/4 on the panel,
+        The table is cut into P equal panels at most sqrt(r / 2) wide, and
+        2 / lam for lam > 0.  With c a panel's centre, t = (x - c)/sqrt(2r)
+        and sigma = (v - c)/sqrt(2r), so that |sigma| <= 1/4 on the panel,
 
             e^{-(v - x)^2 / 2r} = e^{-(t - sigma)^2} = sum_n h_n(t) sigma^n / n!,
 
-        and a panel contributes the Hermite functions h_n(t) contracted with
-        its exact moments of t(v) (v - c)^n, scaled by (2r)^{-n/2}: from the
-        first knot above y to the panel's end (cached per P), and for the
-        segment at y, which lies in one panel, about that segment's own
-        midpoint (``_centred_moments``).  Cramer's inequality
-        |h_n(t)| <= 1.09 2^{n/2} sqrt(n!) e^{-t^2/2} bounds the terms from
-        n = HERMITE_TERMS = 30 on by 2.0e-30 e^{-t^2/2} times the mass
-        expanded, while that mass contributes at least e^{-(|t| + 1/4)^2}
-        times itself.  So the truncation is below 1e-13 relative wherever
-        |t| <= 8.3, that is wherever the tail is above ~2.5e-32 of the mass
-        it comes from; past that, the far field, relative digits go.  The
-        sum is clamped at >= 0.
+        and a panel contributes the derivatives of k at c - x contracted with
+        its exact moments of t(v) (v - c)^n / n!: from the first knot above y
+        to the panel's end (cached per P), and for the segment at y, which
+        lies in one panel, about that segment's own midpoint
+        (``_centred_moments``).  Cramer's inequality
+        |h_n(t)| <= 1.09 2^{n/2} sqrt(n!) e^{-t^2/2} bounds the Gaussian
+        terms from n = HERMITE_TERMS = 30 on by 2.0e-30 e^{-t^2/2} times the
+        mass expanded, while that mass contributes at least
+        e^{-(|t| + 1/4)^2} times itself.  So the truncation is below 1e-13
+        relative wherever |t| <= 8.3, that is wherever the tail is above
+        ~2.5e-32 of the mass it comes from; past that, the far field,
+        relative digits go.  For lam > 0, lam |v - c| <= 1, and unrolling
+        j_{n+1} = -lam k_n bounds the j terms from n = 30 on by 3.9e-33 j(c - x)
+        plus 1.7e-24 e^{-lam^2 r/2} e^{-t^2/2} times the mass expanded, below
+        1e-13 of the Gaussian part wherever |t| <= 6.6.  The sum is clamped at >= 0.
         """
+        if lam < 0.0:
+            raise ValueError("the table kernels need lam >= 0")
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
-        count = max(1, math.ceil((self.grid[-1] - self.grid[0]) / math.sqrt(0.5 * r)))
+        width = min(math.sqrt(0.5 * r), 2.0 / lam if lam > 0.0 else math.inf)
+        count = max(1, math.ceil((self.grid[-1] - self.grid[0]) / width))
         knots, vals, centres, pan, mom, whole = self._panels(count)
         yc, j, t_y = _clip_to_segment(knots, vals, y)
-        scale = 1.0 / math.sqrt(2.0 * r)
+        if lam > 0.0:
+            x = np.minimum(x, yc)   # the integral is empty past the end; e^{-lam (c - x)} <= e
         # the segment at y, expanded about its midpoint
         half = 0.5 * (knots[j] - yc)
-        out = _hermite_sum((x - yc - half) * scale,
+        out = _hermite_sum(x - yc - half,
                            _centred_moments(half, 0.5 * (vals[j] + t_y), 0.5 * (vals[j] - t_y)),
-                           scale)
+                           r, lam)
         # from the next knot j: the rest of its panel, then whole panels up to
-        # 55 beyond it; the centres of the rest lie more than 27.3 sqrt(2r)
-        # above x, where e^{-t^2} underflows to 0
+        # 55 beyond it.  The rest lie 55 widths above x: over widths of sqrt(r/2),
+        # 27.3 sqrt(2r), where e^{-t^2} underflows and Q((z - lam r)/sqrt(r))
+        # falls by e^{-650} or more; over widths of 2 / lam, k falls by e^{-110}
         own = np.minimum(pan[j], count - 1)
-        out += _hermite_sum((x - centres[own]) * scale, mom[:, j], scale)
+        out += _hermite_sum(x - centres[own], mom[:, j], r, lam)
         for m in range(1, min(count, 56)):
-            live = pan[j] + m < count
-            k = np.where(live, pan[j] + m, 0)
-            out += _hermite_sum((x - centres[k]) * scale, whole[:, k] * live, scale)
+            k = np.minimum(pan[j] + m, count - 1)
+            out += _hermite_sum(x - centres[k], whole[:, k] * (pan[j] + m < count), r, lam)
         return np.maximum(out, 0.0)
 
 

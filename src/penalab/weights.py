@@ -6,13 +6,13 @@ For a weight F_t = f(X_t, S_t) and r = t - u, the conditional kernel is
     g(x, s, r) = E[ f(X_t, S_t) | X_u = x, S_u = s ],
 
 computed in closed form (exponential weights), via error functions (density
-and Kennedy weights with a uniform or exponential shape), by the exact
-Hermite expansion of ``exact_laws._LinearTable.gauss_tail`` (tabulated phi)
-or by fixed-node Gauss-Legendre (tabulated Kennedy psi).  Every ``log_g_*``
-returns the full log g, so the exact finite-horizon law integrates
-g(., r = t - u) / g(0, 0, t) for any weight; the large factors (e.g.
-exp(mu^2 r / 2)) stay on the log scale.  ``g_phi_hat`` and ``g_kennedy_bar``
-are the linear-scale kernels without their known factor.
+and Kennedy weights with a uniform or exponential shape), or by the exact
+Hermite expansion of ``exact_laws._LinearTable.gauss_tail`` (tabulated phi
+and Kennedy psi).  Every ``log_g_*`` returns the full log g, so the exact
+finite-horizon law integrates g(., r = t - u) / g(0, 0, t) for any weight;
+the large factors (e.g. exp(mu^2 r / 2)) stay on the log scale.
+``g_phi_hat`` and ``g_kennedy_bar`` are the linear-scale kernels without
+their known factor.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ import numpy as np
 
 from ._stable import (
     SQRT_2PI,
-    gauss_legendre,
     log_gauss_tail_e,
     log_norm_cdf,
     log_norm_sf,
@@ -40,10 +39,6 @@ __all__ = [
     "g_kennedy_bar",
     "log_g_kennedy",
 ]
-
-# fixed Gauss-Legendre nodes of the tabulated Kennedy psi's moving part
-TABLE_GL_NODES = 96
-
 
 # ---------------------------------------------------------------------------
 # phi(S_t) weights
@@ -170,18 +165,12 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 # Kennedy weights psi(S_t) e^{lam (S_t - X_t)}
 # ---------------------------------------------------------------------------
 
-def _h_bar(z, r: float, lam: float):
-    """h(lam, z, r) e^{-lam^2 r / 2} = 2 lam Q((z - lam r)/sr) + sqrt(2/(pi r)) e^{-(z-lam r)^2/2r}."""
-    sr = math.sqrt(r)
-    alpha = (z - lam * r) / sr
-    return 2.0 * lam * norm_sf(alpha) + math.sqrt(2.0 / (math.pi * r)) * np.exp(-0.5 * alpha * alpha)
-
-
 def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
     """gbar with E[psi(S_t) e^{lam (S_t - X_t)} | X_u, S_u] = e^{lam^2 r/2} gbar.
 
     gbar(x, s, r) = psi(s) e^{lam d} int_0^d e^{-2 lam z} hbar(z) dz
-                    + int_d^inf e^{-lam z} psi(x + z) hbar(z) dz,   d = s - x.
+                    + int_d^inf e^{-lam z} psi(x + z) hbar(z) dz,   d = s - x,
+    hbar(z) = 2 lam Q((z - lam r)/sr) + sqrt(2/(pi r)) e^{-(z - lam r)^2/2r}.
 
     Both integrals are normal CDFs by parts (a = (lam r + d)/sr,
     c = (lam r - d)/sr, and kappa = lam + rho for psi(y) = C e^{-rho y}):
@@ -192,8 +181,8 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
                                          + (2 rho/kappa) e^{(rho^2 - lam^2) r/2} Q((d + rho r)/sr).
 
     The flat part is summed as e^{lam d} (Phi(a) - Phi(c)) + 2 sinh(lam d) Phi(c),
-    two non-negative terms, so it stays positive as d -> 0.  A tabulated
-    psi keeps a Gauss-Legendre moving part.
+    two non-negative terms, so it stays positive as d -> 0.  A tabulated psi's
+    moving part is sqrt(2/(pi r)) times ``_LinearTable.gauss_tail`` at lam.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
@@ -216,18 +205,7 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
             + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
                      + log_norm_sf((d + rho * r) / sr)))
     else:
-        # the Gauss-Legendre rule from max(s, grid[0]) to the end of the
-        # table, on the states with s below the end
-        nodes, wts = gauss_legendre(TABLE_GL_NODES)
-        x, s = np.broadcast_arrays(x, s)
-        moving = np.zeros(s.shape)
-        live = s < psi.grid[-1]
-        x, s = x[live, None], s[live]
-        lo = np.maximum(s, psi.grid[0])
-        span = psi.grid[-1] - lo
-        v = lo[:, None] + span[:, None] * nodes
-        kernel = np.exp(-lam * (v - x)) * _h_bar(v - x, r, lam)
-        moving[live] = span * ((psi.pdf(v) * kernel) @ wts)
+        moving = math.sqrt(2.0 / (math.pi * r)) * psi._table().gauss_tail(x, s, r, lam)
     return flat + moving
 
 

@@ -45,6 +45,24 @@ EV = RectEvent(1.0, b=0.0, c=0.5)
 FULL = RectEvent(1.0)
 
 
+# tables of test_tabulated_*_kernel_matches_segment_closed_forms, and states:
+# s a fraction of the way from -0.5 to 0.2 past the table's end, and the depth
+# of x below s in units of sqrt(r)
+SPIKED_TABLE_CASES = dict(
+    gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8),
+    values=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=9, max_size=9),
+    spike=st.tuples(st.floats(0.0, 1.0), st.floats(1e-6, 1e-2), st.floats(1e-3, 100.0)),
+    log_r=st.floats(math.log(0.05), math.log(500.0)),
+    states=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 12.0)), min_size=1, max_size=6))
+
+
+def _h_bar(z, r, lam):
+    # the Kennedy moving-part kernel without its e^{-lam z}:
+    # 2 lam Q((z - lam r)/sqrt(r)) + sqrt(2/(pi r)) e^{-(z - lam r)^2/2r}
+    a = (z - lam * r) / math.sqrt(r)
+    return lam * math.erfc(a / math.sqrt(2.0)) + math.sqrt(2.0 / (math.pi * r)) * math.exp(-0.5 * a * a)
+
+
 @dataclass(frozen=True)
 class TerminalOnly:
     """A kind's view without its kernel: the estimator weights by F_t itself,
@@ -351,6 +369,17 @@ class TestFiniteTValue:
         assert finite_t_value(ExpLinear(1.0, 1.0), RectEvent(4.0), 5.0) == pytest.approx(
             1.0, abs=1e-8)
 
+    @pytest.mark.parametrize("t", [4.0, 32.0])
+    @pytest.mark.parametrize("lam", [1.0, 2.0])
+    @pytest.mark.parametrize("grid,values", [(np.linspace(0.0, 2.0, 41),
+                                              np.exp(-np.linspace(0.0, 2.0, 41))),
+                                             (SPIKE.grid, SPIKE.values)], ids=["e^-y", "spike"])
+    def test_tabulated_kennedy_full_event_has_unit_mass(self, grid, values, lam, t):
+        # a Gauss-Legendre moving part across the knots made this raise
+        # FloatingPointError on e^-y and give NaN on the spike
+        pen = KennedyWeight(lam, DensitySpec.tabulated(grid, values, laplace_lambda=lam))
+        assert finite_t_value(pen, FULL, t) == pytest.approx(1.0, abs=1e-12)
+
     def test_horizon_must_exceed_the_event_time(self):
         with pytest.raises(ValueError):
             finite_t_value(PhiOfMax(UNIFORM), EV, 1.0)
@@ -623,15 +652,13 @@ class TestConditionalWeightKernels:
             got = float(np.exp(log_g_phi(np.array([x]), np.array([s]), r, phi))[0])
             assert got == pytest.approx(exact, rel=rel)
 
-    # psi = e^{-y} on 41 knots of [0, 2], Laplace-normalized at lam = 1; the
-    # fixed 96-node Gauss-Legendre of its moving part runs across the kinks and
-    # is good to 1.0e-6 relative on these states
+    # psi = e^{-y} on 41 knots of [0, 2], Laplace-normalized at lam = 1
     TABULATED_PSI = DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
                                           np.exp(-np.linspace(0.0, 2.0, 41)), laplace_lambda=1.0)
 
     @pytest.mark.parametrize("psi,rel", [(PSI, 1e-12),
                                          (DensitySpec.exponential(1.5, laplace_lambda=1.0), 1e-12),
-                                         (TABULATED_PSI, 2e-6)],
+                                         (TABULATED_PSI, 1e-12)],
                              ids=["uniform", "exponential", "tabulated"])
     def test_kennedy_kernel_is_the_conditional_expectation(self, psi, rel):
         # psi(max(s, x + m)) e^{lam (max(s, x + m) - x - z)} against p_joint(r, z, m),
@@ -658,9 +685,8 @@ class TestConditionalWeightKernels:
     @pytest.mark.parametrize("x,s,r", [(0.0, 0.2, 0.3), (-0.5, 0.1, 2.0)])
     def test_kennedy_kernel_starts_where_a_late_table_switches_on(self, x, s, r):
         # psi = e^{-y} on 41 knots of [0.5, 2] and s below its first knot:
-        # psi(x + z) is 0 for z < 0.5 - x, and a rule from z = d would run
-        # across the jump there; from 0.5 - x it is at the knot-crossing level
-        from penalab.weights import _h_bar, g_kennedy_bar
+        # psi(x + z) is 0 for z < 0.5 - x, and jumps to e^{-0.5} there
+        from penalab.weights import g_kennedy_bar
 
         lam = 1.0
         grid = np.linspace(0.5, 2.0, 41)
@@ -668,19 +694,15 @@ class TestConditionalWeightKernels:
         moving, _ = integrate.quad(lambda z: math.exp(-lam * z) * psi.pdf(x + z) * _h_bar(z, r, lam),
                                    s - x, 2.0 - x, points=list(grid - x), epsabs=0.0,
                                    epsrel=1e-13, limit=200)
-        # psi(s) = 0, so the flat part vanishes; the 96-node rule is good to
-        # 1.1e-6 relative here
+        # psi(s) = 0, so the flat part vanishes
         got = float(g_kennedy_bar(np.array([x]), np.array([s]), r, lam, psi)[0])
-        assert got == pytest.approx(moving, rel=2e-6)
+        assert got == pytest.approx(moving, rel=1e-12)
 
-    @pytest.mark.xfail(strict=True, reason="the tabulated Kennedy moving part runs a fixed "
-                       "96-node Gauss-Legendre rule, whose nodes miss a spike narrower "
-                       "than their spacing")
     @pytest.mark.parametrize("x,s,r", [(-0.5, 0.3, 2.0), (0.0, 0.0, 2.0)])
     def test_kennedy_kernel_sees_a_narrow_table(self, x, s, r):
         # psi(s) = 0 below the spike, so the kernel is its moving part alone;
-        # the rule returns exactly 0 at these states
-        from penalab.weights import _h_bar, g_kennedy_bar
+        # a 96-node Gauss-Legendre rule returned exactly 0 at these states
+        from penalab.weights import g_kennedy_bar
 
         lam = 1.0
         psi = DensitySpec.tabulated(SPIKE.grid, SPIKE.values, laplace_lambda=lam)
@@ -710,20 +732,10 @@ class TestConditionalWeightKernels:
                                + beta * sr * (mpmath.exp(-z0 * z0 / 2) - mpmath.exp(-z1 * z1 / 2)))
             return total
 
-    @given(gaps=st.lists(st.floats(0.05, 1.0), min_size=1, max_size=8),
-           values=st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 10.0)), min_size=9, max_size=9),
-           spike=st.tuples(st.floats(0.0, 1.0), st.floats(1e-6, 1e-2), st.floats(1e-3, 100.0)),
-           log_r=st.floats(math.log(0.05), math.log(500.0)),
-           states=st.lists(st.tuples(st.floats(0.0, 1.0), st.floats(1e-3, 12.0)),
-                           min_size=1, max_size=6))
-    @settings(max_examples=60, deadline=None)
-    def test_tabulated_phi_kernel_matches_segment_closed_forms(self, gaps, values, spike,
-                                                               log_r, states):
+    @staticmethod
+    def _spiked_table(gaps, values, spike):
         # a table of 2-9 knots with a spike at a sub-spacing width inserted in
-        # one of its segments; states from below the table to past its end,
-        # x down to 12 sqrt(r) below s (far below the mass)
-        from penalab.weights import g_phi_hat
-
+        # one of its segments
         grid = np.concatenate(([0.2], 0.2 + np.cumsum(gaps)))
         vals = np.array(values[:grid.size])
         where, width, peak = spike
@@ -734,7 +746,17 @@ class TestConditionalWeightKernels:
         grid, vals = (np.concatenate((grid, knots)),
                       np.concatenate((vals, np.interp(knots, grid, vals) + [0.0, peak, 0.0])))
         order = np.argsort(grid)
-        phi = DensitySpec.tabulated(grid[order], vals[order])
+        return grid[order], vals[order]
+
+    @given(**SPIKED_TABLE_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_tabulated_phi_kernel_matches_segment_closed_forms(self, gaps, values, spike,
+                                                               log_r, states):
+        # states from below the table to past its end, x down to 12 sqrt(r)
+        # below s (far below the mass)
+        from penalab.weights import g_phi_hat
+
+        phi = DensitySpec.tabulated(*self._spiked_table(gaps, values, spike))
         r = math.exp(log_r)
         for frac, depth in states:
             s = -0.5 + (phi.upper + 0.7) * frac
@@ -746,6 +768,85 @@ class TestConditionalWeightKernels:
             got = float(g_phi_hat(np.array([x]), np.array([s]), r, phi)[0])
             if exact > 1e-30:      # the tables have unit mass
                 assert got == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
+    @pytest.mark.parametrize("psi,lam", [(PSI, 1.0), (DensitySpec.uniform(2.0, laplace_lambda=0.5), 0.5),
+                                         (DensitySpec.exponential(1.5, laplace_lambda=1.0), 1.0),
+                                         (DensitySpec.exponential(0.5, laplace_lambda=2.0), 2.0)],
+                             ids=["uniform-1", "uniform-0.5", "exponential-1", "exponential-2"])
+    def test_closed_form_kennedy_kernels_are_exponential_weights(self, psi, lam, r):
+        # a uniform psi on [0, A] makes the weight C e^{lam S - lam X} 1{S <= A},
+        # and psi = C e^{-rho y} makes it C e^{(lam - rho) S - lam X}
+        from penalab.weights import log_g_kennedy
+
+        gen = RngStream(43).generator()
+        top = psi.upper if psi.family == "uniform" else 4.0
+        s = gen.uniform(0.0, 1.3 * top, 3000)
+        x = s - gen.exponential(1.0, s.size) * math.sqrt(r)
+        if psi.family == "uniform":
+            ref = math.log(psi.scale) + log_g_explinear(x, s, r, lam, -lam, cap=psi.upper)
+        else:
+            ref = math.log(psi.scale) + log_g_explinear(x, s, r, lam - psi.rate, -lam)
+        got = log_g_kennedy(x, s, r, lam, psi)
+        assert np.array_equal(np.isneginf(got), np.isneginf(ref))
+        finite = np.isfinite(ref)
+        assert np.all(np.isfinite(got[finite]))
+        assert np.max(np.abs(got[finite] - ref[finite])) < 5e-12
+
+    @staticmethod
+    def _kennedy_moving(grid, values, x, s, r, lam):
+        # int_{z0}^{zE} psi(x + z) e^{-lam z} hbar(z) dz, z0 = max(s, grid[0]) - x
+        # and zE = grid[-1] - x, by parts in 50-digit arithmetic: e^{-lam z} hbar
+        # = -F' with F(z) = 2 e^{-lam z} Q((z - lam r)/sqrt(r)), and F = H' with
+        # H = -F/lam + (2/lam) e^{-lam^2 r/2} Q(z/sqrt(r)), so with beta_j the
+        # slope of segment j and z_j its knots minus x, clipped to [z0, zE],
+        # psi(x + z0) F(z0) - psi(end) F(zE) + sum_j beta_j (H(z_{j+1}) - H(z_j))
+        with mpmath.workdps(50):
+            x, r, lam = mpmath.mpf(x), mpmath.mpf(r), mpmath.mpf(lam)
+            sr = mpmath.sqrt(r)
+            q = lambda a: mpmath.erfc(a / mpmath.sqrt(2)) / 2
+            f = lambda z: 2 * mpmath.exp(-lam * z) * q((z - lam * r) / sr)
+            h = lambda z: -f(z) / lam + 2 / lam * mpmath.exp(-lam * lam * r / 2) * q(z / sr)
+            grid, values = [mpmath.mpf(g) for g in grid], [mpmath.mpf(v) for v in values]
+            lo = max(mpmath.mpf(s), grid[0])
+            if lo >= grid[-1]:
+                return mpmath.mpf(0)
+            z0, z_end = lo - x, grid[-1] - x
+            segments = list(zip(grid[:-1], grid[1:], values[:-1], values[1:]))
+            start = next(fa + (fb - fa) * (lo - a) / (b - a)
+                         for a, b, fa, fb in segments if a <= lo <= b)
+            total = start * f(z0) - values[-1] * f(z_end)
+            for a, b, fa, fb in segments:
+                beta = (fb - fa) / (b - a)
+                za, zb = min(max(a - x, z0), z_end), min(max(b - x, z0), z_end)
+                total += beta * (h(zb) - h(za))
+            return total
+
+    @given(lam=st.floats(0.05, 5.0), **SPIKED_TABLE_CASES)
+    @settings(max_examples=60, deadline=None)
+    def test_tabulated_kennedy_kernel_matches_segment_closed_forms(self, gaps, values, spike,
+                                                                  lam, log_r, states):
+        # the tables and states of the phi property, Laplace-normalized at
+        # lam.  The moving part is the table engine's integral, which
+        # g_kennedy_bar adds to its flat part: subtracting a float flat part
+        # from g_kennedy_bar would lose the digits checked wherever the flat
+        # part is the larger
+        psi = DensitySpec.tabulated(*self._spiked_table(gaps, values, spike), laplace_lambda=lam)
+        r = math.exp(log_r)
+        for frac, depth in states:
+            s = -0.5 + (psi.upper + 0.7) * frac
+            x = s - depth * math.sqrt(r)
+            exact = float(self._kennedy_moving(psi.grid, psi.values, x, s, r, lam))
+            got = math.sqrt(2.0 / (math.pi * r)) * float(
+                psi._table().gauss_tail(np.array([x]), np.array([s]), r, lam)[0])
+            if exact > 1e-30:
+                assert got == pytest.approx(exact, rel=1e-12)
+
+    def test_table_kernels_need_a_nonnegative_lambda(self):
+        # for lam < 0 the Kennedy kernel grows with z, and panels of 2 / lam
+        # would be negative
+        with pytest.raises(ValueError):
+            SPIKE._table().gauss_tail(np.zeros(1), np.zeros(1), 1.0, -1.0)
 
     def test_kennedy_kernel_is_nonnegative_as_d_vanishes(self):
         # at s = A the moving part is empty and the flat part is
