@@ -251,30 +251,31 @@ class _LinearTable:
         The table is cut into P equal panels at most sqrt(r / 2) wide, and
         2 / lam for lam > 0.  With c a panel's centre, t = (x - c)/sqrt(2r)
         and sigma = (v - c)/sqrt(2r), so that |sigma| <= 1/4 on the panel,
-
-            e^{-(v - x)^2 / 2r} = e^{-(t - sigma)^2} = sum_n h_n(t) sigma^n / n!,
-
+        e^{-(v - x)^2 / 2r} = e^{-(t - sigma)^2} = sum_n h_n(t) sigma^n / n!,
         and a panel contributes the derivatives of k at c - x contracted with
         its exact moments of t(v) (v - c)^n / n!: from the first knot above y
         to the panel's end (cached per P), and for the segment at y, which
-        lies in one panel, about that segment's own midpoint
-        (``_centred_moments``).  Cramer's inequality
-        |h_n(t)| <= 1.09 2^{n/2} sqrt(n!) e^{-t^2/2} bounds the Gaussian
-        terms from n = HERMITE_TERMS = 30 on by 2.0e-30 e^{-t^2/2} times the
-        mass expanded, while that mass contributes at least
-        e^{-(|t| + 1/4)^2} times itself.  So the truncation is below 1e-13
-        relative wherever |t| <= 8.3, that is wherever the tail is above
-        ~2.5e-32 of the mass it comes from; past that, the far field,
-        relative digits go.  For lam > 0, lam |v - c| <= 1, and unrolling
-        j_{n+1} = -lam k_n bounds the j terms from n = 30 on by 3.9e-33 j(c - x)
-        plus 1.7e-24 e^{-lam^2 r/2} e^{-t^2/2} times the mass expanded, below
-        1e-13 of the Gaussian part wherever |t| <= 6.6.  The sum is clamped at >= 0.
+        lies in one panel, about its own midpoint (``_centred_moments``).
+        Cramer's inequality |h_n(t)| <= 1.09 2^{n/2} sqrt(n!) e^{-t^2/2}
+        bounds the Gaussian terms from n = HERMITE_TERMS = 30 on by
+        2.0e-30 e^{-t^2/2} times the mass expanded, which contributes at least
+        e^{-(|t| + 1/4)^2} times itself: below 1e-13 relative wherever
+        |t| <= 8.3 (the tail above ~2.5e-32 of the mass it comes from); past
+        that, the far field, relative digits go.  For lam > 0, lam |v - c| <= 1,
+        and unrolling j_{n+1} = -lam k_n bounds the j terms from n = 30 on by
+        3.9e-33 j(c - x) plus 1.7e-24 e^{-lam^2 r/2} e^{-t^2/2} times the mass
+        expanded, below 1e-13 of the Gaussian part wherever |t| <= 6.6.  As
+        k(z) = e^{-lam z} (e^{-w^2/2} + lam sqrt(2 pi r) Q(w)), w = (z - lam r)
+        / sqrt(r), panels past w = 38 (z from the first knot above y) add under
+        e^{-700} e^{lam x} times the integral of t(v) e^{-lam v}, whatever t
+        is: they are left out.  The sum is clamped at >= 0.
         """
         if lam < 0.0:
             raise ValueError("the table kernels need lam >= 0")
         x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
         width = min(math.sqrt(0.5 * r), 2.0 / lam if lam > 0.0 else math.inf)
-        count = max(1, math.ceil((self.grid[-1] - self.grid[0]) / width))
+        span = self.grid[-1] - self.grid[0]
+        count = max(1, math.ceil(span / width))
         knots, vals, centres, pan, mom, whole = self._panels(count)
         yc, j, t_y = _clip_to_segment(knots, vals, y)
         if lam > 0.0:
@@ -285,12 +286,11 @@ class _LinearTable:
                            _centred_moments(half, 0.5 * (vals[j] + t_y), 0.5 * (vals[j] - t_y)),
                            r, lam)
         # from the next knot j: the rest of its panel, then whole panels up to
-        # 55 beyond it.  The rest lie 55 widths above x: over widths of sqrt(r/2),
-        # 27.3 sqrt(2r), where e^{-t^2} underflows and Q((z - lam r)/sqrt(r))
-        # falls by e^{-650} or more; over widths of 2 / lam, k falls by e^{-110}
+        # lam r + 55 sqrt(r / 2) above it (55 panels at lam = 0)
         own = np.minimum(pan[j], count - 1)
         out += _hermite_sum(x - centres[own], mom[:, j], r, lam)
-        for m in range(1, min(count, 56)):
+        reach = 55 if lam == 0.0 else math.ceil((lam * r + 55.0 * math.sqrt(0.5 * r)) * count / span)
+        for m in range(1, min(count, reach + 1)):
             k = np.minimum(pan[j] + m, count - 1)
             out += _hermite_sum(x - centres[k], whole[:, k] * (pan[j] + m < count), r, lam)
         return np.maximum(out, 0.0)

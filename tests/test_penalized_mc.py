@@ -43,6 +43,14 @@ SPIKE = DensitySpec.tabulated([0.0, 0.999, 0.9995, 1.0005, 1.001, 1.5],
 PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
 EV = RectEvent(1.0, b=0.0, c=0.5)
 FULL = RectEvent(1.0)
+# psi on 301 knots of [0, 30], Laplace-normalized at lam = 5, so that the
+# table engine cuts it into 75 panels of 2 / lam: e^{5y}, whose Laplace weight
+# is flat, and a table that is 0 on [0, 25]; at x = 0 a quarter of the
+# first's Laplace weight and all of the second's lie more than 55 panels up
+WIDE_GRID = np.linspace(0.0, 30.0, 301)
+WIDE_TABLES = pytest.mark.parametrize("values", [np.exp(5.0 * WIDE_GRID),
+                                                 np.where(WIDE_GRID > 25.0, 1.0, 0.0)],
+                                      ids=["e^5y", "late"])
 
 
 # tables of test_tabulated_*_kernel_matches_segment_closed_forms, and states:
@@ -379,6 +387,14 @@ class TestFiniteTValue:
         # FloatingPointError on e^-y and give NaN on the spike
         pen = KennedyWeight(lam, DensitySpec.tabulated(grid, values, laplace_lambda=lam))
         assert finite_t_value(pen, FULL, t) == pytest.approx(1.0, abs=1e-12)
+
+    @WIDE_TABLES
+    def test_wide_tabulated_kennedy_full_event_has_unit_mass(self, values):
+        # a panel sum cut 55 panels of 2 / lam above x made this 0.22 too high
+        # on e^5y, and a normaliser of 0 made it raise on the late table
+        lam = 5.0
+        pen = KennedyWeight(lam, DensitySpec.tabulated(WIDE_GRID, values, laplace_lambda=lam))
+        assert finite_t_value(pen, FULL, 32.0) == pytest.approx(1.0, abs=1e-12)
 
     def test_horizon_must_exceed_the_event_time(self):
         with pytest.raises(ValueError):
@@ -841,6 +857,20 @@ class TestConditionalWeightKernels:
                 psi._table().gauss_tail(np.array([x]), np.array([s]), r, lam)[0])
             if exact > 1e-30:
                 assert got == pytest.approx(exact, rel=1e-12)
+
+    @pytest.mark.parametrize("r", [32.0, 500.0])
+    @WIDE_TABLES
+    def test_tabulated_kennedy_kernel_sums_every_panel_it_needs(self, values, r):
+        # lam r is past the table's end, so Q((z - lam r)/sqrt(r)) is about 1
+        # on it and each panel adds about its Laplace weight: a sum cut where
+        # e^{-lam z} has fallen by e^{-110} was 25% low on e^5y and 0 on the
+        # late table
+        lam = 5.0
+        psi = DensitySpec.tabulated(WIDE_GRID, values, laplace_lambda=lam)
+        exact = float(self._kennedy_moving(psi.grid, psi.values, 0.0, 0.0, r, lam))
+        got = math.sqrt(2.0 / (math.pi * r)) * float(
+            psi._table().gauss_tail(np.zeros(1), np.zeros(1), r, lam)[0])
+        assert got == pytest.approx(exact, rel=1e-12)
 
     def test_table_kernels_need_a_nonnegative_lambda(self):
         # for lam < 0 the Kennedy kernel grows with z, and panels of 2 / lam
