@@ -355,10 +355,15 @@ def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) ->
     value, and a last gap above MIX_TOL, or not finite, raises.
     """
     # a cut below the smallest normal float would round first-piece nodes to y = 0
-    cuts = np.unique([0.0, hi, *(p for p in cuts if np.finfo(float).tiny < p < hi)])
-    pieces = np.ceil(np.diff(cuts) / width).astype(int)
-    edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
-                            for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])
+    cuts = np.asarray(cuts, dtype=float)
+    inside = cuts[(cuts > np.finfo(float).tiny) & (cuts < hi)]
+    cuts = np.unique(np.concatenate(([0.0, hi], inside)))
+    gaps = np.diff(cuts)
+    pieces = np.ceil(gaps / width).astype(int)
+    # edge i of a cut interval is lo + i (gap / pieces), the float np.linspace gives
+    first = np.repeat(np.cumsum(pieces) - pieces, pieces)
+    steps = (np.arange(first.size) - first) * np.repeat(gaps / pieces, pieces)
+    edges = np.append(np.repeat(cuts[:-1], pieces) + steps, cuts[-1])
     lo, span = edges[:-1, None], np.diff(edges)[:, None]
 
     def level(k):
@@ -414,13 +419,13 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
         w_nodes, w_weights = gauss_legendre(n_w)
         step = EVENT_BLOCK // n_w
         for i in range(0, s_all.size, step):
-            s = s_all[i:i + step]
+            # one row per s-node: s is a column, so s-only work in g runs once a row
+            s = s_all[i:i + step, None]
             w0 = 2.0 * s - np.minimum(b, s)
             span = np.maximum(np.minimum(w0 + reach, w_max) - w0, 0.0)
-            w = (w0[:, None] + span[:, None] * w_nodes).ravel()
-            ss = np.repeat(s, n_w)
-            f = (g(2.0 * ss - w, ss) * pref * w * np.exp(-w * w / (2.0 * u))
-                 * np.outer(span * s_wts[i:i + step], w_weights).ravel())
+            w = w0 + span * w_nodes
+            f = (g(2.0 * s - w, s) * pref * w * np.exp(-w * w / (2.0 * u))
+                 * (span * s_wts[i:i + step, None] * w_weights))
             total += float(np.sum(f))
             band_mass += float(np.sum(np.abs(f[w > reach - root_u])))
         band.append(band_mass)

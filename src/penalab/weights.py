@@ -114,8 +114,11 @@ def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float):
     if th == 0.0 or nu != 0.0:
         # on the diagonal th = 0 (lam = -2 mu) the coefficient tends to 2
         coef, sign = (abs(2.0 * nu / th), math.copysign(1.0, nu / th)) if th != 0.0 else (2.0, 1.0)
-        pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0
-                       + _log_ndtr_diff((d - nu * r) / sr, (d_hi - nu * r) / sr), sign))
+        lo = (d - nu * r) / sr
+        # uncapped, the interval is the upper tail from lo (no log Phi(-inf) to add)
+        log_interval = (_log_ndtr_diff(lo, (d_hi - nu * r) / sr) if math.isfinite(cap)
+                        else log_norm_sf(lo))
+        pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0 + log_interval, sign))
     if mu != 0.0:
         for dd, sign in ((d, 1.0), (d_hi, -1.0)) if math.isfinite(cap) else ((d, 1.0),):
             if th != 0.0:
@@ -192,16 +195,17 @@ def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
     interval = np.maximum(norm_cdf((lam * r + d) / sr) - cdf_c, 0.0)
     flat = psi.pdf(s) * (np.exp(lam * d) * interval + 2.0 * np.sinh(lam * d) * cdf_c)
 
+    # Q((d - lam r)/sr) below is Phi(c), the same float, so it reuses cdf_c
     if psi.family == "uniform":
         # F(d) - F(max(A - x, d))
-        z = np.stack((d, np.maximum(psi.upper - x, d)))
-        f = 2.0 * np.exp(-lam * z) * norm_sf((z - lam * r) / sr)
-        moving = psi.scale * np.maximum(f[0] - f[1], 0.0)
+        z = np.maximum(psi.upper - x, d)
+        f_top = 2.0 * np.exp(-lam * z) * norm_sf((z - lam * r) / sr)
+        moving = psi.scale * np.maximum(2.0 * np.exp(-lam * d) * cdf_c - f_top, 0.0)
     elif psi.family == "exponential":
         rho = psi.rate
         kappa = lam + rho
         moving = psi.scale * np.exp(-rho * x) * (
-            2.0 * lam / kappa * np.exp(-kappa * d) * norm_sf((d - lam * r) / sr)
+            2.0 * lam / kappa * np.exp(-kappa * d) * cdf_c
             + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
                      + log_norm_sf((d + rho * r) / sr)))
     else:

@@ -33,8 +33,10 @@ from penalab.penalized_mc import (
     terminal_conditional,
 )
 from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite
+from penalab import weights
+from penalab._stable import log_gauss_tail_e, log_norm_sf, norm_cdf, norm_sf
 from penalab.samplers import RngStream
-from penalab.weights import log_g_explinear
+from penalab.weights import g_kennedy_bar, log_g_explinear
 
 UNIFORM = DensitySpec.uniform(1.0)
 # a table with a feature narrower than its other segments
@@ -925,3 +927,82 @@ class TestConditionalWeightKernels:
         x = np.linspace(-0.3, 0.3, 61)
         lg = log_g_explinear(x, np.full_like(x, 0.5), 63.0, -2.0, 1.0)
         assert np.max(np.abs(np.diff(lg, 3))) < 1e-5     # 2e-3 with the jump
+
+
+def reference_closed_form_kennedy_bar(x, s, r, lam, psi):
+    """``g_kennedy_bar`` of a uniform or exponential psi with its moving part's
+    Q((d - lam r)/sr) evaluated again rather than read from Phi(c): the form
+    the shared CDF replaced, kept as its reference."""
+    d = s - x
+    sr = math.sqrt(r)
+    cdf_c = norm_cdf((lam * r - d) / sr)
+    interval = np.maximum(norm_cdf((lam * r + d) / sr) - cdf_c, 0.0)
+    flat = psi.pdf(s) * (np.exp(lam * d) * interval + 2.0 * np.sinh(lam * d) * cdf_c)
+    if psi.family == "uniform":
+        z = np.stack((d, np.maximum(psi.upper - x, d)))
+        f = 2.0 * np.exp(-lam * z) * norm_sf((z - lam * r) / sr)
+        return flat + psi.scale * np.maximum(f[0] - f[1], 0.0)
+    rho = psi.rate
+    kappa = lam + rho
+    return flat + psi.scale * np.exp(-rho * x) * (
+        2.0 * lam / kappa * np.exp(-kappa * d) * norm_sf((d - lam * r) / sr)
+        + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
+                 + log_norm_sf((d + rho * r) / sr)))
+
+
+def reference_g2_log_pieces(x, d, r, lam, mu, cap):
+    """``weights._g2_log_pieces`` with the uncapped interval as
+    _log_ndtr_diff(lo, +inf): the form log_norm_sf(lo) replaced, kept as its
+    reference."""
+    sr = math.sqrt(r)
+    th = lam + 2.0 * mu
+    nu = lam + mu
+    d_hi = np.maximum(cap - x, d)
+    pieces = []
+    if th == 0.0 or nu != 0.0:
+        coef, sign = (abs(2.0 * nu / th), math.copysign(1.0, nu / th)) if th != 0.0 else (2.0, 1.0)
+        pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0
+                       + weights._log_ndtr_diff((d - nu * r) / sr, (d_hi - nu * r) / sr), sign))
+    if mu != 0.0:
+        for dd, sign in ((d, 1.0), (d_hi, -1.0)) if math.isfinite(cap) else ((d, 1.0),):
+            if th != 0.0:
+                pieces.append((nu * x + math.log(abs(2.0 * mu / th)) + th * dd + mu * mu * r / 2.0
+                               + log_norm_sf((dd + mu * r) / sr), sign * math.copysign(1.0, mu / th)))
+            else:
+                pieces.append((nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
+                               + log_gauss_tail_e((dd + mu * r) / sr), sign * math.copysign(1.0, -mu)))
+    return pieces
+
+
+def _random_states(seed, r, top, n=4000):
+    gen = RngStream(seed).generator()
+    s = gen.uniform(0.0, top, n)
+    return s - gen.exponential(1.0, n) * math.sqrt(r) * gen.uniform(0.0, 3.0, n), s
+
+
+class TestKernelFormsAreBitIdentical:
+    # the kernels share their normal CDFs and skip log Phi(-inf) without moving a float
+
+    @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
+    @pytest.mark.parametrize("psi,lam", [(PSI, 1.0), (DensitySpec.uniform(2.0, laplace_lambda=0.5), 0.5),
+                                         (DensitySpec.exponential(1.5, laplace_lambda=1.0), 1.0),
+                                         (DensitySpec.exponential(0.5, laplace_lambda=2.0), 2.0)],
+                             ids=["uniform-1", "uniform-0.5", "exponential-1", "exponential-2"])
+    def test_closed_form_kennedy_kernels(self, psi, lam, r):
+        x, s = _random_states(44, r, 1.3 * psi.upper if psi.family == "uniform" else 4.0)
+        # d = lam r exactly, where Q and Phi meet at 0; e^{lam d} and e^{-rho x}
+        # overflow past 709 in both forms alike (ROADMAP item 19)
+        x, s = np.append(x, 0.3 - lam * r), np.append(s, 0.3)
+        keep = (lam * (s - x) < 700.0) & (x > -300.0)
+        x, s = x[keep], s[keep]
+        assert np.array_equal(g_kennedy_bar(x, s, r, lam, psi),
+                              reference_closed_form_kennedy_bar(x, s, r, lam, psi))
+
+    @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
+    @pytest.mark.parametrize("lam,mu", [(-2.0, 1.0), (-3.0, 1.0), (1.0, 1.0), (0.0, -1.0),
+                                        (1.0, -0.5), (1.0, -1.0), (0.5, 0.25), (-1.0, -1.0)])
+    def test_uncapped_explinear_kernel(self, lam, mu, r, monkeypatch):
+        x, s = _random_states(45, r, 4.0)
+        got = log_g_explinear(x, s, r, lam, mu)
+        monkeypatch.setattr(weights, "_g2_log_pieces", reference_g2_log_pieces)
+        assert np.array_equal(got, log_g_explinear(x, s, r, lam, mu))

@@ -10,7 +10,8 @@ from scipy import integrate, stats
 from penalab import quadrature
 from penalab.exact_laws import DensitySpec, p_joint, p_max
 from penalab.expansion import phi_series_value
-from penalab.martingales import m_mu_lambda_xs, m_phi_xs
+from penalab._stable import GAUSS_CUT, gauss_legendre
+from penalab.martingales import f1_phi_xs, m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from penalab.penalized_mc import ExpLinear, KennedyWeight, PhiOfMax, finite_t_value
 from penalab.quadrature import (
     RectEvent,
@@ -576,3 +577,165 @@ class TestExpectOnEvent:
         # be the one of a rule with more nodes than any of its levels
         assert expect_on_event(ev, g, points=points) == pytest.approx(
             _dense_event_rule(ev, g, points), abs=1e-12)
+
+
+def reference_rule_nodes(hi, cuts, width, n):
+    """The nodes and weights of ``_checked_rule``'s first level with one
+    np.finfo test per cut and one np.linspace per cut interval: the loop the
+    array-built edges replaced, kept as their reference."""
+    cuts = np.unique([0.0, hi, *(p for p in cuts if np.finfo(float).tiny < p < hi)])
+    pieces = np.ceil(np.diff(cuts) / width).astype(int)
+    edges = np.concatenate([np.linspace(lo, up, k, endpoint=False)
+                            for lo, up, k in zip(cuts[:-1], cuts[1:], pieces)] + [cuts[-1:]])
+    lo, span = edges[:-1, None], np.diff(edges)[:, None]
+    nodes, weights = gauss_legendre(n)
+    return (lo + span * nodes).ravel(), (span * weights).ravel()
+
+
+def rule_nodes(hi, cuts, width, n):
+    """The nodes and weights ``_checked_rule`` hands its integral at its first level."""
+    seen = []
+
+    def integral(y, wts, _k):
+        seen.append((y, wts))
+        return 0.0
+
+    quadrature._checked_rule("nodes", hi, cuts, width, n, integral)
+    return seen[0]
+
+
+def reference_expect_on_event(ev, g, w_max=math.inf, points=()):
+    """``expect_on_event`` with g called on flat arrays, s repeated once per
+    w-node (np.repeat, ravel): the loop the s-column integrands replaced,
+    kept as their reference."""
+    u, b, c = ev.u, ev.b, ev.c
+    if b == -math.inf:
+        return 0.0
+    root_u = math.sqrt(u)
+    pref = math.sqrt(2.0 / (math.pi * u ** 3))
+    reach = GAUSS_CUT * root_u
+    band = []
+
+    def integral(s_all, s_wts, n):
+        total = band_mass = 0.0
+        n_w = quadrature.W_PER_S * n
+        w_nodes, w_weights = gauss_legendre(n_w)
+        step = quadrature.EVENT_BLOCK // n_w
+        for i in range(0, s_all.size, step):
+            s = s_all[i:i + step]
+            w0 = 2.0 * s - np.minimum(b, s)
+            span = np.maximum(np.minimum(w0 + reach, w_max) - w0, 0.0)
+            w = (w0[:, None] + span[:, None] * w_nodes).ravel()
+            ss = np.repeat(s, n_w)
+            f = (g(2.0 * ss - w, ss) * pref * w * np.exp(-w * w / (2.0 * u))
+                 * np.outer(span * s_wts[i:i + step], w_weights).ravel())
+            total += float(np.sum(f))
+            band_mass += float(np.sum(np.abs(f[w > reach - root_u])))
+        band.append(band_mass)
+        return total
+
+    for _ in range(quadrature.MAX_DOUBLINGS + 1):
+        s_hi = min(c, w_max, (w_max + b) / 2.0,
+                   (max(b, 0.0) + reach) / 2.0 if math.isfinite(b) else reach)
+        if s_hi <= 0.0:
+            return 0.0
+        val = quadrature._checked_rule(
+            "event", s_hi, (b, *points, w_max - reach, (w_max - reach + b) / 2.0),
+            root_u, quadrature.EVENT_NODES, integral)
+        if band[-1] <= quadrature.MIX_TOL:
+            return val
+        reach *= 2.0
+    raise FloatingPointError("event window unresolved")
+
+
+def _random_cuts(gen, hi):
+    """Up to 301 cuts around [0, hi], with duplicates, +-inf, NaN, hi itself
+    and cuts at or below the smallest normal float."""
+    cuts = list(gen.uniform(-0.2 * hi, 1.2 * hi, gen.integers(0, 302)))
+    cuts += list(gen.choice(cuts, gen.integers(0, 4))) if cuts else []
+    odd = [math.inf, -math.inf, math.nan, hi, 0.0, -0.0, 5e-324, 1e-310,
+           np.finfo(float).tiny, np.nextafter(np.finfo(float).tiny, 1.0)]
+    cuts += list(gen.choice(odd, gen.integers(0, 5)))
+    gen.shuffle(cuts)
+    return tuple(cuts)
+
+
+class TestBitIdenticalRules:
+    # the array-built rule pieces and the s-column integrands reproduce the
+    # parent's floats exactly, so no verdict or value moves
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_rule_edges_match_per_interval_linspace(self, seed):
+        gen = np.random.default_rng(seed)
+        for _ in range(50):
+            hi = float(gen.choice([gen.uniform(1e-3, 1.0), gen.uniform(1.0, 150.0)]))
+            width = float(gen.uniform(1e-3, 2.0))
+            cuts = _random_cuts(gen, hi)
+            n = int(gen.choice([1, 8, 16]))
+            y, wts = rule_nodes(hi, cuts, width, n)
+            y_ref, wts_ref = reference_rule_nodes(hi, cuts, width, n)
+            assert np.array_equal(y, y_ref) and np.array_equal(wts, wts_ref)
+
+    def test_rule_edges_match_on_a_table_grid(self):
+        # a tabulated phi's 301 knots are 301 cuts, as q_phi_limit passes them
+        for width in (0.25, 0.005, 0.0049):
+            cuts = (0.0, math.inf, *TABULATED.kinks, 1.5)
+            y, wts = rule_nodes(1.5, cuts, width, 8)
+            y_ref, wts_ref = reference_rule_nodes(1.5, cuts, width, 8)
+            assert np.array_equal(y, y_ref) and np.array_equal(wts, wts_ref)
+
+    @pytest.mark.parametrize("ev", [EV, FULL, RectEvent(0.7, 0.9, 1.2)], ids=["EV", "FULL", "ev2"])
+    @pytest.mark.parametrize("g,points", [
+        pytest.param(lambda x, s: m_phi_xs(x, s, TABULATED), (1.5, *TABULATED.kinks),
+                     id="m_phi[tabulated]"),
+        pytest.param(lambda x, s: m_kennedy_xs(x, s, 1.0, 1.0, KENNEDY_PSI), (1.0,),
+                     id="m_kennedy[uniform]"),
+        pytest.param(lambda x, s: f1_phi_xs(x, s, 1.0, EXP1), (), id="f1_phi[exp]"),
+        pytest.param(lambda x, s: f1_phi_xs(x, s, 1.0, TABULATED), TABULATED.kinks,
+                     id="f1_phi[tabulated]"),
+        pytest.param(_kennedy_kernel(5.0), (1.0,), id="kennedy-kernel"),
+    ])
+    def test_expect_on_event_matches_the_flat_integrand_loop(self, ev, g, points):
+        assert expect_on_event(ev, g, points=points) == reference_expect_on_event(ev, g, points=points)
+
+    def test_kernel_route_matches_the_flat_integrand_loop(self):
+        # the finite_t_value integrand of a tabulated phi, through the Hermite engine
+        kernel = PhiOfMax(TABULATED).log_kernel
+        for ev, t in ((EV, 8.0), (RectEvent(0.7, 0.9, 1.2), 33.0)):
+            log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
+            g = lambda x, s: np.exp(kernel(x, s, t - ev.u) - log_den)
+            assert (expect_on_event(ev, g, points=TABULATED.kinks)
+                    == reference_expect_on_event(ev, g, points=TABULATED.kinks))
+
+
+class TestIntegrandContract:
+    # g gets the x block as an (m, k) array and s as its (m, 1) column
+
+    def test_integrand_gets_a_block_and_its_s_column(self):
+        shapes = []
+
+        def g(x, s):
+            shapes.append((x.shape, s.shape))
+            return np.ones_like(x)
+
+        expect_on_event(EV, g)
+        assert shapes
+        for (m, k), s_shape in shapes:
+            assert s_shape == (m, 1)
+            assert k % (quadrature.W_PER_S * quadrature.EVENT_NODES) == 0
+
+    @pytest.mark.parametrize("ev", [EV, RectEvent(0.7, 0.4, 1.1), FULL], ids=["EV", "ev2", "FULL"])
+    @pytest.mark.parametrize("g", [lambda x, s: np.ones_like(s), lambda x, s: 1.0],
+                             ids=["s-column", "scalar"])
+    def test_s_only_and_scalar_integrands(self, ev, g):
+        val = expect_on_event(ev, g)
+        assert val == pytest.approx(rect_prob(ev), abs=1e-9)
+        # broadcasting an s-only value is exact: the full block gives the same float
+        assert val == expect_on_event(ev, lambda x, s: np.ones_like(x))
+
+    def test_s_only_jump_at_a_declared_point(self):
+        step = lambda x, s: np.where(s <= 0.5, 1.0, 0.0)
+        val = expect_on_event(FULL, step, points=(0.5,))
+        assert val == pytest.approx(rect_prob(RectEvent(1.0, c=0.5)), abs=1e-10)
+        assert val == expect_on_event(FULL, lambda x, s: step(x, s) * np.ones_like(x),
+                                      points=(0.5,))
