@@ -317,12 +317,21 @@ def q_phi_finite(phi: DensitySpec, ev: RectEvent, t: float) -> float:
     By Fubini this is the mixture of ``q_y_finite`` over y with weight
     phi(y) p_max(t, y); no conditional kernel is involved, so it is the
     independent partner of ``finite_t_value(PhiOfMax(phi), ev, t)``.
+
+    The mixture ends at Y = sqrt(y0^2 + 80 t), y0 = 2 E[Y], when that is below
+    phi's end.  By Markov's inequality at most half of phi's mass lies above
+    y0, so the normaliser is at least e^{-y0^2/2t} mass/2, while beyond Y the
+    weight e^{-y^2/2t} is below e^{-40} e^{-y0^2/2t}: the mass left out is
+    under e^{-40} (4e-18) of the normaliser, and q <= 1 moves the value by no
+    more.  A short horizon then does not spread the pieces over all of phi.
     """
     if t <= ev.u:
         raise ValueError("horizon t must exceed the observation time u")
+    y0 = 2.0 * phi.moment(1) / phi.mass()
     return _level_mixture(ev, lambda y: q_y_finite(y, ev, t),
                           lambda y: _log(phi.pdf(y)) - y * y / (2.0 * t),
-                          phi.effective_upper(1e-13), phi.kinks, t)
+                          min(phi.effective_upper(1e-13), math.sqrt(y0 * y0 + 80.0 * t)),
+                          phi.kinks, t)
 
 
 def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),

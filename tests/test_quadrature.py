@@ -461,6 +461,25 @@ class TestQphiFinite:
             assert q_a_phi_limit(-0.5, TABULATED, FULL) == pytest.approx(1.0, abs=1e-13)
             assert 0.0 < q_a_phi_limit(-0.5, TABULATED, EV, route="bridge") < 1.0
 
+    def test_short_horizon_mixture_ends_where_the_weight_is_spent(self, monkeypatch):
+        # exponential(0.2) ends at 150, but at t - u = 1e-3 the weight phi(y)
+        # p_max(t, y) is spent by y ~ 10: the mixture stops at sqrt(y0^2 + 80 t),
+        # y0 = 2 E[Y] = 10, where the uncut rule made about 19 000 pieces
+        phi, t = DensitySpec.exponential(0.2), 1.001
+        for ev in (EV, RectEvent(1.0, 0.3, 0.8), RectEvent(1.0, 1.5), RectEvent(1.0, 3.0, 4.0)):
+            uncut = quadrature._level_mixture(
+                ev, lambda y: q_y_finite(y, ev, t),
+                lambda y: quadrature._log(phi.pdf(y)) - y * y / (2.0 * t),
+                phi.effective_upper(1e-13), phi.kinks, t)
+            assert q_phi_finite(phi, ev, t) == pytest.approx(uncut, abs=1e-15)
+        ends = []
+        mixture = quadrature._level_mixture
+        monkeypatch.setattr(quadrature, "_level_mixture",
+                            lambda *args: ends.append(args[3]) or mixture(*args))
+        q_phi_finite(phi, EV, t)
+        q_phi_finite(UNIFORM, EV, t)    # the window reaches past phi's end
+        assert ends == [pytest.approx(math.sqrt(100.0 + 80.0 * t), rel=1e-14), 1.0]
+
     def test_unresolved_rule_raises(self, monkeypatch):
         # one node against two per piece cannot resolve the mixture to 1e-10
         monkeypatch.setattr(quadrature, "MIX_NODES", 1)
