@@ -403,16 +403,19 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     """Integral of g(x, s) p_joint(u, x, s) over the rectangle event, further
     restricted to {2s - x <= w_max}.
 
-    g takes arrays x and s of one shape.  The outer integral over s runs
-    ``_checked_rule`` from EVENT_NODES nodes per piece at most sqrt(u) wide,
-    cut at b, at ``points`` and at the bends of the cap: every jump or kink
-    of g in s must be in ``points``.  At k s-nodes per piece the inner
-    integral runs W_PER_S k Gauss-Legendre nodes in the reflected variable
-    w = 2s - x, so each level doubles the nodes in both variables and the
-    gap between levels checks the inner rule too.  The inner window has
-    reach R above the event's edge w0 = 2s - min(b, s), capped at w_max.
-    Every state beyond it has w >= R, so when the nodes with w > R - sqrt(u)
-    carry more than MIX_TOL, R doubles, at most MAX_DOUBLINGS times.
+    g takes the x block as an (m, k) array, one row per s-node, and s as its
+    (m, 1) column, so it must broadcast; its factors in s alone then run once
+    per s-node, and it may return an (m, 1) array or a scalar.  The outer
+    integral over s runs ``_checked_rule`` from EVENT_NODES nodes per piece
+    at most sqrt(u) wide, cut at b, at ``points`` and at the bends of the
+    cap: every jump or kink of g in s must be in ``points``.  At k s-nodes
+    per piece the inner integral runs W_PER_S k Gauss-Legendre nodes in the
+    reflected variable w = 2s - x, so each level doubles the nodes in both
+    variables and the gap between levels checks the inner rule too.  The
+    inner window has reach R above the event's edge w0 = 2s - min(b, s),
+    capped at w_max.  Every state beyond it has w >= R, so when the nodes
+    with w > R - sqrt(u) carry more than MIX_TOL, R doubles, at most
+    MAX_DOUBLINGS times.
     """
     u, b, c = ev.u, ev.b, ev.c
     if b == -math.inf:
