@@ -272,7 +272,8 @@ class _LinearTable:
         """
         if lam < 0.0:
             raise ValueError("the table kernels need lam >= 0")
-        x, y = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
+        # not broadcast: an s-column y keeps the work in y alone once per row
+        x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
         width = min(math.sqrt(0.5 * r), 2.0 / lam if lam > 0.0 else math.inf)
         span = self.grid[-1] - self.grid[0]
         count = max(1, math.ceil(span / width))

@@ -1006,3 +1006,18 @@ class TestKernelFormsAreBitIdentical:
         got = log_g_explinear(x, s, r, lam, mu)
         monkeypatch.setattr(weights, "_g2_log_pieces", reference_g2_log_pieces)
         assert np.array_equal(got, log_g_explinear(x, s, r, lam, mu))
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("values", [np.exp(-WIDE_GRID / 3.0), np.where(WIDE_GRID > 25.0, 1.0, 0.0)],
+                             ids=["e^-y/3", "late"])
+    def test_table_engine_on_an_s_column(self, values, lam):
+        # expect_on_event hands the kernels s as an (m, 1) column; the engine's
+        # work in y alone then runs once a row, with the floats of the full block
+        table = DensitySpec.tabulated(WIDE_GRID, values)._table()
+        gen = RngStream(46).generator()
+        for r in (0.05, 8.0, 500.0):
+            s = gen.uniform(-1.0, 31.0, (40, 1))
+            x = s - gen.exponential(1.0, (40, 48)) * math.sqrt(r)
+            column = table.gauss_tail(x, s, r, lam)
+            assert column.shape == x.shape
+            assert np.array_equal(column, table.gauss_tail(x, np.repeat(s, 48, axis=1), r, lam))
