@@ -71,15 +71,19 @@ def _tail_e_over_pdf(alpha):
 
     1 - alpha R(alpha) with R = Q/phi the Mills ratio (via erfcx, no
     underflow), or its asymptotic series 1/a^2 - 3/a^4 + 15/a^6 - ... beyond
-    _TAIL_E_CUT, where the difference cancels.
+    _TAIL_E_CUT, where the difference cancels; the series is built only
+    when some alpha is past the cut.
     """
     big = alpha > _TAIL_E_CUT
+    mills = 0.5 * SQRT_2PI * special.erfcx(np.where(big, 1.0, alpha) / np.sqrt(2.0))
+    out = 1.0 - alpha * mills
+    if not np.any(big):
+        return out
     ab = np.where(big, alpha, 100.0)   # masked lanes still need a benign series argument
     inv2 = 1.0 / (ab * ab)
     series = inv2 * (1.0 - 3.0 * inv2 * (1.0 - 5.0 * inv2 * (1.0 - 7.0 * inv2 * (
         1.0 - 9.0 * inv2 * (1.0 - 11.0 * inv2)))))
-    mills = 0.5 * SQRT_2PI * special.erfcx(np.where(big, 1.0, alpha) / np.sqrt(2.0))
-    return np.where(big, series, 1.0 - alpha * mills)
+    return np.where(big, series, out)
 
 
 def gauss_tail_e(alpha):
@@ -99,31 +103,16 @@ def log_gauss_tail_e(alpha):
     """log(phi(alpha) - alpha*Q(alpha)), stable for alpha -> +inf.
 
     The two terms of gauss_tail_e are added on the log scale; going through
-    the linear value would underflow once alpha^2/2 exceeds ~708.
+    the linear value would underflow once alpha^2/2 exceeds ~708.  The second,
+    log max(-alpha, 0), is -inf unless some alpha is negative.
     """
     alpha = np.asarray(alpha, dtype=float)
     mag = np.abs(alpha)
     with np.errstate(divide="ignore"):
-        out = np.logaddexp(-0.5 * mag * mag - np.log(SQRT_2PI) + np.log(_tail_e_over_pdf(mag)),
-                           np.log(np.maximum(-alpha, 0.0)))
+        out = -0.5 * mag * mag - np.log(SQRT_2PI) + np.log(_tail_e_over_pdf(mag))
+        if np.any(alpha < 0.0):
+            out = np.logaddexp(out, np.log(np.maximum(-alpha, 0.0)))
     return float(out) if out.ndim == 0 else out
-
-
-def logsumexp_signed(logs, signs, axis=0):
-    """Signed log-sum-exp; returns (log|sum|, sign(sum)).
-
-    Hand-rolled (rather than scipy's) so that exactly canceling leading terms
-    reduce cleanly instead of producing nan.
-    """
-    logs = np.asarray(logs, dtype=float)
-    signs = np.asarray(signs, dtype=float)
-    shift = np.max(logs, axis=axis, keepdims=True)
-    shift = np.where(np.isfinite(shift), shift, 0.0)
-    total = np.sum(signs * np.exp(logs - shift), axis=axis)
-    sgn = np.sign(total)
-    with np.errstate(divide="ignore"):
-        out = np.log(np.abs(total)) + np.squeeze(shift, axis=axis)
-    return out, sgn
 
 
 def gauss_legendre(n):

@@ -115,19 +115,37 @@ def classify_region(lam: float, mu: float) -> Regime:
 # densities on [0, inf)
 # ---------------------------------------------------------------------------
 
-# terms of the Hermite expansion in ``_LinearTable.gauss_tail``, on panels at
-# most sqrt(r / 2) wide (the truncation bound is in its docstring)
+# most terms of the Hermite expansion in ``_LinearTable.gauss_tail``, on
+# panels at most sqrt(r / 2) wide (the truncation bound is in its docstring)
 HERMITE_TERMS = 30
 
 
-def _centred_moments(half, mean, slope):
+def _hermite_terms(sigma: float, lam_half: float = 0.0) -> int:
+    """The fewest terms n of ``_hermite_sum`` whose first dropped term's bound
+    is no larger than HERMITE_TERMS terms give at sigma = 1/4 and
+    lam_half = 1: Cramer's 2^{n/2} sigma^n / sqrt(n!) for the Gaussian terms
+    and, for lam > 0, lam_half^n / n! for the j terms (see
+    ``_LinearTable.gauss_tail``), compared on the log scale."""
+    def log_bound(n, base, root):
+        return n * math.log(base) - root * math.lgamma(n + 1) if base > 0.0 else -math.inf
+
+    cap_g = log_bound(HERMITE_TERMS, math.sqrt(2.0) / 4.0, 0.5)
+    cap_j = log_bound(HERMITE_TERMS, 1.0, 1.0)
+    for n in range(1, HERMITE_TERMS):
+        if (log_bound(n, math.sqrt(2.0) * sigma, 0.5) <= cap_g
+                and log_bound(n, lam_half, 1.0) <= cap_j):
+            return n
+    return HERMITE_TERMS
+
+
+def _centred_moments(half, mean, slope, terms: int):
     """Integrals of (mean + slope u / half) u^n / n! over [-half, half] for
-    n < HERMITE_TERMS: 2 half^{n+1} / n! times mean / (n + 1) for even n and
+    n < terms: 2 half^{n+1} / n! times mean / (n + 1) for even n and
     slope / (n + 2) for odd n, so only the linear function's end values
     (mean +- slope) enter."""
     out = []
     power = 2.0 * half
-    for n in range(HERMITE_TERMS):
+    for n in range(terms):
         out.append(power * (mean / (n + 1) if n % 2 == 0 else slope / (n + 2)))
         power = power * (half / (n + 1))
     return out
@@ -257,12 +275,19 @@ class _LinearTable:
         to the panel's end (cached per P), and for the segment at y, which
         lies in one panel, about its own midpoint (``_centred_moments``).
         Cramer's inequality |h_n(t)| <= 1.09 2^{n/2} sqrt(n!) e^{-t^2/2}
-        bounds the Gaussian terms from n = HERMITE_TERMS = 30 on by
+        bounds the n-th Gaussian term by 1.09 2^{n/2} sigma^n / sqrt(n!)
+        e^{-t^2/2} times the mass expanded, sigma the largest |sigma|.  The
+        segment at y and the panels each take the fewest terms N whose first
+        dropped term's bound, and for lam > 0 that of the j terms below, is
+        no larger than HERMITE_TERMS = 30 terms give at sigma = 1/4 and
+        lam |v - c| = 1 (``_hermite_terms``): about 8 on the segment of a
+        301-knot table 1.5 wide at r = 7, and 19-28 on its one panel at
+        r = 7 to 127.  The Gaussian terms from n = N on then sum to under
         2.0e-30 e^{-t^2/2} times the mass expanded, which contributes at least
         e^{-(|t| + 1/4)^2} times itself: below 1e-13 relative wherever
         |t| <= 8.3 (the tail above ~2.5e-32 of the mass it comes from); past
         that, the far field, relative digits go.  For lam > 0, lam |v - c| <= 1,
-        and unrolling j_{n+1} = -lam k_n bounds the j terms from n = 30 on by
+        and unrolling j_{n+1} = -lam k_n bounds the j terms from n = N on by
         3.9e-33 j(c - x) plus 1.7e-24 e^{-lam^2 r/2} e^{-t^2/2} times the mass
         expanded, below 1e-13 of the Gaussian part wherever |t| <= 6.6.  As
         k(z) = e^{-lam z} (e^{-w^2/2} + lam sqrt(2 pi r) Q(w)), w = (z - lam r)
@@ -283,17 +308,21 @@ class _LinearTable:
             x = np.minimum(x, yc)   # the integral is empty past the end; e^{-lam (c - x)} <= e
         # the segment at y, expanded about its midpoint
         half = 0.5 * (knots[j] - yc)
+        widest = float(np.max(half, initial=0.0))
+        terms = _hermite_terms(widest / math.sqrt(2.0 * r), lam * widest)
         out = _hermite_sum(x - yc - half,
-                           _centred_moments(half, 0.5 * (vals[j] + t_y), 0.5 * (vals[j] - t_y)),
+                           _centred_moments(half, 0.5 * (vals[j] + t_y), 0.5 * (vals[j] - t_y), terms),
                            r, lam)
         # from the next knot j: the rest of its panel, then whole panels up to
         # lam r + 55 sqrt(r / 2) above it (55 panels at lam = 0)
+        half = 0.5 * span / count
+        terms = _hermite_terms(half / math.sqrt(2.0 * r), lam * half)
         own = np.minimum(pan[j], count - 1)
-        out += _hermite_sum(x - centres[own], mom[:, j], r, lam)
+        out += _hermite_sum(x - centres[own], mom[:terms, j], r, lam)
         reach = 55 if lam == 0.0 else math.ceil((lam * r + 55.0 * math.sqrt(0.5 * r)) * count / span)
         for m in range(1, min(count, reach + 1)):
             k = np.minimum(pan[j] + m, count - 1)
-            out += _hermite_sum(x - centres[k], whole[:, k] * (pan[j] + m < count), r, lam)
+            out += _hermite_sum(x - centres[k], whole[:terms, k] * (pan[j] + m < count), r, lam)
         return np.maximum(out, 0.0)
 
 

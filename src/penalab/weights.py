@@ -26,7 +26,6 @@ from ._stable import (
     log_gauss_tail_e,
     log_norm_cdf,
     log_norm_sf,
-    logsumexp_signed,
     norm_cdf,
     norm_sf,
 )
@@ -101,11 +100,13 @@ def _log_ndtr_diff(lo, hi):
         return lb + np.log1p(-np.exp(log_norm_cdf(a) - lb))
 
 
-def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float):
+def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float, log_q):
     """Signed log-pieces of e^{(lam+mu) x} (G2(d) - G2(cap - x)) (see
     log_g_explinear).  The (lam+mu) terms of the difference form one normal
     interval probability: G2(d) and G2(cap - x) can each exceed it by a factor
-    e^{(lam+mu)^2 r/2}."""
+    e^{(lam+mu)^2 r/2}.  ``log_q`` is log Q((d + mu r)/sr), which G1 needs
+    too; it is the mu-piece's tail at d and, uncapped on the diagonal, where
+    nu = -mu exactly, the interval's."""
     sr = math.sqrt(r)
     th = lam + 2.0 * mu
     nu = lam + mu
@@ -116,14 +117,19 @@ def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float):
         coef, sign = (abs(2.0 * nu / th), math.copysign(1.0, nu / th)) if th != 0.0 else (2.0, 1.0)
         lo = (d - nu * r) / sr
         # uncapped, the interval is the upper tail from lo (no log Phi(-inf) to add)
-        log_interval = (_log_ndtr_diff(lo, (d_hi - nu * r) / sr) if math.isfinite(cap)
-                        else log_norm_sf(lo))
+        if math.isfinite(cap):
+            log_interval = _log_ndtr_diff(lo, (d_hi - nu * r) / sr)
+        else:
+            log_interval = log_q if th == 0.0 else log_norm_sf(lo)
         pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0 + log_interval, sign))
     if mu != 0.0:
-        for dd, sign in ((d, 1.0), (d_hi, -1.0)) if math.isfinite(cap) else ((d, 1.0),):
+        for dd, tail, sign in (((d, log_q, 1.0), (d_hi, None, -1.0)) if math.isfinite(cap)
+                               else ((d, log_q, 1.0),)):
             if th != 0.0:
+                if tail is None:
+                    tail = log_norm_sf((dd + mu * r) / sr)
                 pieces.append((nu * x + math.log(abs(2.0 * mu / th)) + th * dd + mu * mu * r / 2.0
-                               + log_norm_sf((dd + mu * r) / sr), sign * math.copysign(1.0, mu / th)))
+                               + tail, sign * math.copysign(1.0, mu / th)))
             else:
                 pieces.append((nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
                                + log_gauss_tail_e((dd + mu * r) / sr), sign * math.copysign(1.0, -mu)))
@@ -143,24 +149,32 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 
     as  g = e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} (G2(s - x) - G2(cap - x));
     the th = 0 diagonal is handled by its analytic limit, and g = 0 (log -inf)
-    where s > cap.
+    where s > cap.  The pieces are summed in order after one shift by their
+    largest finite log.
     """
     x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
     d = s - x
     sr = math.sqrt(r)
 
     base1 = lam * s + mu * x + mu * mu * r / 2.0
+    log_q = log_norm_sf((d + mu * r) / sr)
     pieces = [(base1 + log_norm_cdf((d - mu * r) / sr), 1.0),
-              (base1 + 2.0 * mu * d + log_norm_sf((d + mu * r) / sr), -1.0)]
-    pieces += _g2_log_pieces(x, d, r, lam, mu, cap)
+              (base1 + 2.0 * mu * d + log_q, -1.0)]
+    pieces += _g2_log_pieces(x, d, r, lam, mu, cap, log_q)
 
-    logs = np.stack([np.broadcast_to(lg, d.shape) for lg, _ in pieces])
-    signs = np.stack([np.full(d.shape, sg) for _, sg in pieces])
-    out, sgn = logsumexp_signed(logs, signs, axis=0)
+    shift = pieces[0][0]
+    for lg, _ in pieces[1:]:
+        shift = np.maximum(shift, lg)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    total = np.exp(pieces[0][0] - shift)
+    for lg, sg in pieces[1:]:
+        total = total + np.exp(lg - shift) if sg > 0.0 else total - np.exp(lg - shift)
     above = s > cap
     # an exact 0 (log -inf) is the value at x = s = cap
-    if np.any(sgn[~above] < 0.0):
+    if np.any(total[~above] < 0.0):
         raise FloatingPointError("conditional exponential weight lost positivity")
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(total)) + shift
     return np.where(above, -np.inf, out)
 
 

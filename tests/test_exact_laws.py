@@ -1,5 +1,6 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -240,6 +241,70 @@ class TestLinearTableEngine:
         for k in range(4):
             ref = _quad(lambda a: a ** k * f.f1(a), g[0], min(x, g[-1]), g)
             assert f._prefix(k, x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
+
+
+def _hermite_bounds(n, sigma, lam_half):
+    """The first dropped term's bounds after n terms, 40 digits: Cramer's
+    2^{n/2} sigma^n / sqrt(n!) and the j terms' lam_half^n / n!."""
+    with mpmath.workdps(40):
+        n, sigma, lam_half = mpmath.mpf(n), mpmath.mpf(sigma), mpmath.mpf(lam_half)
+        return (2 ** (n / 2) * sigma ** n / mpmath.sqrt(mpmath.factorial(n)),
+                lam_half ** n / mpmath.factorial(n))
+
+
+# the perfbench table (301 knots on [0, 1.5]) and the two wide tables of
+# tests/test_penalized_mc.py (301 knots on [0, 30])
+_HERMITE_TABLES = {
+    "perfbench": (np.linspace(0.0, 1.5, 301), 0.3 + np.linspace(0.0, 1.5, 301) ** 2),
+    "e^5y": (np.linspace(0.0, 30.0, 301), np.exp(5.0 * np.linspace(0.0, 30.0, 301))),
+    "late": (np.linspace(0.0, 30.0, 301), np.where(np.linspace(0.0, 30.0, 301) > 25.0, 1.0, 0.0)),
+}
+
+
+class TestHermiteTermCounts:
+    # gauss_tail takes, per expansion, the fewest terms whose first dropped
+    # term's bound is no larger than HERMITE_TERMS terms give at sigma = 1/4
+    # and lam half-width = 1
+
+    def test_the_cap_is_hermite_terms_at_the_widest_panel(self):
+        assert exact_laws._hermite_terms(0.25, 1.0) == exact_laws.HERMITE_TERMS == 30
+        assert exact_laws._hermite_terms(0.25) == 30
+
+    @pytest.mark.parametrize("lam_half", [0.0, 1e-3, 0.1, 0.5, 0.9, 1.0])
+    def test_first_dropped_term_is_the_first_at_or_below_the_cap(self, lam_half):
+        cap_g, cap_j = _hermite_bounds(30, 0.25, 1.0)
+        for sigma in np.concatenate([np.geomspace(1e-8, 0.25, 60), [0.0]]):
+            n = exact_laws._hermite_terms(sigma, lam_half)
+            assert 1 <= n <= 30
+            g, j = _hermite_bounds(n, sigma, lam_half)
+            assert g <= cap_g and j <= cap_j
+            if n > 1:
+                g, j = _hermite_bounds(n - 1, sigma, lam_half)
+                assert g > cap_g or j > cap_j
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
+    @pytest.mark.parametrize("name", list(_HERMITE_TABLES))
+    def test_values_match_thirty_terms(self, name, lam, monkeypatch):
+        grid, values = _HERMITE_TABLES[name]
+        table = exact_laws._LinearTable(grid, values)
+        gen = RngStream(49).generator()
+        for r in (0.05, 1.0, 7.0, 31.0, 127.0, 500.0):
+            s = gen.uniform(grid[0] - 0.5, grid[-1] + 0.2, 2000)
+            x = s - gen.exponential(1.0, 2000) * math.sqrt(r) * gen.uniform(0.0, 3.0, 2000)
+            got = table.gauss_tail(x, s, r, lam)
+            with monkeypatch.context() as m:
+                m.setattr(exact_laws, "_hermite_terms", lambda sigma, lam_half=0.0: 30)
+                ref = table.gauss_tail(x, s, r, lam)
+            # the documented relative bound holds where the expansion starts
+            # within |t| <= 8.3 of x; past that, the far field, only the
+            # absolute one does: both truncations drop under 5e-30 e^{-t^2/2}
+            # (1 + j) times the mass expanded, j <= lam sqrt(2 pi r)
+            near = (np.clip(s, grid[0], grid[-1]) - x) / math.sqrt(2.0 * r) <= 8.0
+            shown = near & (ref > 1e-250)
+            assert shown.sum() > 500
+            assert np.all(np.abs(got - ref)[shown] <= 4.5e-16 * ref[shown]), (r, lam)
+            mass = table.suffix()[0]
+            assert np.all(np.abs(got - ref) <= 1e-29 * (1.0 + lam * math.sqrt(2.0 * math.pi * r)) * mass)
 
 
 class TestBivariatePenalties:

@@ -4,7 +4,7 @@ from dataclasses import dataclass
 import mpmath
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -592,6 +592,50 @@ class TestTerminalConditional:
             terminal_conditional(EV, t, y, 100, RngStream(0), a=a)
 
 
+def closed_form_log_g_explinear(x, s, r, lam, mu, cap=math.inf):
+    """log g = log(e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} (G2(s - x) - G2(cap - x)))
+    from the closed forms of ``log_g_explinear``'s docstring at 400 digits, with
+    no cancellation handling; the diagonal th = 0 is taken at lam + 1e-150."""
+    with mpmath.workdps(400):
+        x, s, r, lam, mu = map(mpmath.mpf, (x, s, r, lam, mu))
+        if lam + 2 * mu == 0:
+            lam += mpmath.mpf(10) ** -150
+        sr = mpmath.sqrt(r)
+        th, nu = lam + 2 * mu, lam + mu
+
+        def q(z):
+            return mpmath.erfc(z / mpmath.sqrt(2)) / 2
+
+        def g2(d):
+            return (2 * nu / th * mpmath.exp(nu * nu * r / 2) * q((d - nu * r) / sr)
+                    + 2 * mu / th * mpmath.exp(th * d + mu * mu * r / 2) * q((d + mu * r) / sr))
+
+        d = s - x
+        g1 = mpmath.exp(mu * mu * r / 2) * (1 - q((d - mu * r) / sr)
+                                            - mpmath.exp(2 * mu * d) * q((d + mu * r) / sr))
+        top = g2(mpmath.mpf(cap) - x) if math.isfinite(cap) else 0
+        return float(mpmath.log(mpmath.exp(lam * s + mu * x) * g1 + mpmath.exp(nu * x) * (g2(d) - top)))
+
+
+class TestExplinearAgainstItsClosedForm:
+    # the R1 cases lose digits as r grows, in the closed forms' cancelling
+    # pieces: the worst gap in log g over these states is 6.0e-13 at (-3, 1),
+    # r = 31, so 5e-12 leaves a factor 8.  At r = 511 R1 off the diagonal
+    # loses more (CHANGES.md)
+    @pytest.mark.parametrize("r", [0.05, 1.0, 7.0, 31.0])
+    @pytest.mark.parametrize("lam,mu,cap", [
+        (-2.0, 1.0, math.inf), (-3.0, 1.0, math.inf), (-2.5, 1.0, math.inf),    # R1
+        (0.5, 0.25, math.inf), (1.0, 1.0, math.inf),                            # R2
+        (0.0, -1.0, math.inf), (1.0, -1.0, math.inf),                           # R3
+        (-2.0, 1.0, 1.0), (0.5, 0.25, 1.2), (-2.0, 1.0, 1.1537)])
+    def test_matches_400_digits(self, lam, mu, cap, r):
+        gen = RngStream(50).generator()
+        s = gen.uniform(0.0, min(cap, 4.0), 30)
+        x = s - gen.exponential(1.0, 30) * math.sqrt(r) * gen.uniform(0.0, 3.0, 30)
+        ref = [closed_form_log_g_explinear(a, b, r, lam, mu, cap) for a, b in zip(x, s)]
+        assert np.max(np.abs(log_g_explinear(x, s, r, lam, mu, cap) - ref)) <= 5e-12
+
+
 class TestConditionalWeightKernels:
     def test_explinear_kernel_vs_martingale_limit_far_horizon(self):
         # the normalized conditional weight converges pointwise to the regime
@@ -950,19 +994,26 @@ def reference_closed_form_kennedy_bar(x, s, r, lam, psi):
                  + log_norm_sf((d + rho * r) / sr)))
 
 
-def reference_g2_log_pieces(x, d, r, lam, mu, cap):
-    """``weights._g2_log_pieces`` with the uncapped interval as
-    _log_ndtr_diff(lo, +inf): the form log_norm_sf(lo) replaced, kept as its
-    reference."""
+def reference_log_g_explinear(x, s, r, lam, mu, cap=math.inf):
+    """``weights.log_g_explinear`` as it was before it shared log Q((d + mu r)/sr)
+    between its pieces and summed them in a loop: each piece's normal tail
+    evaluated on its own, and the signed log-sum-exp over stacked pieces,
+    kept as its reference."""
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+    d = s - x
     sr = math.sqrt(r)
+    base1 = lam * s + mu * x + mu * mu * r / 2.0
+    pieces = [(base1 + special.log_ndtr((d - mu * r) / sr), 1.0),
+              (base1 + 2.0 * mu * d + log_norm_sf((d + mu * r) / sr), -1.0)]
     th = lam + 2.0 * mu
     nu = lam + mu
     d_hi = np.maximum(cap - x, d)
-    pieces = []
     if th == 0.0 or nu != 0.0:
         coef, sign = (abs(2.0 * nu / th), math.copysign(1.0, nu / th)) if th != 0.0 else (2.0, 1.0)
-        pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0
-                       + weights._log_ndtr_diff((d - nu * r) / sr, (d_hi - nu * r) / sr), sign))
+        lo = (d - nu * r) / sr
+        log_interval = (weights._log_ndtr_diff(lo, (d_hi - nu * r) / sr) if math.isfinite(cap)
+                        else log_norm_sf(lo))
+        pieces.append((nu * x + math.log(coef) + nu * nu * r / 2.0 + log_interval, sign))
     if mu != 0.0:
         for dd, sign in ((d, 1.0), (d_hi, -1.0)) if math.isfinite(cap) else ((d, 1.0),):
             if th != 0.0:
@@ -971,7 +1022,18 @@ def reference_g2_log_pieces(x, d, r, lam, mu, cap):
             else:
                 pieces.append((nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
                                + log_gauss_tail_e((dd + mu * r) / sr), sign * math.copysign(1.0, -mu)))
-    return pieces
+    logs = np.stack([np.broadcast_to(lg, d.shape) for lg, _ in pieces])
+    signs = np.stack([np.full(d.shape, sg) for _, sg in pieces])
+    shift = np.max(logs, axis=0, keepdims=True)
+    shift = np.where(np.isfinite(shift), shift, 0.0)
+    total = np.sum(signs * np.exp(logs - shift), axis=0)
+    sgn = np.sign(total)
+    with np.errstate(divide="ignore"):
+        out = np.log(np.abs(total)) + np.squeeze(shift, axis=0)
+    above = s > cap
+    if np.any(sgn[~above] < 0.0):
+        raise FloatingPointError("conditional exponential weight lost positivity")
+    return np.where(above, -np.inf, out)
 
 
 def _random_states(seed, r, top, n=4000):
@@ -981,7 +1043,8 @@ def _random_states(seed, r, top, n=4000):
 
 
 class TestKernelFormsAreBitIdentical:
-    # the kernels share their normal CDFs and skip log Phi(-inf) without moving a float
+    # the kernels share their normal CDFs and tails, skip log Phi(-inf) and sum their
+    # log-pieces in a loop without moving a float
 
     @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
     @pytest.mark.parametrize("psi,lam", [(PSI, 1.0), (DensitySpec.uniform(2.0, laplace_lambda=0.5), 0.5),
@@ -1001,11 +1064,31 @@ class TestKernelFormsAreBitIdentical:
     @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
     @pytest.mark.parametrize("lam,mu", [(-2.0, 1.0), (-3.0, 1.0), (1.0, 1.0), (0.0, -1.0),
                                         (1.0, -0.5), (1.0, -1.0), (0.5, 0.25), (-1.0, -1.0)])
-    def test_uncapped_explinear_kernel(self, lam, mu, r, monkeypatch):
+    def test_uncapped_explinear_kernel(self, lam, mu, r):
         x, s = _random_states(45, r, 4.0)
-        got = log_g_explinear(x, s, r, lam, mu)
-        monkeypatch.setattr(weights, "_g2_log_pieces", reference_g2_log_pieces)
-        assert np.array_equal(got, log_g_explinear(x, s, r, lam, mu))
+        assert np.array_equal(log_g_explinear(x, s, r, lam, mu),
+                              reference_log_g_explinear(x, s, r, lam, mu))
+
+    @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 63.0, 500.0])
+    @pytest.mark.parametrize("lam,mu,cap", [(-2.0, 1.0, 1.0), (0.5, 0.25, 1.2), (-2.0, 1.0, 1.1537)],
+                             ids=["trivial-bessel", "R2-1.2", "R1-1.1537"])
+    def test_capped_explinear_kernel(self, lam, mu, cap, r):
+        # s up to 1.3 cap, so that some states lie above the cap (log g = -inf)
+        x, s = _random_states(47, r, 1.3 * cap)
+        got = log_g_explinear(x, s, r, lam, mu, cap)
+        assert np.isneginf(got[s > cap]).all() and np.isfinite(got[s < cap]).any()
+        assert np.array_equal(got, reference_log_g_explinear(x, s, r, lam, mu, cap))
+
+    @pytest.mark.parametrize("lam,mu,cap", [(-2.0, 1.0, math.inf), (1.0, 1.0, math.inf),
+                                            (-2.0, 1.0, 1.0)])
+    def test_explinear_kernel_on_scalars_and_columns(self, lam, mu, cap):
+        assert log_g_explinear(0.1, 0.5, 3.0, lam, mu, cap) == reference_log_g_explinear(
+            0.1, 0.5, 3.0, lam, mu, cap)
+        gen = RngStream(48).generator()
+        column = gen.uniform(0.0, 1.3, (40, 1))
+        x = column - gen.exponential(1.0, (40, 100)) * math.sqrt(7.0)
+        assert np.array_equal(log_g_explinear(x, column, 7.0, lam, mu, cap),
+                              reference_log_g_explinear(x, column, 7.0, lam, mu, cap))
 
     @pytest.mark.parametrize("lam", [0.0, 1.0, 5.0])
     @pytest.mark.parametrize("values", [np.exp(-WIDE_GRID / 3.0), np.where(WIDE_GRID > 25.0, 1.0, 0.0)],
