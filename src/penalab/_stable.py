@@ -115,6 +115,19 @@ def log_gauss_tail_e(alpha):
     return float(out) if out.ndim == 0 else out
 
 
+def two_product(a, b):
+    """(p, e) with p = fl(a b) and p + e = a b exactly (Dekker's product via
+    Veltkamp's split), for |a|, |b| below ~1e300 and no underflow."""
+    def split(v):
+        c = 134217729.0 * v        # 2^27 + 1
+        hi = c - (c - v)
+        return hi, v - hi
+
+    p = a * b
+    (ah, al), (bh, bl) = split(a), split(b)
+    return p, ((ah * bh - p) + ah * bl + al * bh) + al * bl
+
+
 def gauss_legendre(n):
     """Cached Gauss-Legendre nodes/weights on [0, 1]."""
     key = int(n)

@@ -16,7 +16,7 @@ from enum import Enum
 import numpy as np
 from scipy import special
 
-from ._stable import SQRT_2_OVER_PI, SQRT_2PI, gauss_legendre, norm_sf
+from ._stable import SQRT_2_OVER_PI, SQRT_2PI, gauss_legendre, norm_sf, two_product
 
 __all__ = [
     "DegeneracyError",
@@ -435,8 +435,19 @@ class DensitySpec:
         y = np.asarray(y, dtype=float)
         yc = np.maximum(y, 0.0)
         if self.family == "exponential":
-            d = self.rate
-            out = self.scale * special.gamma(k + 1) / d ** (k + 1) * special.gammaincc(k + 1, d * yc)
+            # C e^{-rho y} sum_{i <= k} k!/i! y^i / rho^{k+1-i}, by Horner in y:
+            # every term is positive, so nothing cancels
+            rho = self.rate
+            # e^{-rho y} underflows past rho y = 746, so clipping y there keeps
+            # the moment 0 and y^k finite
+            yc = np.minimum(yc, 746.0 / rho)
+            poly = 1.0 / rho
+            for i in range(k - 1, -1, -1):
+                poly = poly * yc + math.factorial(k) // math.factorial(i) / rho ** (k + 1 - i)
+            # e^{-rho y} = e^{-p} (1 - e) from rho y = p + e: e^{-p} alone is off
+            # by rho y ulps
+            prod, err = two_product(rho, yc)
+            out = self.scale * np.exp(-prod) * (1.0 - err) * poly
         elif self.family == "uniform":
             yc2 = np.minimum(yc, self.upper)
             out = self.scale * (self.upper ** (k + 1) - yc2 ** (k + 1)) / (k + 1)

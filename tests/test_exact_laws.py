@@ -119,6 +119,26 @@ class TestDensitySpec:
         assert u.moment(2) == pytest.approx(8 / 6, abs=1e-14)
         assert u.ppf(0.25) == 0.5
 
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 1.7])
+    def test_exponential_tail_moments_match_40_digits(self, rate):
+        # C e^{-rho y} sum_{i <= k} k!/i! y^i / rho^{k+1-i} at the float y and rho,
+        # against C Gamma(k + 1, rho y) / rho^{k+1}; rho y reaches 510
+        spec = DensitySpec.exponential(rate)
+        ys = np.concatenate([[0.0, 1e-300, 1e-8, 0.3], np.linspace(0.0, 300.0, 61)[1:],
+                             RngStream(51).generator().uniform(0.0, 300.0, 40)])
+        for k in range(6):
+            got = spec.tail_moment(k, ys)
+            with mpmath.workdps(40):
+                rho = mpmath.mpf(rate)
+                ref = np.array([float(mpmath.mpf(spec.scale) * mpmath.gammainc(k + 1, rho * mpmath.mpf(y))
+                                      / rho ** (k + 1)) for y in ys])
+            assert np.all(np.abs(got - ref) <= 1e-15 * ref), (k, np.max(np.abs(got / ref - 1.0)))
+
+    def test_exponential_tail_moment_past_underflow(self):
+        e = DensitySpec.exponential(1.7)
+        assert e.tail_moment(3, np.array([np.inf, 1e305, 440.0])).tolist() == [0.0, 0.0, 0.0]
+        assert np.isnan(e.tail_moment(2, np.nan)) and e.cdf(np.inf) == 1.0
+
     def test_exponential_basics(self):
         e = DensitySpec.exponential(2.0)
         assert e.pdf(0.0) == 2.0
