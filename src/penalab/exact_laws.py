@@ -280,9 +280,9 @@ class _LinearTable:
         segment at y and the panels each take the fewest terms N whose first
         dropped term's bound, and for lam > 0 that of the j terms below, is
         no larger than HERMITE_TERMS = 30 terms give at sigma = 1/4 and
-        lam |v - c| = 1 (``_hermite_terms``): about 8 on the segment of a
-        301-knot table 1.5 wide at r = 7, and 19-28 on its one panel at
-        r = 7 to 127.  The Gaussian terms from n = N on then sum to under
+        lam |v - c| = 1 (``_hermite_terms``): at r = 7 to 127, 8-9 on the
+        segment of a 301-knot table 1.5 wide and 19-28 on its one panel.
+        The Gaussian terms from n = N on then sum to under
         2.0e-30 e^{-t^2/2} times the mass expanded, which contributes at least
         e^{-(|t| + 1/4)^2} times itself: below 1e-13 relative wherever
         |t| <= 8.3 (the tail above ~2.5e-32 of the mass it comes from); past
@@ -315,8 +315,8 @@ class _LinearTable:
                            r, lam)
         # from the next knot j: the rest of its panel, then whole panels up to
         # lam r + 55 sqrt(r / 2) above it (55 panels at lam = 0)
-        half = 0.5 * span / count
-        terms = _hermite_terms(half / math.sqrt(2.0 * r), lam * half)
+        half_panel = 0.5 * span / count
+        terms = _hermite_terms(half_panel / math.sqrt(2.0 * r), lam * half_panel)
         own = np.minimum(pan[j], count - 1)
         out += _hermite_sum(x - centres[own], mom[:terms, j], r, lam)
         reach = 55 if lam == 0.0 else math.ceil((lam * r + 55.0 * math.sqrt(0.5 * r)) * count / span)
