@@ -254,8 +254,9 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     The conditional kernel at r = t - u, divided by the kernel at the origin
     with horizon t, integrated over the time-u state; the s-integral breaks at
     the weight's kinks (the knots and end of phi's or psi's support, or the
-    cap).  For a phi weight this is the kernel partner of
-    ``quadrature.q_phi_finite``.
+    cap).  The last kink is where the weight's support ends, and S_u <= S_t,
+    so the kernel is 0 above it and the s-integral stops there.  For a phi
+    weight this is the kernel partner of ``quadrature.q_phi_finite``.
     """
     u = ev.u
     if t <= u:
@@ -264,7 +265,8 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     if kernel is None:
         raise TypeError(f"no conditional kernel for {pen!r}")
     log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
-    return expect_on_event(ev, lambda x, s: np.exp(kernel(x, s, t - u) - log_den),
+    support = RectEvent(u, ev.b, min(ev.c, max(pen.kinks, default=math.inf)))
+    return expect_on_event(support, lambda x, s: np.exp(kernel(x, s, t - u) - log_den),
                            w_max=w_max, points=pen.kinks)
 
 

@@ -5,14 +5,16 @@ For a weight F_t = f(X_t, S_t) and r = t - u, the conditional kernel is
 
     g(x, s, r) = E[ f(X_t, S_t) | X_u = x, S_u = s ],
 
-computed in closed form (exponential weights), via error functions (density
-and Kennedy weights with a uniform or exponential shape), or by the exact
-Hermite expansion of ``exact_laws._LinearTable.gauss_tail`` (tabulated phi
-and Kennedy psi).  Every ``log_g_*`` returns the full log g, so the exact
+computed in closed form (exponential weights, and Kennedy weights with a
+uniform or exponential psi, which are exponential weights), via error
+functions (density weights with a uniform or exponential shape), or by the
+exact Hermite expansion of ``exact_laws._LinearTable.gauss_tail`` (tabulated
+phi and Kennedy psi).  Every ``log_g_*`` returns the full log g, so the exact
 finite-horizon law integrates g(., r = t - u) / g(0, 0, t) for any weight;
 the large factors (e.g. exp(mu^2 r / 2)) stay on the log scale.
-``g_phi_hat`` and ``g_kennedy_bar`` are the linear-scale kernels without
-their known factor.
+``g_phi_hat`` is the linear-scale phi kernel without its known factor, and
+``g_kennedy_bar`` the Kennedy kernel without e^{lam^2 r/2}, read back from
+``log_g_kennedy``.
 """
 
 from __future__ import annotations
@@ -149,25 +151,28 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 
     as  g = e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} (G2(s - x) - G2(cap - x));
     the th = 0 diagonal is handled by its analytic limit, and g = 0 (log -inf)
-    where s > cap.  The pieces are summed in order after one shift by their
-    largest finite log.
+    where s > cap.  G1 is one non-negative piece, log Phi + log(1 - e^{2 mu d} Q / Phi):
+    its two terms cancel as d -> 0, and they do so before e^{lam s + mu x + mu^2 r/2}
+    multiplies them.  The G2 pieces and then G1 are summed after one shift by
+    their largest finite log.
     """
     x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
     d = s - x
     sr = math.sqrt(r)
 
-    base1 = lam * s + mu * x + mu * mu * r / 2.0
     log_q = log_norm_sf((d + mu * r) / sr)
-    pieces = [(base1 + log_norm_cdf((d - mu * r) / sr), 1.0),
-              (base1 + 2.0 * mu * d + log_q, -1.0)]
-    pieces += _g2_log_pieces(x, d, r, lam, mu, cap, log_q)
+    log_p = log_norm_cdf((d - mu * r) / sr)
+    with np.errstate(divide="ignore"):
+        g1 = (lam * s + mu * x + mu * mu * r / 2.0 + log_p
+              + np.log(-np.expm1(np.minimum(2.0 * mu * d + log_q - log_p, 0.0))))
+    pieces = _g2_log_pieces(x, d, r, lam, mu, cap, log_q) + [(g1, 1.0)]
 
     shift = pieces[0][0]
     for lg, _ in pieces[1:]:
         shift = np.maximum(shift, lg)
     shift = np.where(np.isfinite(shift), shift, 0.0)
-    total = np.exp(pieces[0][0] - shift)
-    for lg, sg in pieces[1:]:
+    total = 0.0
+    for lg, sg in pieces:
         total = total + np.exp(lg - shift) if sg > 0.0 else total - np.exp(lg - shift)
     above = s > cap
     # an exact 0 (log -inf) is the value at x = s = cap
@@ -182,51 +187,39 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 # Kennedy weights psi(S_t) e^{lam (S_t - X_t)}
 # ---------------------------------------------------------------------------
 
-def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
-    """gbar with E[psi(S_t) e^{lam (S_t - X_t)} | X_u, S_u] = e^{lam^2 r/2} gbar.
+def log_g_kennedy(x, s, r: float, lam: float, psi: DensitySpec):
+    """log E[psi(S_t) e^{lam (S_t - X_t)} | X_u = x, S_u = s], r = t - u.
 
-    gbar(x, s, r) = psi(s) e^{lam d} int_0^d e^{-2 lam z} hbar(z) dz
-                    + int_d^inf e^{-lam z} psi(x + z) hbar(z) dz,   d = s - x,
-    hbar(z) = 2 lam Q((z - lam r)/sr) + sqrt(2/(pi r)) e^{-(z - lam r)^2/2r}.
+    A uniform psi on [0, A] makes the weight C e^{lam S_t - lam X_t} 1{S_t <= A},
+    and psi(y) = C e^{-rho y} makes it C e^{(lam - rho) S_t - lam X_t}: both are
+    ``log_g_explinear``.  A tabulated psi splits at d = s - x into
 
-    Both integrals are normal CDFs by parts (a = (lam r + d)/sr,
-    c = (lam r - d)/sr, and kappa = lam + rho for psi(y) = C e^{-rho y}):
+        e^{lam^2 r/2} (psi(s) e^{lam d} int_0^d e^{-2 lam z} hbar(z) dz
+                       + int_d^inf e^{-lam z} psi(x + z) hbar(z) dz),
+        hbar(z) = 2 lam Q((z - lam r)/sr) + sqrt(2/(pi r)) e^{-(z - lam r)^2/2r}.
 
-        int_0^d e^{-2 lam z} hbar dz = Phi(a) - e^{-2 lam d} Phi(c),
-        e^{-lam z} hbar(z) = d/dz [-F(z)],   F(z) = 2 e^{-lam z} Q((z - lam r)/sr),
-        int_d^inf e^{-kappa z} hbar dz = (2 lam/kappa) e^{-kappa d} Q(-c)
-                                         + (2 rho/kappa) e^{(rho^2 - lam^2) r/2} Q((d + rho r)/sr).
-
-    The flat part is summed as e^{lam d} (Phi(a) - Phi(c)) + 2 sinh(lam d) Phi(c),
-    two non-negative terms, so it stays positive as d -> 0.  A tabulated psi's
-    moving part is sqrt(2/(pi r)) times ``_LinearTable.gauss_tail`` at lam.
+    The flat part is psi(s) e^{lam d} (Phi(a) - Phi(c) - expm1(-2 lam d) Phi(c)),
+    a = (lam r + d)/sr and c = (lam r - d)/sr, two non-negative terms kept on
+    the log scale with e^{lam d}.  The moving part is sqrt(2/(pi r)) times
+    ``_LinearTable.gauss_tail`` at lam, joined to it with ``logaddexp``.
     """
+    if psi.family == "uniform":
+        return math.log(psi.scale) + log_g_explinear(x, s, r, lam, -lam, cap=psi.upper)
+    if psi.family == "exponential":
+        return math.log(psi.scale) + log_g_explinear(x, s, r, lam - psi.rate, -lam)
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     d = s - x
     sr = math.sqrt(r)
     cdf_c = norm_cdf((lam * r - d) / sr)
     interval = np.maximum(norm_cdf((lam * r + d) / sr) - cdf_c, 0.0)
-    flat = psi.pdf(s) * (np.exp(lam * d) * interval + 2.0 * np.sinh(lam * d) * cdf_c)
-
-    # Q((d - lam r)/sr) below is Phi(c), the same float, so it reuses cdf_c
-    if psi.family == "uniform":
-        # F(d) - F(max(A - x, d))
-        z = np.maximum(psi.upper - x, d)
-        f_top = 2.0 * np.exp(-lam * z) * norm_sf((z - lam * r) / sr)
-        moving = psi.scale * np.maximum(2.0 * np.exp(-lam * d) * cdf_c - f_top, 0.0)
-    elif psi.family == "exponential":
-        rho = psi.rate
-        kappa = lam + rho
-        moving = psi.scale * np.exp(-rho * x) * (
-            2.0 * lam / kappa * np.exp(-kappa * d) * cdf_c
-            + np.exp(math.log(2.0 * rho / kappa) + (rho * rho - lam * lam) * r / 2.0
-                     + log_norm_sf((d + rho * r) / sr)))
-    else:
-        moving = math.sqrt(2.0 / (math.pi * r)) * psi._table().gauss_tail(x, s, r, lam)
-    return flat + moving
+    with np.errstate(divide="ignore"):
+        flat = np.log(psi.pdf(s)) + lam * d + np.log(interval - np.expm1(-2.0 * lam * d) * cdf_c)
+    moving = _log_times(psi._table().gauss_tail(x, s, r, lam), 0.5 * math.log(2.0 / (math.pi * r)))
+    return np.logaddexp(flat, moving) + lam * lam * r / 2.0
 
 
-def log_g_kennedy(x, s, r: float, lam: float, psi: DensitySpec):
-    """log E[psi(S_t) e^{lam (S_t - X_t)} | X_u = x, S_u = s], r = t - u."""
-    return _log_times(g_kennedy_bar(x, s, r, lam, psi), lam * lam * r / 2.0)
+def g_kennedy_bar(x, s, r: float, lam: float, psi: DensitySpec):
+    """gbar with E[psi(S_t) e^{lam (S_t - X_t)} | X_u, S_u] = e^{lam^2 r/2} gbar,
+    from ``log_g_kennedy``."""
+    return np.exp(log_g_kennedy(x, s, r, lam, psi) - lam * lam * r / 2.0)
