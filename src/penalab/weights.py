@@ -162,6 +162,8 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 
     log_q = log_norm_sf((d + mu * r) / sr)
     log_p = log_norm_cdf((d - mu * r) / sr)
+    # e^{2 mu d} Q / Phi is at most 1, and 1 at d = 0, where G1 = 0 (log -inf);
+    # the min keeps its rounding there from going past 1
     with np.errstate(divide="ignore"):
         g1 = (lam * s + mu * x + mu * mu * r / 2.0 + log_p
               + np.log(-np.expm1(np.minimum(2.0 * mu * d + log_q - log_p, 0.0))))

@@ -43,6 +43,9 @@ UNIFORM = DensitySpec.uniform(1.0)
 SPIKE = DensitySpec.tabulated([0.0, 0.999, 0.9995, 1.0005, 1.001, 1.5],
                               [0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 PSI = DensitySpec.uniform(1.0, laplace_lambda=1.0)
+# psi = e^{-y} on 41 knots of [0, 2], Laplace-normalized at lam = 1
+TABULATED_PSI = DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
+                                      np.exp(-np.linspace(0.0, 2.0, 41)), laplace_lambda=1.0)
 EV = RectEvent(1.0, b=0.0, c=0.5)
 FULL = RectEvent(1.0)
 # psi on 301 knots of [0, 30], Laplace-normalized at lam = 5, so that the
@@ -399,10 +402,7 @@ class TestFiniteTValue:
         assert finite_t_value(pen, FULL, 32.0) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("pen", [
-        PhiOfMax(UNIFORM), PhiOfMax(SPIKE), KennedyWeight(1.0, PSI),
-        KennedyWeight(1.0, DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
-                                                 np.exp(-np.linspace(0.0, 2.0, 41)),
-                                                 laplace_lambda=1.0)),
+        PhiOfMax(UNIFORM), PhiOfMax(SPIKE), KennedyWeight(1.0, PSI), KennedyWeight(1.0, TABULATED_PSI),
         ExpLinear(-2.0, 1.0, cap=1.0), ExpLinear(0.5, 0.25, cap=1.2)],
         ids=["phi-uniform", "phi-spike", "kennedy-uniform", "kennedy-tabulated",
              "capped-R1", "capped-R2"])
@@ -682,10 +682,7 @@ class TestKennedyKernelPastOverflow:
     # lam d: summed on the linear scale the kernel overflowed and log g was -inf
 
     @pytest.mark.parametrize("d,r", [(720.0, 2.0), (800.0, 2.0), (800.0, 500.0)])
-    @pytest.mark.parametrize("psi", [PSI, DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
-                                                                np.exp(-np.linspace(0.0, 2.0, 41)),
-                                                                laplace_lambda=1.0)],
-                             ids=["uniform", "tabulated"])
+    @pytest.mark.parametrize("psi", [PSI, TABULATED_PSI], ids=["uniform", "tabulated"])
     def test_flat_part(self, psi, d, r):
         # uniform psi at r = 2 gives 721.45867515 and 801.45867515
         lam, s = 1.0, 0.5
@@ -784,10 +781,6 @@ class TestConditionalWeightKernels:
             exact = phi.pdf(s) * h_cdf(r, d) + tail
             got = float(np.exp(log_g_phi(np.array([x]), np.array([s]), r, phi))[0])
             assert got == pytest.approx(exact, rel=rel)
-
-    # psi = e^{-y} on 41 knots of [0, 2], Laplace-normalized at lam = 1
-    TABULATED_PSI = DensitySpec.tabulated(np.linspace(0.0, 2.0, 41),
-                                          np.exp(-np.linspace(0.0, 2.0, 41)), laplace_lambda=1.0)
 
     @pytest.mark.parametrize("psi,rel", [(PSI, 1e-12),
                                          (DensitySpec.exponential(1.5, laplace_lambda=1.0), 1e-12),
