@@ -176,13 +176,13 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
     total = 0.0
     for lg, sg in pieces:
         total = total + np.exp(lg - shift) if sg > 0.0 else total - np.exp(lg - shift)
-    above = s > cap
+    # above the cap the G2 pieces cancel exactly (d_hi = d), leaving G1 >= 0;
     # an exact 0 (log -inf) is the value at x = s = cap
-    if np.any(total[~above] < 0.0):
+    if np.any(total < 0.0):
         raise FloatingPointError("conditional exponential weight lost positivity")
     with np.errstate(divide="ignore"):
-        out = np.log(np.abs(total)) + shift
-    return np.where(above, -np.inf, out)
+        out = np.log(total) + shift
+    return np.where(s > cap, -np.inf, out)
 
 
 # ---------------------------------------------------------------------------
