@@ -9,6 +9,7 @@ equivalent one-sided-maximum density.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from enum import Enum
@@ -198,12 +199,51 @@ def _segment_integral(k: int, lam: float, lo, hi, f_lo, f_hi, centre=None):
                                           + f_hi * special.hyp1f1(2.0, 3.0, -c))
 
 
-def _clip_to_segment(grid, values, y):
+class _KnotLocator:
+    """np.searchsorted(knots, y, side="right") for every float y, in O(1)
+    expected vector passes for a table's increasing knots.
+
+    The span is cut into as many equal buckets as there are knots, and the
+    bucket number b(y) = floor((y - knots[0]) n / span), y clipped to the
+    span and b to the buckets (NaN to the last), is computed the same way
+    for the knots and for y.  Floating-point subtraction and multiplication
+    round monotonically, so b is non-decreasing in y whatever its rounding:
+    every knot in an earlier bucket than y is <= y, every knot in a later
+    one is > y, and the answer is the bucket's first knot index plus a count
+    over the bucket's own knots.  That count is a branchless binary search, one
+    vector pass per halving of the fullest bucket (1-2 on a uniform grid,
+    log2 n on a grid that crowds into one bucket); past the last knot it
+    reads +inf, which only y = +inf or NaN passes, and those clamp to n.
+    """
+
+    def __init__(self, knots: np.ndarray):
+        self.size = knots.size
+        self._lo, self._hi = knots[0], knots[-1]
+        self._scale = knots.size / (knots[-1] - knots[0])
+        self._start = np.searchsorted(self._bucket(knots), np.arange(knots.size + 1))
+        depth = int(np.max(np.diff(self._start))).bit_length()
+        self._steps = [1 << k for k in reversed(range(depth))]
+        self._padded = np.concatenate((knots, np.full(1 << depth, np.inf)))
+
+    def _bucket(self, y):
+        # clipped first, so nothing overflows; fmin sends NaN to the last bucket
+        return np.fmin((np.clip(y, self._lo, self._hi) - self._lo) * self._scale,
+                       self.size - 1).astype(np.intp)
+
+    def __call__(self, y):
+        pos = self._start[self._bucket(y)]
+        for step in self._steps:
+            ahead = pos + step
+            pos = np.where(y < self._padded[ahead - 1], pos, ahead)
+        return np.minimum(pos, self.size)
+
+
+def _clip_to_segment(grid, values, y, locate):
     """y clipped to the table, the index j of the knot that ends its segment,
     and the table's value there from the distances to both knots (exact at a
-    knot, accurate near a zero)."""
+    knot, accurate near a zero).  ``locate`` is the grid's ``_KnotLocator``."""
     yc = np.clip(y, grid[0], grid[-1])
-    j = np.minimum(np.searchsorted(grid, yc, side="right"), grid.size - 1)
+    j = np.minimum(locate(yc), grid.size - 1)
     lo, hi = grid[j - 1], grid[j]
     return yc, j, values[j - 1] * ((hi - yc) / (hi - lo)) + values[j] * ((yc - lo) / (hi - lo))
 
@@ -211,13 +251,19 @@ def _clip_to_segment(grid, values, y):
 class _LinearTable:
     """Exact integrals of the piecewise-linear t through (grid, values): that of
     v^k e^{-lam v} t(v) from y to the table's end is the partial segment at y
-    plus a suffix sum over whole segments, cached per (k, lam)."""
+    plus a suffix sum over whole segments, cached per (k, lam).  The segment
+    at y is found by a ``_KnotLocator``, built on first use for the grid and
+    with each ``_panels(count)`` for its knots."""
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
         self.grid = grid
         self.values = values
         self._suffix = {}
         self._hermite = {}
+
+    @functools.cached_property
+    def _locate(self) -> _KnotLocator:
+        return _KnotLocator(self.grid)
 
     def suffix(self, k: int = 0, lam: float = 0.0) -> np.ndarray:
         """Integrals of v^k e^{-lam v} t(v) from each knot to the table's end."""
@@ -230,7 +276,7 @@ class _LinearTable:
 
     def tail(self, y, k: int = 0, lam: float = 0.0):
         """Integral of v^k e^{-lam v} t(v) over [y, grid end], y clipped to the table."""
-        yc, j, t_y = _clip_to_segment(self.grid, self.values, y)
+        yc, j, t_y = _clip_to_segment(self.grid, self.values, y, self._locate)
         return (_segment_integral(k, lam, yc, self.grid[j], t_y, self.values[j])
                 + self.suffix(k, lam)[j])
 
@@ -256,7 +302,8 @@ class _LinearTable:
             for k in range(count):
                 a, b = first[k], first[k + 1]
                 mom[:, a:b] = np.cumsum(seg[a:b][::-1], axis=0)[::-1].T
-            self._hermite[count] = (knots, vals, centres, pan, mom, mom[:, first[:-1]])
+            self._hermite[count] = (knots, vals, centres, pan, mom, mom[:, first[:-1]],
+                                    _KnotLocator(knots))
         return self._hermite[count]
 
     def gauss_tail(self, x, y, r: float, lam: float = 0.0):
@@ -294,6 +341,10 @@ class _LinearTable:
         / sqrt(r), panels past w = 38 (z from the first knot above y) add under
         e^{-700} e^{lam x} times the integral of t(v) e^{-lam v}, whatever t
         is: they are left out.  The sum is clamped at >= 0.
+
+        Returns the integral and t(y), the table's value at y that the
+        segment at y starts from (0 outside the table), in the shape of y:
+        the kernels' flat parts take phi(s) or psi(s) from it.
         """
         if lam < 0.0:
             raise ValueError("the table kernels need lam >= 0")
@@ -302,8 +353,8 @@ class _LinearTable:
         width = min(math.sqrt(0.5 * r), 2.0 / lam if lam > 0.0 else math.inf)
         span = self.grid[-1] - self.grid[0]
         count = max(1, math.ceil(span / width))
-        knots, vals, centres, pan, mom, whole = self._panels(count)
-        yc, j, t_y = _clip_to_segment(knots, vals, y)
+        knots, vals, centres, pan, mom, whole, locate = self._panels(count)
+        yc, j, t_y = _clip_to_segment(knots, vals, y, locate)
         if lam > 0.0:
             x = np.minimum(x, yc)   # the integral is empty past the end; e^{-lam (c - x)} <= e
         # the segment at y, expanded about its midpoint
@@ -323,7 +374,7 @@ class _LinearTable:
         for m in range(1, min(count, reach + 1)):
             k = np.minimum(pan[j] + m, count - 1)
             out += _hermite_sum(x - centres[k], whole[:terms, k] * (pan[j] + m < count), r, lam)
-        return np.maximum(out, 0.0)
+        return np.maximum(out, 0.0), np.where(yc == y, t_y, 0.0)
 
 
 @dataclass

@@ -132,6 +132,13 @@ class BivariateF:
 PenaltyKind = PhiOfMax | BivariateF | ExpLinear | KennedyWeight
 
 
+def _support_end(pen: PenaltyKind) -> float:
+    """The weight's last kink, where its support ends (the end of phi's or
+    psi's support, or the cap; +inf if it has none).  F_t is 0 for S_t above
+    it, and S_u <= S_t, so the kernel is 0 (log -inf) for S_u above it too."""
+    return max(pen.kinks, default=math.inf)
+
+
 @dataclass(frozen=True)
 class Estimate:
     """A ratio estimate; ``ess`` is the Kish effective sample size
@@ -220,8 +227,11 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream) -
     from the same draws and weights, and ``ess`` is their shared Kish number.
     A kind with a kernel weights each draw by the exact conditional
     expectation of F_t given the time-u state; a kind without one by F_t at
-    an exact draw of (X_t, S_t).  The ratio sums are streamed chunk by chunk,
-    so memory is O(CHUNK k).
+    an exact draw of (X_t, S_t).  The kernel is called only on the live
+    draws, those with S_u at or below the weight's support end
+    (``_support_end``); the others get log-weight -inf, the kernel's own
+    value there.  The ratio sums are streamed chunk by chunk, so memory is
+    O(CHUNK k).
     """
     u, val_fn = _event_values(ev)
     if t <= u:
@@ -230,13 +240,19 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream) -
         raise ValueError("need at least two samples")
 
     kernel = pen.log_kernel
+    end = math.inf if kernel is None else _support_end(pen)
     sums = _WeightedSums()
     for ci, done in enumerate(range(0, n, CHUNK)):
         m = min(CHUNK, n - done)
         gen = rng.generator(ci)
         if kernel is not None:
             xu, su = exact_bm_state(u, m, gen)
-            logw = kernel(xu, su, t - u)
+            if end < math.inf:
+                live = np.flatnonzero(su <= end)
+                logw = np.full(m, -np.inf)
+                logw[live] = kernel(xu[live], su[live], t - u)
+            else:
+                logw = kernel(xu, su, t - u)
         else:
             xu, su, xt, st = exact_two_time_state(u, t, m, gen)
             with np.errstate(divide="ignore"):
@@ -254,9 +270,9 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     The conditional kernel at r = t - u, divided by the kernel at the origin
     with horizon t, integrated over the time-u state; the s-integral breaks at
     the weight's kinks (the knots and end of phi's or psi's support, or the
-    cap).  The last kink is where the weight's support ends, and S_u <= S_t,
-    so the kernel is 0 above it and the s-integral stops there.  For a phi
-    weight this is the kernel partner of ``quadrature.q_phi_finite``.
+    cap), and stops at the last, where the weight's support ends
+    (``_support_end``).  For a phi weight this is the kernel partner of
+    ``quadrature.q_phi_finite``.
     """
     u = ev.u
     if t <= u:
@@ -265,7 +281,7 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     if kernel is None:
         raise TypeError(f"no conditional kernel for {pen!r}")
     log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
-    support = RectEvent(u, ev.b, min(ev.c, max(pen.kinks, default=math.inf)))
+    support = RectEvent(u, ev.b, min(ev.c, _support_end(pen)))
     return expect_on_event(support, lambda x, s: np.exp(kernel(x, s, t - u) - log_den),
                            w_max=w_max, points=pen.kinks)
 

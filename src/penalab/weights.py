@@ -56,8 +56,6 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
     d = s - x
     sr = math.sqrt(r)
     z = d / sr
-    flat = phi.pdf(s) * sr * SQRT_2PI * (norm_cdf(z) - 0.5)
-
     if phi.family == "exponential":
         dlt = phi.rate
         # log-stable: C e^{-dlt x + dlt^2 r/2} sqrt(2 pi r) Q((s - x + dlt r)/sqrt(r))
@@ -65,14 +63,16 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
                    + 0.5 * math.log(2.0 * math.pi * r)
                    + log_norm_sf((s - x + dlt * r) / sr))
         tail = np.exp(logtail)
+        phi_s = phi.pdf(s)
     elif phi.family == "uniform":
         A = phi.upper
         tail = phi.scale * sr * SQRT_2PI * np.maximum(
             norm_sf(z) - norm_sf((A - x) / sr), 0.0)
         tail = np.where(s >= A, 0.0, tail)
+        phi_s = phi.pdf(s)
     else:
-        tail = phi._table().gauss_tail(x, s, r)
-    return flat + tail
+        tail, phi_s = phi._table().gauss_tail(x, s, r)
+    return phi_s * sr * SQRT_2PI * (norm_cdf(z) - 0.5) + tail
 
 
 def _log_times(g, log_factor: float):
@@ -182,7 +182,7 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
         raise FloatingPointError("conditional exponential weight lost positivity")
     with np.errstate(divide="ignore"):
         out = np.log(total) + shift
-    return np.where(s > cap, -np.inf, out)
+    return np.where(s > cap, -np.inf, out) if math.isfinite(cap) else out
 
 
 # ---------------------------------------------------------------------------
@@ -213,11 +213,12 @@ def log_g_kennedy(x, s, r: float, lam: float, psi: DensitySpec):
     s = np.asarray(s, dtype=float)
     d = s - x
     sr = math.sqrt(r)
+    tail, psi_s = psi._table().gauss_tail(x, s, r, lam)
     cdf_c = norm_cdf((lam * r - d) / sr)
     interval = np.maximum(norm_cdf((lam * r + d) / sr) - cdf_c, 0.0)
     with np.errstate(divide="ignore"):
-        flat = np.log(psi.pdf(s)) + lam * d + np.log(interval - np.expm1(-2.0 * lam * d) * cdf_c)
-    moving = _log_times(psi._table().gauss_tail(x, s, r, lam), 0.5 * math.log(2.0 / (math.pi * r)))
+        flat = np.log(psi_s) + lam * d + np.log(interval - np.expm1(-2.0 * lam * d) * cdf_c)
+    moving = _log_times(tail, 0.5 * math.log(2.0 / (math.pi * r)))
     return np.logaddexp(flat, moving) + lam * lam * r / 2.0
 
 

@@ -3,7 +3,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -263,6 +263,87 @@ class TestLinearTableEngine:
             assert f._prefix(k, x) == pytest.approx(ref, rel=1e-12, abs=1e-12)
 
 
+@st.composite
+def _knot_grids(draw):
+    """Increasing grids of 2 to 400 knots from a random start: uniform, at
+    random spacings, or at geometric spacings from 1e-12 up, crowded at
+    either end."""
+    n = draw(st.integers(2, 400))
+    start = draw(st.floats(-10.0, 10.0))
+    kind = draw(st.sampled_from(["uniform", "random", "geometric"]))
+    if kind == "uniform":
+        return start + np.linspace(0.0, draw(st.floats(1e-6, 100.0)), n)
+    if kind == "random":
+        gaps = draw(st.lists(st.floats(1e-9, 10.0), min_size=n - 1, max_size=n - 1))
+    else:
+        gaps = np.geomspace(1e-12, draw(st.floats(1e-9, 10.0)), n - 1)
+        if draw(st.booleans()):
+            gaps = gaps[::-1]
+    grid = start + np.concatenate(([0.0], np.cumsum(gaps)))
+    assume(np.all(np.diff(grid) > 0.0))
+    return grid
+
+
+def _queries(grid, gen):
+    """Random points on and beyond the table, the knots, their neighbouring
+    floats on both sides, the ends and points far outside."""
+    lo, hi = grid[0], grid[-1]
+    span = hi - lo
+    return np.concatenate([
+        gen.uniform(lo, hi, 300), grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        [lo, hi], lo - span * gen.exponential(1.0, 20), hi + span * gen.exponential(1.0, 20),
+        [-np.inf, np.inf, -1e308, 1e308, 0.0, -0.0]])
+
+
+def _clip_to_segment_by_searchsorted(grid, values, y):
+    """``exact_laws._clip_to_segment`` with its knot found by np.searchsorted."""
+    yc = np.clip(y, grid[0], grid[-1])
+    j = np.minimum(np.searchsorted(grid, yc, side="right"), grid.size - 1)
+    lo, hi = grid[j - 1], grid[j]
+    return yc, j, values[j - 1] * ((hi - yc) / (hi - lo)) + values[j] * ((yc - lo) / (hi - lo))
+
+
+class TestKnotLocator:
+    # the O(1) knot locator of the table kernels is np.searchsorted(side="right")
+    # exactly, whatever the rounding of its bucket numbers
+
+    @given(grid=_knot_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_locator_is_searchsorted(self, grid, seed):
+        y = _queries(grid, np.random.default_rng(seed))
+        locate = exact_laws._KnotLocator(grid)
+        assert np.array_equal(locate(y), np.searchsorted(grid, y, side="right"))
+        assert locate(np.nan) == grid.size == np.searchsorted(grid, np.nan, side="right")
+        assert locate(grid[0]) == 1 and np.ndim(locate(grid[0])) == 0
+        column = y[:40].reshape(20, 2)
+        assert np.array_equal(locate(column), np.searchsorted(grid, column, side="right"))
+
+    @given(grid=_knot_grids(), seed=st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_clip_to_segment_is_its_searchsorted_form(self, grid, seed):
+        gen = np.random.default_rng(seed)
+        values = gen.uniform(0.0, 2.0, grid.size) * (gen.random(grid.size) < 0.8)
+        y = _queries(grid, gen)
+        got = exact_laws._clip_to_segment(grid, values, y, exact_laws._KnotLocator(grid))
+        for a, b in zip(got, _clip_to_segment_by_searchsorted(grid, values, y)):
+            assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    def test_gauss_tail_returns_the_table_value(self, lam):
+        # the kernels' flat parts take phi(s) from gauss_tail: pdf within an
+        # ulp or two on the table (its panels add knots), and 0 off it
+        grid = np.linspace(0.5, 1.5, 301)
+        spec = DensitySpec.tabulated(grid, 0.3 + grid ** 2)
+        gen = RngStream(52).generator()
+        s = np.concatenate((gen.uniform(0.0, 2.0, 2000), grid, [0.0, np.nextafter(0.5, 0.0),
+                                                                  np.nextafter(1.5, 2.0), 3.0]))
+        for r in (0.05, 8.0, 128.0):
+            _, t_s = spec._table().gauss_tail(s - 0.3, s, r, lam)
+            assert t_s.shape == s.shape
+            assert np.array_equal(t_s == 0.0, spec.pdf(s) == 0.0)
+            assert np.all(np.abs(t_s - spec.pdf(s)) <= 4.5e-16 * spec.pdf(s))
+
+
 def _hermite_bounds(n, sigma, lam_half):
     """The first dropped term's bounds after n terms, 40 digits: Cramer's
     2^{n/2} sigma^n / sqrt(n!) and the j terms' lam_half^n / n!."""
@@ -311,10 +392,10 @@ class TestHermiteTermCounts:
         for r in (0.05, 1.0, 7.0, 31.0, 127.0, 500.0):
             s = gen.uniform(grid[0] - 0.5, grid[-1] + 0.2, 2000)
             x = s - gen.exponential(1.0, 2000) * math.sqrt(r) * gen.uniform(0.0, 3.0, 2000)
-            got = table.gauss_tail(x, s, r, lam)
+            got = table.gauss_tail(x, s, r, lam)[0]
             with monkeypatch.context() as m:
                 m.setattr(exact_laws, "_hermite_terms", lambda sigma, lam_half=0.0: 30)
-                ref = table.gauss_tail(x, s, r, lam)
+                ref = table.gauss_tail(x, s, r, lam)[0]
             # the documented relative bound holds where the expansion starts
             # within |t| <= 8.3 of x; past that, the far field, only the
             # absolute one does: both truncations drop under 5e-30 e^{-t^2/2}

@@ -191,6 +191,21 @@ def _one_shot_ratio(vals, logw):
     return r, math.sqrt(max(var_r, 0.0)), n * wbar * wbar / w2bar
 
 
+def reference_penalized_estimate(pen, ev, t, n, rng):
+    """``penalized_estimate`` for a kind with a kernel, the kernel run on
+    every draw."""
+    from penalab import penalized_mc
+    from penalab.penalized_mc import CHUNK, Estimate
+
+    u, val_fn = penalized_mc._event_values(ev)
+    sums = penalized_mc._WeightedSums()
+    for ci, done in enumerate(range(0, n, CHUNK)):
+        xu, su = penalized_mc.exact_bm_state(u, min(CHUNK, n - done), rng.generator(ci))
+        sums.add(val_fn(xu, su), np.asarray(pen.log_kernel(xu, su, t - u), dtype=float))
+    r, se, ess = sums.ratio()
+    return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
+
+
 class TestSharedDraws:
     EV2 = RectEvent(1.0, b=0.25, c=1.0)
     TABULATED = DensitySpec.tabulated(np.linspace(0.0, 1.5, 61),
@@ -262,6 +277,42 @@ class TestSharedDraws:
         assert np.all(logw[:CHUNK] == -np.inf) and np.isfinite(est.value)
         r, se, ess = _one_shot_ratio(EV.indicator(x, s).astype(float), logw)
         assert (est.value, est.stderr, est.ess) == pytest.approx((r, se, ess), rel=1e-12)
+
+    @pytest.mark.parametrize("pen", [
+        PhiOfMax(UNIFORM), PhiOfMax(DensitySpec.exponential(1.5)), PhiOfMax(TABULATED),
+        KennedyWeight(1.0, PSI), KennedyWeight(1.0, TABULATED_PSI), ExpLinear(-2.0, 1.0, cap=1.0),
+        ExpLinear(0.5, 0.25)],
+        ids=["phi-uniform", "phi-exponential", "phi-tabulated", "kennedy-uniform",
+             "kennedy-tabulated", "capped-R1", "uncapped-R2"])
+    def test_only_live_draws_are_weighed(self, pen, monkeypatch):
+        # the kernel runs only on draws with S_u at or below the support end,
+        # and the estimate is the one that weighs every draw, float for float.
+        # Of each three chunks the first is raised past every bound, the
+        # others straddle it
+        from penalab import penalized_mc
+        from penalab.penalized_mc import CHUNK
+
+        drawn = self._raised_states(monkeypatch, lambda k: 5.0 if k % 3 == 0 else 0.0)
+        seen = []
+        real = type(pen).log_kernel
+
+        def kernel(self, x, s, r):
+            seen.append(s)
+            return real(self, x, s, r)
+
+        monkeypatch.setattr(type(pen), "log_kernel", kernel)
+        ev = (1.0, lambda x, s: np.stack([EV.indicator(x, s), s]))
+        got = penalized_estimate(pen, ev, 32.0, 3 * CHUNK, RngStream(55))
+        end = max(pen.kinks, default=math.inf)
+        s = np.concatenate([s for _, s in drawn])
+        assert np.array_equal(np.concatenate(seen), s[s <= end])
+        if end < math.inf:
+            assert np.all(s[:CHUNK] > end)
+            assert np.any(s[CHUNK:] <= end) and np.any(s[CHUNK:] > end)
+
+        ref = reference_penalized_estimate(pen, ev, 32.0, 3 * CHUNK, RngStream(55))
+        assert np.array_equal(got.value, ref.value) and np.array_equal(got.stderr, ref.stderr)
+        assert got.ess == ref.ess and (got.n, got.seed) == (ref.n, ref.seed)
 
     def test_all_vanished_weights_still_raise(self):
         # every state above the cap: log-weight -inf in every chunk
@@ -940,7 +991,7 @@ class TestConditionalWeightKernels:
             x = s - depth * math.sqrt(r)
             exact = float(self._kennedy_moving(psi.grid, psi.values, x, s, r, lam))
             got = math.sqrt(2.0 / (math.pi * r)) * float(
-                psi._table().gauss_tail(np.array([x]), np.array([s]), r, lam)[0])
+                psi._table().gauss_tail(np.array([x]), np.array([s]), r, lam)[0][0])
             if exact > 1e-30:
                 assert got == pytest.approx(exact, rel=1e-12)
 
@@ -955,7 +1006,7 @@ class TestConditionalWeightKernels:
         psi = DensitySpec.tabulated(WIDE_GRID, values, laplace_lambda=lam)
         exact = float(self._kennedy_moving(psi.grid, psi.values, 0.0, 0.0, r, lam))
         got = math.sqrt(2.0 / (math.pi * r)) * float(
-            psi._table().gauss_tail(np.zeros(1), np.zeros(1), r, lam)[0])
+            psi._table().gauss_tail(np.zeros(1), np.zeros(1), r, lam)[0][0])
         assert got == pytest.approx(exact, rel=1e-12)
 
     def test_table_kernels_need_a_nonnegative_lambda(self):
@@ -1162,6 +1213,8 @@ class TestKernelFormsAreBitIdentical:
         for r in (0.05, 8.0, 500.0):
             s = gen.uniform(-1.0, 31.0, (40, 1))
             x = s - gen.exponential(1.0, (40, 48)) * math.sqrt(r)
-            column = table.gauss_tail(x, s, r, lam)
-            assert column.shape == x.shape
-            assert np.array_equal(column, table.gauss_tail(x, np.repeat(s, 48, axis=1), r, lam))
+            column, t_s = table.gauss_tail(x, s, r, lam)
+            assert column.shape == x.shape and t_s.shape == s.shape
+            block, t_block = table.gauss_tail(x, np.repeat(s, 48, axis=1), r, lam)
+            assert np.array_equal(column, block)
+            assert np.array_equal(np.repeat(t_s, 48, axis=1), t_block)

@@ -20,6 +20,7 @@ from penalab.samplers import (
     draw_penalty_pairs,
     exact_bm_state,
     exact_two_time_state,
+    level_event_frequency,
     mixture_levels,
     q_level_terminal_batch,
     sample_Q_y,
@@ -208,6 +209,25 @@ class TestSampleQay:
         target = q_ay_limit(0.0, 1.0, EV)
         se = math.sqrt(target * (1 - target) / n)
         assert abs(p - target) <= 3 * se
+
+
+class TestLevelEventFrequency:
+    # level_event_frequency against the limit laws it samples, at 4 of its
+    # own binomial standard errors
+    N = 100000
+
+    def _check(self, levels, target, gen):
+        p, se = level_event_frequency(levels, EV, gen)
+        assert se == math.sqrt(p * (1.0 - p) / self.N)
+        assert abs(p - target) <= 4.0 * se
+
+    def test_level_one_is_q_y_limit(self):
+        self._check(np.full(self.N, 1.0), q_y_limit(1.0, EV), RngStream(53).generator())
+
+    def test_mixture_levels_are_q_ay_limit(self):
+        stream = RngStream(54)
+        levels = mixture_levels(0.0, 1.0, self.N, stream.generator(0))
+        self._check(levels, q_ay_limit(0.0, 1.0, EV), stream.generator(1))
 
 
 class TestSampleQphi:
