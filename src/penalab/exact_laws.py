@@ -210,32 +210,49 @@ class _KnotLocator:
     round monotonically, so b is non-decreasing in y whatever its rounding:
     every knot in an earlier bucket than y is <= y, every knot in a later
     one is > y, and the answer is the bucket's first knot index plus a count
-    over the bucket's own knots.  That count is a branchless binary search, one
-    vector pass per halving of the fullest bucket (1-2 on a uniform grid,
-    log2 n on a grid that crowds into one bucket); past the last knot it
-    reads +inf, which only y = +inf or NaN passes, and those clamp to n.
+    over the bucket's own knots.  That count is a branchless binary search,
+    one vector pass per halving of the fullest bucket (1-2 on a uniform
+    grid, log2 n on a grid that crowds into one bucket); past the last knot
+    it reads +inf, which only y = +inf or NaN passes, and those clamp to n.
+
+    Below about a thousand states np.searchsorted itself is the cheaper: the
+    bucket search costs about 10 us a call whatever its size, and
+    np.searchsorted about 10 ns a sorted state and 60 ns a random one on a
+    301-knot table.  So a call with fewer than 1024 states goes to
+    np.searchsorted, and the buckets are laid out on the first larger one.
     """
 
     def __init__(self, knots: np.ndarray):
-        self.size = knots.size
+        self.knots = knots
         self._lo, self._hi = knots[0], knots[-1]
         self._scale = knots.size / (knots[-1] - knots[0])
-        self._start = np.searchsorted(self._bucket(knots), np.arange(knots.size + 1))
-        depth = int(np.max(np.diff(self._start))).bit_length()
-        self._steps = [1 << k for k in reversed(range(depth))]
-        self._padded = np.concatenate((knots, np.full(1 << depth, np.inf)))
+
+    def __call__(self, y):
+        if np.size(y) < 1024:
+            return np.searchsorted(self.knots, y, side="right")
+        return self._search(y)
+
+    @functools.cached_property
+    def _layout(self):
+        """Each bucket's first knot index (n at the end), the steps of the
+        binary search and the knots padded with +inf for its overshoot."""
+        start = np.searchsorted(self._bucket(self.knots), np.arange(self.knots.size + 1))
+        depth = int(np.max(np.diff(start))).bit_length()
+        return (start, [1 << k for k in reversed(range(depth))],
+                np.concatenate((self.knots, np.full(1 << depth, np.inf))))
 
     def _bucket(self, y):
         # clipped first, so nothing overflows; fmin sends NaN to the last bucket
         return np.fmin((np.clip(y, self._lo, self._hi) - self._lo) * self._scale,
-                       self.size - 1).astype(np.intp)
+                       self.knots.size - 1).astype(np.intp)
 
-    def __call__(self, y):
-        pos = self._start[self._bucket(y)]
-        for step in self._steps:
+    def _search(self, y):
+        start, steps, padded = self._layout
+        pos = start[self._bucket(y)]
+        for step in steps:
             ahead = pos + step
-            pos = np.where(y < self._padded[ahead - 1], pos, ahead)
-        return np.minimum(pos, self.size)
+            pos = np.where(y < padded[ahead - 1], pos, ahead)
+        return np.minimum(pos, self.knots.size)
 
 
 def _clip_to_segment(grid, values, y, locate):
@@ -252,18 +269,15 @@ class _LinearTable:
     """Exact integrals of the piecewise-linear t through (grid, values): that of
     v^k e^{-lam v} t(v) from y to the table's end is the partial segment at y
     plus a suffix sum over whole segments, cached per (k, lam).  The segment
-    at y is found by a ``_KnotLocator``, built on first use for the grid and
-    with each ``_panels(count)`` for its knots."""
+    at y is found by a ``_KnotLocator``: one for the grid, and one with each
+    ``_panels(count)`` for its knots."""
 
     def __init__(self, grid: np.ndarray, values: np.ndarray):
         self.grid = grid
         self.values = values
+        self._locate = _KnotLocator(grid)
         self._suffix = {}
         self._hermite = {}
-
-    @functools.cached_property
-    def _locate(self) -> _KnotLocator:
-        return _KnotLocator(self.grid)
 
     def suffix(self, k: int = 0, lam: float = 0.0) -> np.ndarray:
         """Integrals of v^k e^{-lam v} t(v) from each knot to the table's end."""

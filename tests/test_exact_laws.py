@@ -286,11 +286,12 @@ def _knot_grids(draw):
 
 def _queries(grid, gen):
     """Random points on and beyond the table, the knots, their neighbouring
-    floats on both sides, the ends and points far outside."""
+    floats on both sides, the ends and points far outside: over 1024 of
+    them, so that the locator takes its bucket search."""
     lo, hi = grid[0], grid[-1]
     span = hi - lo
     return np.concatenate([
-        gen.uniform(lo, hi, 300), grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
+        gen.uniform(lo, hi, 1100), grid, np.nextafter(grid, -np.inf), np.nextafter(grid, np.inf),
         [lo, hi], lo - span * gen.exponential(1.0, 20), hi + span * gen.exponential(1.0, 20),
         [-np.inf, np.inf, -1e308, 1e308, 0.0, -0.0]])
 
@@ -310,13 +311,15 @@ class TestKnotLocator:
     @given(grid=_knot_grids(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)
     def test_locator_is_searchsorted(self, grid, seed):
-        y = _queries(grid, np.random.default_rng(seed))
+        y = np.append(_queries(grid, np.random.default_rng(seed)), np.nan)
         locate = exact_laws._KnotLocator(grid)
         assert np.array_equal(locate(y), np.searchsorted(grid, y, side="right"))
-        assert locate(np.nan) == grid.size == np.searchsorted(grid, np.nan, side="right")
-        assert locate(grid[0]) == 1 and np.ndim(locate(grid[0])) == 0
-        column = y[:40].reshape(20, 2)
-        assert np.array_equal(locate(column), np.searchsorted(grid, column, side="right"))
+        # the bucket search on few states, which calls below 1024 states leave
+        # to np.searchsorted: a scalar, a column and NaN
+        for few in (y[0], y[:40].reshape(20, 2), np.array([np.nan, np.inf, -np.inf])):
+            assert np.array_equal(locate._search(few), np.searchsorted(grid, few, side="right"))
+            assert np.array_equal(locate(few), np.searchsorted(grid, few, side="right"))
+        assert np.ndim(locate._search(grid[0])) == 0
 
     @given(grid=_knot_grids(), seed=st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=150, deadline=None)

@@ -289,7 +289,6 @@ class TestSharedDraws:
         # and the estimate is the one that weighs every draw, float for float.
         # Of each three chunks the first is raised past every bound, the
         # others straddle it
-        from penalab import penalized_mc
         from penalab.penalized_mc import CHUNK
 
         drawn = self._raised_states(monkeypatch, lambda k: 5.0 if k % 3 == 0 else 0.0)
