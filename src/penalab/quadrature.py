@@ -174,7 +174,7 @@ def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> floa
     z_a = s1/sqrt(u), z1 = (2 s1 - b)/sqrt(u) and z2 = (2c' - b)/sqrt(u):
 
         (2y - a) q = 1{y <= c} (y - a) [pinned block of q_y_limit(y)]
-                   + 2(2y - a)(Phi(z_a) - 1/2) - sqrt(2u/pi)(1 - e^{-z_a^2/2})
+                   + (2y - a) P(S_u < s1) - sqrt(2u/pi)(1 - e^{-z_a^2/2})
                    - 2 sqrt(u) (E(z_a) - E(0))
                    + 1{c' > s1} [(2y - a - b)(Q(z1) - Q(z2)) - sqrt(u)(E(z2) - E(z1))].
 
@@ -196,7 +196,7 @@ def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> floa
     s1 = np.minimum(max(b, 0.0), cprime)
     z_a = s1 / root_u
     total = (np.where(y <= c, (y - a) * _cond_mean_block(u, y, b), 0.0)
-             + 2.0 * m * (norm_cdf(z_a) - 0.5)
+             + m * h_cdf(u, s1)
              + math.sqrt(2.0 * u / math.pi) * np.expm1(-0.5 * z_a * z_a)
              - 2.0 * root_u * (gauss_tail_e(z_a) - gauss_tail_e(0.0)))
     if math.isfinite(b):

@@ -9,7 +9,10 @@ computed in closed form (exponential weights, and Kennedy weights with a
 uniform or exponential psi, which are exponential weights), via error
 functions (density weights with a uniform or exponential shape), or by the
 exact Hermite expansion of ``exact_laws._LinearTable.gauss_tail`` (tabulated
-phi and Kennedy psi).  Every ``log_g_*`` returns the full log g, so the exact
+phi and Kennedy psi).  Each kernel formula is written once: a phi kernel's
+flat part is phi(s) times the running-max CDF ``exact_laws.h_cdf``, and a
+tabulated psi's flat part is the G1 piece of ``log_g_explinear``
+(``_log_g1``).  Every ``log_g_*`` returns the full log g, so the exact
 finite-horizon law integrates g(., r = t - u) / g(0, 0, t) for any weight;
 the large factors (e.g. exp(mu^2 r / 2)) stay on the log scale.
 ``g_phi_hat`` is the linear-scale phi kernel without its known factor, and
@@ -23,15 +26,8 @@ import math
 
 import numpy as np
 
-from ._stable import (
-    SQRT_2PI,
-    log_gauss_tail_e,
-    log_norm_cdf,
-    log_norm_sf,
-    norm_cdf,
-    norm_sf,
-)
-from .exact_laws import DensitySpec
+from ._stable import log_gauss_tail_e, log_norm_cdf, log_norm_sf
+from .exact_laws import DensitySpec, h_cdf
 
 __all__ = [
     "g_phi_hat",
@@ -50,29 +46,30 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
 
     ghat = phi(s) * int_0^{s-x} e^{-z^2/2r} dz
            + int_s^inf e^{-(v-x)^2/2r} phi(v) dv.
+
+    The flat part is phi(s) sqrt(pi r/2) P(S_r < s - x), the running-max CDF
+    ``h_cdf``, which keeps its relative digits as s - x -> 0.  For a uniform
+    phi = C on [0, A] the two parts add up to C sqrt(pi r/2) P(S_r < A - x)
+    on s <= A, and 0 above.
     """
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
-    d = s - x
-    sr = math.sqrt(r)
-    z = d / sr
+    half_line = math.sqrt(0.5 * math.pi * r)     # int_0^inf e^{-z^2/2r} dz
+    if phi.family == "uniform":
+        A = phi.upper
+        return np.where(s <= A, phi.scale * half_line * h_cdf(r, np.maximum(A - x, 0.0)), 0.0)
     if phi.family == "exponential":
         dlt = phi.rate
+        sr = math.sqrt(r)
         # log-stable: C e^{-dlt x + dlt^2 r/2} sqrt(2 pi r) Q((s - x + dlt r)/sqrt(r))
         logtail = (math.log(phi.scale) - dlt * x + dlt * dlt * r / 2.0
                    + 0.5 * math.log(2.0 * math.pi * r)
                    + log_norm_sf((s - x + dlt * r) / sr))
         tail = np.exp(logtail)
         phi_s = phi.pdf(s)
-    elif phi.family == "uniform":
-        A = phi.upper
-        tail = phi.scale * sr * SQRT_2PI * np.maximum(
-            norm_sf(z) - norm_sf((A - x) / sr), 0.0)
-        tail = np.where(s >= A, 0.0, tail)
-        phi_s = phi.pdf(s)
     else:
         tail, phi_s = phi._table().gauss_tail(x, s, r)
-    return phi_s * sr * SQRT_2PI * (norm_cdf(z) - 0.5) + tail
+    return phi_s * half_line * h_cdf(r, s - x) + tail
 
 
 def _log_times(g, log_factor: float):
@@ -102,14 +99,47 @@ def _log_ndtr_diff(lo, hi):
         return lb + np.log1p(-np.exp(log_norm_cdf(a) - lb))
 
 
-def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float, log_q):
-    """Signed log-pieces of e^{(lam+mu) x} (G2(d) - G2(cap - x)) (see
-    log_g_explinear).  The (lam+mu) terms of the difference form one normal
-    interval probability: G2(d) and G2(cap - x) can each exceed it by a factor
-    e^{(lam+mu)^2 r/2}.  ``log_q`` is log Q((d + mu r)/sr), which G1 needs
-    too; it is the mu-piece's tail at d and, uncapped on the diagonal, where
-    nu = -mu exactly, the interval's."""
+def _log_g1(lead, d, r: float, mu: float):
+    """lead + log(Phi(a1) - e^{2 mu d} Q(a2)), a1 = (d - mu r)/sr and
+    a2 = (d + mu r)/sr: the log of e^{lead - mu^2 r/2} G1(d) (see
+    log_g_explinear), and log Q(a2), which G2 takes too.  G1 is one
+    non-negative piece, log Phi(a1) + log(1 - e^{2 mu d} Q(a2)/Phi(a1)): its two
+    terms cancel as d -> 0, and they do so before e^{lead} multiplies them."""
     sr = math.sqrt(r)
+    log_q = log_norm_sf((d + mu * r) / sr)
+    log_p = log_norm_cdf((d - mu * r) / sr)
+    # e^{2 mu d} Q / Phi is at most 1, and 1 at d = 0, where G1 = 0 (log -inf);
+    # the min keeps its rounding there from going past 1
+    with np.errstate(divide="ignore"):
+        return lead + log_p + np.log(-np.expm1(np.minimum(2.0 * mu * d + log_q - log_p, 0.0))), log_q
+
+
+def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf):
+    """log E[e^{lam S_t + mu X_t} 1{S_t <= cap} | X_u = x, S_u = s], r = t - u.
+
+    Assembled from signed log-pieces of the two closed forms
+
+        G1(d) = E[e^{mu X_r} 1_{S_r < d}]
+              = e^{mu^2 r/2} (Phi((d - mu r)/sr) - e^{2 mu d} Q((d + mu r)/sr)),
+        G2(d) = E[e^{lam S_r + mu X_r} 1_{S_r >= d}]
+              = 2 (lam+mu)/th e^{(lam+mu)^2 r/2} Q((d - (lam+mu) r)/sr)
+                + 2 mu/th e^{th d + mu^2 r/2} Q((d + mu r)/sr),      th = lam + 2 mu,
+
+    as  g = e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} (G2(s - x) - G2(cap - x));
+    the th = 0 diagonal is handled by its analytic limit, and g = 0 (log -inf)
+    where s > cap.  G1 is one non-negative piece (``_log_g1``).  In
+    G2(s - x) - G2(cap - x) the (lam+mu) terms form one normal interval
+    probability: G2(s - x) and G2(cap - x) can each exceed it by a factor
+    e^{(lam+mu)^2 r/2}.  The G2 pieces and then G1 are summed after one shift
+    by their largest finite log.
+    """
+    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
+    d = s - x
+    sr = math.sqrt(r)
+    # log_q is the mu-piece's tail at d and, uncapped on the diagonal, where
+    # nu = -mu exactly, the interval's
+    g1, log_q = _log_g1(lam * s + mu * x + mu * mu * r / 2.0, d, r, mu)
+
     th = lam + 2.0 * mu
     nu = lam + mu
     d_hi = np.maximum(cap - x, d)
@@ -135,39 +165,7 @@ def _g2_log_pieces(x, d, r: float, lam: float, mu: float, cap: float, log_q):
             else:
                 pieces.append((nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
                                + log_gauss_tail_e((dd + mu * r) / sr), sign * math.copysign(1.0, -mu)))
-    return pieces
-
-
-def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf):
-    """log E[e^{lam S_t + mu X_t} 1{S_t <= cap} | X_u = x, S_u = s], r = t - u.
-
-    Assembled from signed log-pieces of the two closed forms
-
-        G1(d) = E[e^{mu X_r} 1_{S_r < d}]
-              = e^{mu^2 r/2} (Phi((d - mu r)/sr) - e^{2 mu d} Q((d + mu r)/sr)),
-        G2(d) = E[e^{lam S_r + mu X_r} 1_{S_r >= d}]
-              = 2 (lam+mu)/th e^{(lam+mu)^2 r/2} Q((d - (lam+mu) r)/sr)
-                + 2 mu/th e^{th d + mu^2 r/2} Q((d + mu r)/sr),      th = lam + 2 mu,
-
-    as  g = e^{lam s + mu x} G1(s - x) + e^{(lam+mu) x} (G2(s - x) - G2(cap - x));
-    the th = 0 diagonal is handled by its analytic limit, and g = 0 (log -inf)
-    where s > cap.  G1 is one non-negative piece, log Phi + log(1 - e^{2 mu d} Q / Phi):
-    its two terms cancel as d -> 0, and they do so before e^{lam s + mu x + mu^2 r/2}
-    multiplies them.  The G2 pieces and then G1 are summed after one shift by
-    their largest finite log.
-    """
-    x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
-    d = s - x
-    sr = math.sqrt(r)
-
-    log_q = log_norm_sf((d + mu * r) / sr)
-    log_p = log_norm_cdf((d - mu * r) / sr)
-    # e^{2 mu d} Q / Phi is at most 1, and 1 at d = 0, where G1 = 0 (log -inf);
-    # the min keeps its rounding there from going past 1
-    with np.errstate(divide="ignore"):
-        g1 = (lam * s + mu * x + mu * mu * r / 2.0 + log_p
-              + np.log(-np.expm1(np.minimum(2.0 * mu * d + log_q - log_p, 0.0))))
-    pieces = _g2_log_pieces(x, d, r, lam, mu, cap, log_q) + [(g1, 1.0)]
+    pieces.append((g1, 1.0))
 
     shift = pieces[0][0]
     for lg, _ in pieces[1:]:
@@ -192,32 +190,30 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 def log_g_kennedy(x, s, r: float, lam: float, psi: DensitySpec):
     """log E[psi(S_t) e^{lam (S_t - X_t)} | X_u = x, S_u = s], r = t - u.
 
-    A uniform psi on [0, A] makes the weight C e^{lam S_t - lam X_t} 1{S_t <= A},
+    A uniform psi = C on [0, A] makes the weight C e^{lam S_t - lam X_t} 1{S_t <= A},
     and psi(y) = C e^{-rho y} makes it C e^{(lam - rho) S_t - lam X_t}: both are
-    ``log_g_explinear``.  A tabulated psi splits at d = s - x into
+    log C + ``log_g_explinear`` at (lam - rho, -lam), capped at psi's last kink
+    (rho = 0 and cap A for the uniform, no cap for the exponential).  A
+    tabulated psi splits at d = s - x into
 
         e^{lam^2 r/2} (psi(s) e^{lam d} int_0^d e^{-2 lam z} hbar(z) dz
                        + int_d^inf e^{-lam z} psi(x + z) hbar(z) dz),
         hbar(z) = 2 lam Q((z - lam r)/sr) + sqrt(2/(pi r)) e^{-(z - lam r)^2/2r}.
 
-    The flat part is psi(s) e^{lam d} (Phi(a) - Phi(c) - expm1(-2 lam d) Phi(c)),
-    a = (lam r + d)/sr and c = (lam r - d)/sr, two non-negative terms kept on
-    the log scale with e^{lam d}.  The moving part is sqrt(2/(pi r)) times
+    The flat part is psi(s) e^{lam d} (Phi(a) - e^{-2 lam d} Phi(c)),
+    a = (lam r + d)/sr and c = (lam r - d)/sr: ``log_g_explinear``'s G1 piece
+    at mu = -lam.  The moving part is sqrt(2/(pi r)) times
     ``_LinearTable.gauss_tail`` at lam, joined to it with ``logaddexp``.
     """
-    if psi.family == "uniform":
-        return math.log(psi.scale) + log_g_explinear(x, s, r, lam, -lam, cap=psi.upper)
-    if psi.family == "exponential":
-        return math.log(psi.scale) + log_g_explinear(x, s, r, lam - psi.rate, -lam)
+    if psi.family != "tabulated":
+        return math.log(psi.scale) + log_g_explinear(x, s, r, lam - psi.rate, -lam,
+                                                     cap=max(psi.kinks, default=math.inf))
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     d = s - x
-    sr = math.sqrt(r)
     tail, psi_s = psi._table().gauss_tail(x, s, r, lam)
-    cdf_c = norm_cdf((lam * r - d) / sr)
-    interval = np.maximum(norm_cdf((lam * r + d) / sr) - cdf_c, 0.0)
     with np.errstate(divide="ignore"):
-        flat = np.log(psi_s) + lam * d + np.log(interval - np.expm1(-2.0 * lam * d) * cdf_c)
+        flat, _ = _log_g1(np.log(psi_s) + lam * d, d, r, -lam)
     moving = _log_times(tail, 0.5 * math.log(2.0 / (math.pi * r)))
     return np.logaddexp(flat, moving) + lam * lam * r / 2.0
 

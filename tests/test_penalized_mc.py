@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from penalab.exact_laws import (
@@ -687,6 +687,35 @@ def closed_form_log_g_explinear(x, s, r, lam, mu, cap=math.inf):
         return float(mpmath.log(mpmath.exp(lam * s + mu * x) * g1 + mpmath.exp(nu * x) * (g2(d) - top)))
 
 
+LEGENDRE_128 = np.polynomial.legendre.leggauss(128)
+
+
+def quadrature_log_g_explinear(x, s, r, lam, mu, cap, shift):
+    """log g of ``log_g_explinear`` by quadrature of the joint law p_joint(r, b, m)
+    of the endpoint b and maximum m of a Brownian motion over [0, r]: ``quad``
+    in m from 0 to cap - x, split at d = s - x, and 128 Gauss-Legendre nodes in
+    w = 2m - b from m to 14 sqrt(r) past the peak of e^{mu b} p_joint at
+    w = max(m, -mu r).  The integrand is scaled by e^{-shift}, which keeps it
+    finite when shift is near log g."""
+    nodes, node_weights = LEGENDRE_128
+    sr = math.sqrt(r)
+
+    def inner(m):
+        half = 0.5 * (max(m, -mu * r) + 14.0 * sr - m)
+        b = m - half * (1.0 + nodes)
+        expo = lam * max(s, x + m) + mu * (x + b)
+        top = float(np.max(expo))
+        v = half * np.dot(node_weights, np.exp(expo - top) * p_joint(r, b, m))
+        return math.exp(top - shift + math.log(v)) if v > 0.0 else 0.0
+
+    d = s - x
+    # the e^{lam m} tilt of the maximum peaks below (|lam| + |mu|) r
+    hi = min(cap - x, d + (abs(lam) + 2.0 * abs(mu)) * r + 14.0 * sr)
+    v, _ = integrate.quad(inner, 0.0, hi, points=[d] if d < hi else None, epsabs=0.0,
+                          epsrel=1e-12, limit=200)
+    return math.log(v) + shift
+
+
 class TestExplinearAgainstItsClosedForm:
     # the R1 cases lose digits as r grows, in the closed forms' cancelling
     # pieces: the worst gap in log g over these states is 6.0e-13 at (-3, 1),
@@ -717,6 +746,31 @@ class TestExplinearAgainstItsClosedForm:
         assert abs(got - closed_form_log_g_explinear(x, 1.0, r, 1.0, -1.0, 1.0)) <= 1e-13
 
 
+    # (lam, mu) from (p, q) inside each regime: R1 has mu = p >= 0 and
+    # lam + mu = -q < 0, R2 lam + mu = q and lam + 2 mu = p, both >= 0, and R3
+    # mu = -q < 0 and lam + 2 mu = -p
+    REGIME_POINTS = {"R1": lambda p, q: (-q - p, p), "R2": lambda p, q: (2.0 * q - p, p - q),
+                     "R3": lambda p, q: (2.0 * q - p, -q)}
+
+    @pytest.mark.parametrize("regime", ["R1", "R2", "R3"])
+    @given(p=st.floats(0.0, 2.0), q=st.floats(0.05, 2.0), log_r=st.floats(math.log(0.05), math.log(31.0)),
+           s=st.floats(0.0, 2.0), depth=st.floats(math.log(1e-3), math.log(3.0)),
+           room=st.one_of(st.just(math.inf), st.floats(0.0, 2.0)))
+    @settings(max_examples=14, deadline=None)
+    def test_matches_quadrature_of_p_joint(self, regime, p, q, log_r, s, depth, room):
+        # d = s - x from 1e-3 sqrt(r) to 3 sqrt(r), and the cap from s to s + 2
+        # or none.  Off the diagonal |lam + 2 mu| stays >= 0.05 (ROADMAP item 16),
+        # and d >= 1e-3 sqrt(r) keeps clear of G1's loss as d -> 0 (CHANGES.md):
+        # the worst gap in log g over 4500 random points and the corners of these
+        # ranges was 3.6e-11, in R1 and R2 at r = 31 with s at the cap, so 1e-10
+        lam, mu = self.REGIME_POINTS[regime](p, q)
+        assume(lam + 2.0 * mu == 0.0 or abs(lam + 2.0 * mu) >= 0.05)
+        r = math.exp(log_r)
+        x, cap = s - math.sqrt(r) * math.exp(depth), s + room
+        got = float(log_g_explinear(x, s, r, lam, mu, cap))
+        assert got == pytest.approx(quadrature_log_g_explinear(x, s, r, lam, mu, cap, got), abs=1e-10)
+
+
 def kennedy_flat_part(psi_s, x, s, r, lam):
     """psi(s) e^{lam d} (Phi(a) - e^{-2 lam d} Phi(c)), the Kennedy kernel's flat
     part without e^{lam^2 r/2}, at 50 digits."""
@@ -725,6 +779,26 @@ def kennedy_flat_part(psi_s, x, s, r, lam):
         d, sr = s - x, mpmath.sqrt(r)
         a, c = (lam * r + d) / sr, (lam * r - d) / sr
         return psi_s * mpmath.exp(lam * d) * (mpmath.ncdf(a) - mpmath.exp(-2 * lam * d) * mpmath.ncdf(c))
+
+
+class TestPhiKernelFlatPart:
+    # at s = 1, the end of both phi, the moving part is 0 and ghat is the flat
+    # part phi(s) sqrt(pi r/2) erf(d/sqrt(2r)) alone.  Summed as
+    # sqrt(2 pi r) (Phi(d/sqrt(r)) - 1/2) it was 8.0e-13 (d = 1e-4) to 7.6e-5
+    # (d = 1e-12) off at r = 1, and 5.7e-4 at r = 31, d = 1e-12
+    @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
+    @pytest.mark.parametrize("phi", [UNIFORM, DensitySpec.tabulated([0.0, 1.0], [1.0, 1.0])],
+                             ids=["uniform", "two-knot-table"])
+    def test_keeps_its_digits_as_d_vanishes(self, phi, r):
+        s = 1.0
+        x = s - np.array([1e-4, 1e-6, 1e-8, 1e-10, 1e-12])
+        got = weights.g_phi_hat(x, np.full_like(x, s), r, phi)
+        with mpmath.workdps(50):
+            for g, xx in zip(got, x):
+                # d from the two floats: x = 1 - 1e-12 moves d by 1e-4 relative
+                d = mpmath.mpf(s) - mpmath.mpf(xx)
+                exact = phi.pdf(s) * mpmath.sqrt(mpmath.pi * r / 2) * mpmath.erf(d / mpmath.sqrt(2 * r))
+                assert abs(g / exact - 1) <= 1e-15
 
 
 class TestKennedyKernelPastOverflow:
@@ -1127,6 +1201,14 @@ def reference_log_g_explinear(x, s, r, lam, mu, cap=math.inf):
     return np.where(above, -np.inf, out)
 
 
+def reference_log_g_kennedy_closed_forms(x, s, r, lam, psi):
+    """``log_g_kennedy`` of a uniform or exponential psi as it was with one
+    ``log_g_explinear`` branch per family, kept as its reference."""
+    if psi.family == "uniform":
+        return math.log(psi.scale) + log_g_explinear(x, s, r, lam, -lam, cap=psi.upper)
+    return math.log(psi.scale) + log_g_explinear(x, s, r, lam - psi.rate, -lam)
+
+
 def _random_states(seed, r, top, n=4000):
     gen = RngStream(seed).generator()
     s = gen.uniform(0.0, top, n)
@@ -1168,6 +1250,19 @@ class TestKernelFormsAreBitIdentical:
         assert np.array_equal(np.isneginf(got), np.isneginf(ref))
         finite = np.isfinite(ref)
         assert np.max(np.abs(got[finite] - ref[finite])) <= 1e-12
+
+    @pytest.mark.parametrize("r", [0.05, 7.0, 500.0])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("psi", [lambda lam: DensitySpec.uniform(1.3, laplace_lambda=lam),
+                                     lambda lam: DensitySpec.exponential(1.5, laplace_lambda=lam)],
+                             ids=["uniform", "exponential"])
+    def test_closed_form_kennedy_kernels_share_one_call(self, psi, lam, r):
+        # one log_g_explinear call at (lam - rho, -lam), capped at psi's last
+        # kink, passes each family the floats its own branch passed
+        psi = psi(lam)
+        x, s = _random_states(49, r, 1.7)
+        assert np.array_equal(log_g_kennedy(x, s, r, lam, psi),
+                              reference_log_g_kennedy_closed_forms(x, s, r, lam, psi))
 
     @pytest.mark.parametrize("r", [0.05, 1.0, 31.0, 500.0])
     @pytest.mark.parametrize("lam,mu", [(-2.0, 1.0), (-3.0, 1.0), (1.0, 1.0), (0.0, -1.0),
