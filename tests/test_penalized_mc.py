@@ -709,7 +709,7 @@ def quadrature_log_g_explinear(x, s, r, lam, mu, cap, shift):
         return math.exp(top - shift + math.log(v)) if v > 0.0 else 0.0
 
     d = s - x
-    # the e^{lam m} tilt of the maximum peaks below (|lam| + |mu|) r
+    # the tilted law of the maximum peaks below (|lam| + |mu|) r
     hi = min(cap - x, d + (abs(lam) + 2.0 * abs(mu)) * r + 14.0 * sr)
     v, _ = integrate.quad(inner, 0.0, hi, points=[d] if d < hi else None, epsabs=0.0,
                           epsrel=1e-12, limit=200)
@@ -744,7 +744,6 @@ class TestExplinearAgainstItsClosedForm:
         x = 1.0 - d
         got = float(log_g_explinear(np.array([x]), np.array([1.0]), r, 1.0, -1.0, 1.0)[0])
         assert abs(got - closed_form_log_g_explinear(x, 1.0, r, 1.0, -1.0, 1.0)) <= 1e-13
-
 
     # (lam, mu) from (p, q) inside each regime: R1 has mu = p >= 0 and
     # lam + mu = -q < 0, R2 lam + mu = q and lam + 2 mu = p, both >= 0, and R3
