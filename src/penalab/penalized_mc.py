@@ -36,7 +36,7 @@ from .exact_laws import (
 )
 from .martingales import m_bar_xs
 from .quadrature import RectEvent, expect_on_event
-from .samplers import RngStream, exact_bm_state, exact_two_time_state
+from .samplers import CHUNK, RngStream, exact_bm_state, exact_two_time_state
 from .weights import log_g_explinear, log_g_kennedy, log_g_phi
 
 __all__ = [
@@ -53,8 +53,6 @@ __all__ = [
     "bessel_weight",
     "bessel_penalization_check",
 ]
-
-CHUNK = 4096
 
 
 @dataclass(frozen=True)

@@ -414,8 +414,10 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     variables and the gap between levels checks the inner rule too.  The
     inner window has reach R above the event's edge w0 = 2s - min(b, s),
     capped at w_max.  Every state beyond it has w >= R, so when the nodes
-    with w > R - sqrt(u) carry more than MIX_TOL, R doubles, at most
-    MAX_DOUBLINGS times.
+    with w > R - sqrt(u) carry more than MIX_TOL min(1, A), A the absolute
+    mass sum |f| of all nodes, R doubles, at most MAX_DOUBLINGS times, and
+    then raises: a g that tilts the mass past the window fails loudly
+    instead of returning the window's small share of it.
     """
     u, b, c = ev.u, ev.b, ev.c
     if b == -math.inf:
@@ -426,7 +428,7 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     band = []
 
     def integral(s_all, s_wts, n):
-        total = band_mass = 0.0
+        total = band_mass = abs_mass = 0.0
         n_w = W_PER_S * n
         w_nodes, w_weights = gauss_legendre(n_w)
         step = EVENT_BLOCK // n_w
@@ -439,8 +441,10 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
             f = (g(2.0 * s - w, s) * pref * w * np.exp(-w * w / (2.0 * u))
                  * (span * s_wts[i:i + step, None] * w_weights))
             total += float(np.sum(f))
-            band_mass += float(np.sum(np.abs(f[w > reach - root_u])))
-        band.append(band_mass)
+            f = np.abs(f)
+            abs_mass += float(np.sum(f))
+            band_mass += float(np.sum(f[w > reach - root_u]))
+        band.append((band_mass, abs_mass))
         return total
 
     for _ in range(MAX_DOUBLINGS + 1):
@@ -451,8 +455,10 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
             return 0.0
         val = _checked_rule("event", s_hi, (b, *points, w_max - reach, (w_max - reach + b) / 2.0),
                             root_u, EVENT_NODES, integral)
-        if band[-1] <= MIX_TOL:
+        band_mass, abs_mass = band[-1]
+        if band_mass <= MIX_TOL * min(1.0, abs_mass):
             return val
         reach *= 2.0
-    raise FloatingPointError(f"event window unresolved: {band[-1]:.2e} of the integrand lies "
-                             f"within sqrt(u) of its reach {reach / 2.0:.3g}")
+    raise FloatingPointError(f"event window unresolved: {band_mass:.2e} of the integrand's "
+                             f"absolute mass {abs_mass:.2e} lies within sqrt(u) of its reach "
+                             f"{reach / 2.0:.3g}")

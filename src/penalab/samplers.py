@@ -2,7 +2,8 @@
 
 The state samplers (``exact_bm_state``, ``exact_two_time_state``,
 ``q_level_terminal_batch``) draw the time-u state in one shot from its
-closed-form law and have no time grid at all:
+closed-form law and have no time grid at all (``exact_bm_state_blocks``
+streams the draws of ``exact_bm_state`` in blocks of CHUNK states):
 
 * (X_t, S_t) of Brownian motion with drift nu: X_t = sqrt(t) Z + nu t, and
   S_t is the maximum of the bridge from 0 to X_t over time t,
@@ -40,11 +41,14 @@ __all__ = [
     "sample_Q_y",
     "draw_penalty_pairs",
     "exact_bm_state",
+    "exact_bm_state_blocks",
     "exact_two_time_state",
     "q_level_terminal_batch",
     "mixture_levels",
     "level_event_frequency",
 ]
+
+CHUNK = 4096    # states per block of the streamed samplers and estimators
 
 
 @dataclass(frozen=True)
@@ -102,6 +106,11 @@ def _check_grid(horizon: float, step: float) -> int:
 # exact state sampling, one draw per path and no time grid
 # ---------------------------------------------------------------------------
 
+def _bridge_max(x, t: float, uniforms):
+    """The maximum of the bridge from 0 to x over time t, one uniform per state."""
+    return 0.5 * (x + np.sqrt(x * x - 2.0 * t * np.log(uniforms)))
+
+
 def exact_bm_state(t: float, n: int, gen: np.random.Generator, drift: float = 0.0):
     """n exact draws of (X_t, S_t) for Brownian motion with the stated drift.
 
@@ -110,8 +119,26 @@ def exact_bm_state(t: float, n: int, gen: np.random.Generator, drift: float = 0.
     the bridge maximum given X_t.
     """
     x = gen.standard_normal(n) * math.sqrt(t) + drift * t
-    s = 0.5 * (x + np.sqrt(x * x - 2.0 * t * np.log(gen.random(n))))
-    return x, s
+    return x, _bridge_max(x, t, gen.random(n))
+
+
+def exact_bm_state_blocks(t: float, n: int, gen: np.random.Generator, drift: float = 0.0):
+    """``exact_bm_state(t, n, gen, drift)`` as consecutive blocks of at most
+    CHUNK states: put together in order, the blocks are its arrays bit for
+    bit, and once the blocks run out ``gen`` is where it would leave it.
+
+    All n normals are drawn at the call, then one block of uniforms per
+    block, the order ``exact_bm_state`` draws in.  So the stream holds the n
+    normals (8n bytes) and one block, not every state at once.
+    """
+    z = gen.standard_normal(n)
+
+    def blocks():
+        for i in range(0, n, CHUNK):
+            x = z[i:i + CHUNK] * math.sqrt(t) + drift * t
+            yield x, _bridge_max(x, t, gen.random(x.size))
+
+    return blocks()
 
 
 def exact_two_time_state(u: float, t: float, n: int, gen: np.random.Generator):

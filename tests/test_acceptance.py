@@ -7,6 +7,7 @@ per criterion (the same battery backs ``penalab verify``).
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -15,6 +16,8 @@ from scipy import stats
 
 import penalab
 from penalab import acceptance
+from penalab.report import abs_verdict
+from penalab.samplers import RngStream, exact_bm_state
 
 SEED = int(os.environ.get("PENALAB_SEED", "12345"))
 
@@ -46,3 +49,41 @@ def test_import_leaves_out_scipy_integrate_and_stats():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]"
+
+
+def reference_criterion_10(seed, scale):
+    """Criterion 10 with every state drawn at once: the in-memory loop the
+    block stream replaced, kept as its reference."""
+    n = max(int(1000000 * scale), 10000)
+    x, s = exact_bm_state(1.0, n, RngStream(seed, 10).generator(0))
+    r = 2.0 * s - x
+    verdicts = []
+    for r0 in (1.0, 2.0, 3.0):
+        mask = np.abs(r - r0) <= 0.05
+        verdicts.append(abs_verdict(f"pitman-cond-mean-r={r0}", float(np.mean(s[mask])), r0 / 2.0,
+                                    0.05 * (r0 / 2.0),
+                                    f"binned regression, {int(mask.sum())} samples"))
+    return verdicts
+
+
+@pytest.mark.parametrize("seed,scale", [(12345, 0.25), (12345, 1.0), (7, 0.013)])
+def test_criterion_10_streams_the_in_memory_verdicts(seed, scale):
+    # scale 0.013 draws n = 10 000 states, not a whole number of blocks
+    assert acceptance.criterion_10_pitman_regression(seed, scale) == reference_criterion_10(
+        seed, scale)
+
+
+def test_criterion_10_holds_its_normals_not_every_state():
+    # 8 MB of normals and one block; drawing every state at once peaked at 39 MB
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    tracemalloc.reset_peak()
+    before = tracemalloc.get_traced_memory()[0]
+    try:
+        acceptance.criterion_10_pitman_regression(12345, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        if started:
+            tracemalloc.stop()
+    assert peak - before < 16 * 2 ** 20

@@ -598,6 +598,60 @@ class TestExpectOnEvent:
             _dense_event_rule(ev, g, points), abs=1e-12)
 
 
+def _unit_or_raises(value):
+    """value() is a full-event mass: it must be 1 within 1e-10 or raise."""
+    try:
+        got = value()
+    except FloatingPointError:
+        return
+    assert got == pytest.approx(1.0, abs=1e-10)
+
+
+class TestTiltedMassFoundOrRaises:
+    # a tilt nu puts the mass near w = nu u, past the first window GAUSS_CUT sqrt(u);
+    # a band check absolute in MIX_TOL passed windows that held 3.2e-27 of it
+
+    @pytest.mark.parametrize("u", [1.0, 4.0])
+    @pytest.mark.parametrize("tilt", [1.0, 2.0, 4.0, 8.0, 10.0, 12.0, 16.0, 20.0])
+    def test_r2_unit_mean(self, tilt, u):
+        # tilt = nu sqrt(u), nu = lam + mu
+        lam = mu = tilt / math.sqrt(u) / 2.0
+        _unit_or_raises(lambda: expect_on_event(
+            RectEvent(u), lambda x, s: m_mu_lambda_xs(x, s, u, lam, mu)))
+
+    @pytest.mark.parametrize("lam", [5.0, 6.0])
+    def test_r2_mass_past_the_window_raises(self, lam):
+        # returned 3.2e-27 at (5, 5) and 1.8e-49 at (6, 6)
+        with pytest.raises(FloatingPointError):
+            expect_on_event(RectEvent(4.0), lambda x, s: m_mu_lambda_xs(x, s, 4.0, lam, lam))
+
+    def test_r2_mass_found_by_a_wider_window(self):
+        # returned 7.6e-12
+        val = expect_on_event(FULL, lambda x, s: m_mu_lambda_xs(x, s, 1.0, 8.0, 8.0))
+        assert val == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("u,t", [(4.0, 8.0), (16.0, 32.0)])
+    @pytest.mark.parametrize("tilt", [2.0, 5.0, 10.0, 15.0, 20.0])
+    def test_explinear_finite_t_mass(self, tilt, u, t):
+        lam = mu = tilt / math.sqrt(u) / 2.0
+        _unit_or_raises(lambda: finite_t_value(ExpLinear(lam, mu), RectEvent(u), t))
+
+    @pytest.mark.parametrize("u,t", [(1.0, 2.0), (4.0, 8.0), (4.0, 64.0)])
+    @pytest.mark.parametrize("tilt", [5.0, 10.0, 20.0])
+    @pytest.mark.parametrize("shape", ["uniform", "exponential"])
+    def test_kennedy_finite_t_mass(self, shape, tilt, u, t):
+        # tilt = lam sqrt(u); at lam sqrt(u) = 20 and u = 4 this returned 0
+        lam = tilt / math.sqrt(u)
+        psi = (DensitySpec.uniform(1.0, laplace_lambda=lam) if shape == "uniform"
+               else DensitySpec.exponential(0.5, laplace_lambda=lam))
+        _unit_or_raises(lambda: finite_t_value(KennedyWeight(lam, psi), RectEvent(u), t))
+
+    def test_tabulated_kennedy_finite_t_mass(self):
+        grid = np.linspace(0.0, 2.0, 41)
+        psi = DensitySpec.tabulated(grid, np.exp(-grid), laplace_lambda=5.0)
+        _unit_or_raises(lambda: finite_t_value(KennedyWeight(5.0, psi), RectEvent(4.0), 8.0))
+
+
 def reference_rule_nodes(hi, cuts, width, n):
     """The nodes and weights of ``_checked_rule``'s first level with one
     np.finfo test per cut and one np.linspace per cut interval: the loop the
@@ -636,7 +690,7 @@ def reference_expect_on_event(ev, g, w_max=math.inf, points=()):
     band = []
 
     def integral(s_all, s_wts, n):
-        total = band_mass = 0.0
+        total = band_mass = abs_mass = 0.0
         n_w = quadrature.W_PER_S * n
         w_nodes, w_weights = gauss_legendre(n_w)
         step = quadrature.EVENT_BLOCK // n_w
@@ -649,8 +703,9 @@ def reference_expect_on_event(ev, g, w_max=math.inf, points=()):
             f = (g(2.0 * ss - w, ss) * pref * w * np.exp(-w * w / (2.0 * u))
                  * np.outer(span * s_wts[i:i + step], w_weights).ravel())
             total += float(np.sum(f))
+            abs_mass += float(np.sum(np.abs(f)))
             band_mass += float(np.sum(np.abs(f[w > reach - root_u])))
-        band.append(band_mass)
+        band.append((band_mass, abs_mass))
         return total
 
     for _ in range(quadrature.MAX_DOUBLINGS + 1):
@@ -661,7 +716,8 @@ def reference_expect_on_event(ev, g, w_max=math.inf, points=()):
         val = quadrature._checked_rule(
             "event", s_hi, (b, *points, w_max - reach, (w_max - reach + b) / 2.0),
             root_u, quadrature.EVENT_NODES, integral)
-        if band[-1] <= quadrature.MIX_TOL:
+        band_mass, abs_mass = band[-1]
+        if band_mass <= quadrature.MIX_TOL * min(1.0, abs_mass):
             return val
         reach *= 2.0
     raise FloatingPointError("event window unresolved")

@@ -15,10 +15,12 @@ from penalab.exact_laws import (
 from penalab.quadrature import RectEvent, _cond_mean_block, q_ay_limit, q_phi_limit, q_y_limit
 from penalab.report import ks_test
 from penalab.samplers import (
+    CHUNK,
     Path,
     RngStream,
     draw_penalty_pairs,
     exact_bm_state,
+    exact_bm_state_blocks,
     exact_two_time_state,
     level_event_frequency,
     mixture_levels,
@@ -109,6 +111,18 @@ class TestExactBmState:
             target = float(special.ndtr(bb / rt) - special.ndtr((bb - 2.0 * c) / rt))
             se = math.sqrt(target * (1 - target) / n)
             assert abs(float(np.mean((x <= b) & (s <= c))) - target) <= 4 * se
+
+    @pytest.mark.parametrize("drift", [0.0, -0.6])
+    @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 17])
+    def test_blocks_are_the_one_shot_draw_bit_for_bit(self, n, drift):
+        one, blocked = RngStream(61).generator(), RngStream(61).generator()
+        x, s = exact_bm_state(1.7, n, one, drift=drift)
+        blocks = list(exact_bm_state_blocks(1.7, n, blocked, drift=drift))
+        assert [b[0].size for b in blocks] == [min(CHUNK, n - i) for i in range(0, n, CHUNK)]
+        assert np.concatenate([b[0] for b in blocks]).tobytes() == x.tobytes()
+        assert np.concatenate([b[1] for b in blocks]).tobytes() == s.tobytes()
+        # the stream leaves the generator where the one-shot draw leaves it
+        assert blocked.random() == one.random()
 
     def test_gap_has_levy_law(self):
         # Levy: S - X is reflected Brownian motion, so S_t - X_t ~ sqrt(t) |N(0,1)|
