@@ -122,8 +122,8 @@ def exact_bm_state(t: float, n: int, gen: np.random.Generator, drift: float = 0.
     return x, _bridge_max(x, t, gen.random(n))
 
 
-def exact_bm_state_blocks(t: float, n: int, gen: np.random.Generator, drift: float = 0.0):
-    """``exact_bm_state(t, n, gen, drift)`` as consecutive blocks of at most
+def exact_bm_state_blocks(t: float, n: int, gen: np.random.Generator):
+    """``exact_bm_state(t, n, gen)`` as consecutive blocks of at most
     CHUNK states: put together in order, the blocks are its arrays bit for
     bit, and once the blocks run out ``gen`` is where it would leave it.
 
@@ -135,7 +135,7 @@ def exact_bm_state_blocks(t: float, n: int, gen: np.random.Generator, drift: flo
 
     def blocks():
         for i in range(0, n, CHUNK):
-            x = z[i:i + CHUNK] * math.sqrt(t) + drift * t
+            x = z[i:i + CHUNK] * math.sqrt(t)
             yield x, _bridge_max(x, t, gen.random(x.size))
 
     return blocks()

@@ -112,12 +112,11 @@ class TestExactBmState:
             se = math.sqrt(target * (1 - target) / n)
             assert abs(float(np.mean((x <= b) & (s <= c))) - target) <= 4 * se
 
-    @pytest.mark.parametrize("drift", [0.0, -0.6])
     @pytest.mark.parametrize("n", [1, CHUNK - 1, CHUNK, 3 * CHUNK + 17])
-    def test_blocks_are_the_one_shot_draw_bit_for_bit(self, n, drift):
+    def test_blocks_are_the_one_shot_draw_bit_for_bit(self, n):
         one, blocked = RngStream(61).generator(), RngStream(61).generator()
-        x, s = exact_bm_state(1.7, n, one, drift=drift)
-        blocks = list(exact_bm_state_blocks(1.7, n, blocked, drift=drift))
+        x, s = exact_bm_state(1.7, n, one)
+        blocks = list(exact_bm_state_blocks(1.7, n, blocked))
         assert [b[0].size for b in blocks] == [min(CHUNK, n - i) for i in range(0, n, CHUNK)]
         assert np.concatenate([b[0] for b in blocks]).tobytes() == x.tobytes()
         assert np.concatenate([b[1] for b in blocks]).tobytes() == s.tobytes()
