@@ -817,6 +817,50 @@ def _tabgrid_cell_moments(f: TabulatedGrid):
     return m0, ma, my, yr, table
 
 
+def _tabgrid_wedge(a, grid, table):
+    """Integral of (y - a) f(a, y) over a < y at every knot y of ``grid``, f
+    linear in a between the rows of ``table`` (row i at a[i]); 0 at y <= a[0].
+
+    The knots are sorted, so they fall into contiguous blocks by K, the
+    number of a-segments wholly below y (a_K <= y < a_{K+1}).  On a block the
+    whole segments give (y - a_K) (w_K @ table) + v_K @ table, weights from
+    the a-grid alone: by y - a = (y - a_K) + (a_K - a_{i+1}) + (a_{i+1} - a),
+    segment i puts h_i / 2 on each of its two rows in w_K, and
+    (a_K - a_{i+1}) h_i / 2 plus h_i^2 / 3 on row i and h_i^2 / 6 on row
+    i + 1 in v_K.  Every weight is nonnegative, so no digits cancel.  The
+    segment K that y cuts goes to the segment rule in v = y - a, at all such
+    knots at once.
+    """
+    h = np.diff(a)
+    # block K holds the knots edge[K]:edge[K + 1]; below edge[0], y < a[0]
+    edge = np.append(np.searchsorted(grid, a), grid.size)
+    blocks = np.flatnonzero(np.diff(edge))
+    # one (w_K, v_K) pair per block; segment i is whole below a_K when i < K
+    half = np.where(np.arange(h.size) < blocks[:, None], 0.5 * h, 0.0)
+    gap = (a[blocks, None] - a[1:]) * half
+    square = half * h
+    weights = np.zeros((blocks.size, 2, a.size))
+    weights[:, 0, :-1] = half
+    weights[:, 0, 1:] += half
+    weights[:, 1, :-1] = gap + square * (2.0 / 3.0)
+    weights[:, 1, 1:] += gap + square / 3.0
+    wedge = np.zeros_like(grid)
+    for b, k in enumerate(blocks):
+        lo, hi = edge[k], edge[k + 1]
+        whole, shifted = weights[b, :, :k + 1] @ table[:k + 1, lo:hi]
+        wedge[lo:hi] = (grid[lo:hi] - a[k]) * whole + shifted
+    # the segment K that a knot a_0 <= y < a_{n-1} cuts (0 wide at y = a_K)
+    lo, hi = edge[0], edge[-2]
+    if hi > lo:
+        y = grid[lo:hi]
+        k = np.searchsorted(a, y, side="right") - 1
+        cols = np.arange(lo, hi)
+        q = (y - a[k]) / h[k]
+        f_y = table[k, cols] * (1.0 - q) + table[k + 1, cols] * q
+        wedge[lo:hi] += _segment_integral(1, 0.0, 0.0, y - a[k], f_y, table[k, cols])
+    return wedge
+
+
 def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     """Reduce a bivariate penalty to its equivalent max-density.
 
@@ -827,9 +871,11 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     both terms are multiples of e^{(lam + mu) y}, so phi is exponential with
     rate -(lam + mu); for the separable indicator the bracket is the integral
     of (A - a) f1(a) over a < A for every y in [0, A], so phi is uniform on
-    [0, A].  A tabulated grid is returned as a tabulated density; its mass is
-    checked to be 1 within 1e-6 before the (exact) renormalization that
-    tabulation applies.
+    [0, A].  A tabulated grid is returned as a tabulated density at the
+    refined knots of its cells: the first term is a suffix sum of the cell
+    masses and the second ``_tabgrid_wedge``, summed in blocks of knots with
+    nonnegative weights.  Its mass is checked to be 1 within 1e-6 before the
+    (exact) renormalization that tabulation applies.
     """
     total = fbar(f)
     if not 0.0 < total < math.inf:
@@ -842,17 +888,7 @@ def phi_from_f(f: BivariatePenalty) -> DensitySpec:
     # upper-tail mass of f above each refined knot (exact cell suffix sums)
     col = np.sum(m0, axis=0)
     tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
-    # wedge integral of (y - a) f(a, y) over a < y at every knot y, one
-    # a-segment of the piecewise-linear rows at a time (knot-sized arrays),
-    # cut at a = y; in v = y - a the integrand is v times a linear function
-    a = f.a_grid
-    wedge = np.zeros_like(grid)
-    for i in range(a.size - 1):
-        hi = np.minimum(a[i + 1], grid)
-        q = (hi - a[i]) / (a[i + 1] - a[i])
-        f_hi = table[i] * (1.0 - q) + table[i + 1] * q
-        wedge += _segment_integral(1, 0.0, grid - hi, grid - np.minimum(a[i], grid), f_hi, table[i])
-    raw = (tail + wedge) / total
+    raw = (tail + _tabgrid_wedge(f.a_grid, grid, table)) / total
     if grid[0] > 1e-8:
         # below the table's y-floor the upper tail is flat and the wedge
         # vanishes: the reduced density is constant there, with a genuine

@@ -270,7 +270,8 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     the weight's kinks (the knots and end of phi's or psi's support, or the
     cap), and stops at the last, where the weight's support ends
     (``_support_end``).  For a phi weight this is the kernel partner of
-    ``quadrature.q_phi_finite``.
+    ``quadrature.q_phi_finite``.  A tilt so strong that the kernel ratio
+    leaves the float range (e.g. lam = 20 at u = 4) raises FloatingPointError.
     """
     u = ev.u
     if t <= u:
@@ -280,8 +281,18 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
         raise TypeError(f"no conditional kernel for {pen!r}")
     log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
     support = RectEvent(u, ev.b, min(ev.c, _support_end(pen)))
-    return expect_on_event(support, lambda x, s: np.exp(kernel(x, s, t - u) - log_den),
-                           w_max=w_max, points=pen.kinks)
+
+    def ratio(x, s):
+        log_ratio = kernel(x, s, t - u) - log_den
+        with np.errstate(over="raise"):
+            try:
+                return np.exp(log_ratio)
+            except FloatingPointError:
+                raise FloatingPointError(
+                    f"kernel ratio g(x, s, t - u) / g(0, 0, t) overflows at u = {u}, t = {t}: "
+                    f"its log reaches {np.nanmax(log_ratio):.6g}") from None
+
+    return expect_on_event(support, ratio, w_max=w_max, points=pen.kinks)
 
 
 def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> Estimate:

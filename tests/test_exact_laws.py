@@ -15,7 +15,9 @@ from penalab.exact_laws import (
     Regime,
     SeparableIndicator,
     TabulatedGrid,
+    _segment_integral,
     _tabgrid_cell_moments,
+    _tabgrid_wedge,
     classify_region,
     fbar,
     h_cdf,
@@ -560,6 +562,92 @@ class TestTabulatedAcrossTheDiagonal:
             wedge = np.trapezoid((yv - av) * tab._bilinear(av, np.full_like(av, yv)), av)
             tail = _brute_tail(tab, lambda a, e: np.ones_like(e), yv, n=801)
             assert float(phi.pdf(yv)) == pytest.approx((tail + wedge) / total, rel=1e-5)
+
+
+def reference_phi_from_f(f):
+    """``phi_from_f`` on a TabulatedGrid as it was before the block sums: the
+    wedge summed one a-segment at a time over every knot."""
+    total = fbar(f)
+    m0, _, _, grid, table = f._cells
+    col = np.sum(m0, axis=0)
+    tail = np.concatenate((np.cumsum(col[::-1])[::-1], [0.0]))
+    a = f.a_grid
+    wedge = np.zeros_like(grid)
+    for i in range(a.size - 1):
+        hi = np.minimum(a[i + 1], grid)
+        q = (hi - a[i]) / (a[i + 1] - a[i])
+        f_hi = table[i] * (1.0 - q) + table[i + 1] * q
+        wedge += _segment_integral(1, 0.0, grid - hi, grid - np.minimum(a[i], grid), f_hi, table[i])
+    raw = (tail + wedge) / total
+    if grid[0] > 1e-8:
+        head = np.array([0.0, grid[0] - 1e-9 * max(grid[0], 1.0)])
+        grid = np.concatenate((head, grid))
+        raw = np.concatenate((np.full(head.size, tail[0] / total), raw))
+    raw = np.maximum(raw, 0.0)
+    mass = float(np.trapezoid(raw, grid))
+    if abs(mass - 1.0) > 1e-6:
+        raise ValueError(f"phi_from_f mass {mass} deviates from 1 beyond 1e-6")
+    return DensitySpec.tabulated(grid, raw)
+
+
+def _grid_table(a, y, fn):
+    aa, yy = np.meshgrid(a, y, indexing="ij")
+    return TabulatedGrid(a, y, fn(aa, yy))
+
+
+BLOCK_TABLES = {
+    # perfbench's table: every knot lies above the a-grid, one block
+    "perfbench": lambda: _grid_table(np.linspace(-3.0, -0.5, 41), np.linspace(0.5, 3.0, 41),
+                                     lambda a, y: np.exp(a - y)),
+    # the a-grid reaches into the knots: 30 blocks
+    "diagonal": _diagonal_table,
+    "per-knot-loop": lambda: _grid_table(np.linspace(-2.0, 1.0, 31), np.linspace(0.0, 3.0, 31),
+                                         lambda a, y: np.where(y - a >= 0.5, np.exp(a - y), 0.0)),
+    # every a-knot is a knot, so y = a_K and the cut segment is 0 wide there
+    "a-knots-are-knots": lambda: _grid_table(np.linspace(0.0, 3.0, 31), np.linspace(0.0, 3.0, 31),
+                                             lambda a, y: np.exp(-a ** 2 - y)),
+    # the knots y <= a[0] = 0.5 have no wedge
+    "knots-below-a": lambda: _grid_table(np.linspace(0.5, 3.0, 26), np.linspace(0.0, 3.0, 31),
+                                         lambda a, y: np.exp(-a - y)),
+}
+
+
+class TestBlockWedge:
+    @pytest.mark.parametrize("name", list(BLOCK_TABLES))
+    def test_matches_the_per_segment_loop(self, name):
+        tab = BLOCK_TABLES[name]()
+        phi, ref = phi_from_f(tab), reference_phi_from_f(tab)
+        assert np.array_equal(phi.grid, ref.grid)
+        assert np.all(np.abs(phi.values - ref.values) <= 4e-15 * ref.values)
+
+    def test_narrow_segment_keeps_its_relative_accuracy(self):
+        # one a-segment 1e-9 wide, just below the knot y = 1; knots at its
+        # start, inside it, at its end, just above it and far above it
+        a = np.array([1.0 - 1e-9, 1.0])
+        grid = np.array([1.0 - 1e-9, 1.0 - 4e-10, 1.0, 1.0 + 3e-10, 2.5, 40.0])
+        table = np.array([[1.0, 2.0, 3.0, 0.5, 1.5, 0.25],
+                          [2.0, 1.0, 0.5, 3.0, 0.75, 4.0]])
+        got = _tabgrid_wedge(a, grid, table)
+        with mpmath.workdps(50):
+            a0, a1 = mpmath.mpf(a[0]), mpmath.mpf(a[1])
+            for j, yv in enumerate(grid):
+                y, t0, t1 = mpmath.mpf(yv), mpmath.mpf(table[0, j]), mpmath.mpf(table[1, j])
+                # integral of (y - a)(t0 + slope (a - a0)) over a0 < a < min(y, a1),
+                # plus (y - a1) times the segment's mass once y passes a1
+                d = min(y, a1) - a0
+                slope = (t1 - t0) / (a1 - a0)
+                exact = t0 * d ** 2 / 2 + slope * d ** 3 / 6 + max(y - a1, 0) * (a1 - a0) * (t0 + t1) / 2
+                if exact == 0:
+                    assert got[j] == 0.0
+                else:
+                    assert abs(got[j] - exact) <= 4e-15 * exact
+
+    @pytest.mark.xfail(raises=ValueError, strict=True,
+                       reason="ROADMAP item 5: phi's piecewise-linear tabulation loses 2.1e-5 of the mass")
+    def test_coarse_table_reduces(self):
+        tab = TabulatedGrid([-1.0, 0.5, 2.0], [0.0, 1.0, 3.0],
+                            [[1.0, 4.0, 0.5], [0.2, 3.0, 1.0], [2.0, 0.1, 3.0]])
+        assert phi_from_f(tab).mass() == pytest.approx(1.0, abs=1e-12)
 
 
 class TestOneCellMomentPass:

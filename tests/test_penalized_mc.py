@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import dataclass
 
 import mpmath
@@ -471,6 +472,19 @@ class TestFiniteTValue:
     def test_horizon_must_exceed_the_event_time(self):
         with pytest.raises(ValueError):
             finite_t_value(PhiOfMax(UNIFORM), EV, 1.0)
+
+    @pytest.mark.parametrize("psi", [DensitySpec.uniform(1.0, laplace_lambda=20.0),
+                                     DensitySpec.exponential(1.0, laplace_lambda=20.0)],
+                             ids=["uniform", "exponential"])
+    def test_a_ratio_beyond_the_float_range_raises_by_name(self, psi):
+        # at lam sqrt(u) = 40 the log kernel ratio reaches 2173; exp overflowed
+        # and the rule raised "event rule unresolved ... nan" after
+        # RuntimeWarnings, or a bare RuntimeWarning with warnings as errors
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=r"^kernel ratio .* overflows at u = 4\.0, t = 8\.0: its log reaches 2173"):
+                finite_t_value(KennedyWeight(20.0, psi), RectEvent(4.0), 8.0)
 
     def test_exponential_bivariate_is_the_exponential_weight(self):
         f = BivariateF(ExponentialBivariate(-2.0, 1.0))
