@@ -855,9 +855,10 @@ def _tabgrid_wedge(a, grid, table):
         y = grid[lo:hi]
         k = np.searchsorted(a, y, side="right") - 1
         cols = np.arange(lo, hi)
+        f_k = table[k, cols]
         q = (y - a[k]) / h[k]
-        f_y = table[k, cols] * (1.0 - q) + table[k + 1, cols] * q
-        wedge[lo:hi] += _segment_integral(1, 0.0, 0.0, y - a[k], f_y, table[k, cols])
+        f_y = f_k * (1.0 - q) + table[k + 1, cols] * q
+        wedge[lo:hi] += _segment_integral(1, 0.0, 0.0, y - a[k], f_y, f_k)
     return wedge
 
 

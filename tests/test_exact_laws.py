@@ -599,7 +599,7 @@ BLOCK_TABLES = {
     # perfbench's table: every knot lies above the a-grid, one block
     "perfbench": lambda: _grid_table(np.linspace(-3.0, -0.5, 41), np.linspace(0.5, 3.0, 41),
                                      lambda a, y: np.exp(a - y)),
-    # the a-grid reaches into the knots: 30 blocks
+    # the a-grid reaches into the knots: 21 blocks
     "diagonal": _diagonal_table,
     "per-knot-loop": lambda: _grid_table(np.linspace(-2.0, 1.0, 31), np.linspace(0.0, 3.0, 31),
                                          lambda a, y: np.where(y - a >= 0.5, np.exp(a - y), 0.0)),
