@@ -38,7 +38,7 @@ W_PER_S = 6         # inner w-nodes of expect_on_event per s-node of its level
 MIX_TOL = 1e-10     # largest allowed gap between two node levels, and mass beyond a window
 MAX_REFINE = 1      # node doublings a checked rule may add after its first gap
 MAX_DOUBLINGS = 4   # times expect_on_event may double its window
-EVENT_BLOCK = 4096  # most states per call of expect_on_event's integrand
+EVENT_BLOCK = 16384  # most states per call of expect_on_event's integrand
 
 
 @dataclass(frozen=True)
@@ -343,12 +343,20 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
     The checked rule of ``_checked_rule`` with MIX_NODES nodes per piece, cut
     at the weight's kinks and at the kinks y = b and y = c of q, with every
     piece at most sqrt(min(u, t - u))/4 wide (q varies on the scale
-    sqrt(u (t - u) / t)).  The weights are normalised on the log scale.
+    sqrt(u (t - u) / t)).  q_of_y and log_weight run once on the nodes of all
+    the levels of a call; each level's weights are normalised on the log
+    scale by that level's own largest.
     """
-    def integral(y, wts, _n):
-        log_w = log_weight(y)
-        w = np.exp(log_w - np.max(log_w)) * wts
-        return float(np.dot(w, q_of_y(y)) / np.sum(w))
+    def integral(levels):
+        y = np.concatenate([nodes for nodes, _, _ in levels])
+        log_w_all, q_all = log_weight(y), q_of_y(y)
+        values, i = [], 0
+        for _, wts, _ in levels:
+            log_w, q = log_w_all[i:i + wts.size], q_all[i:i + wts.size]
+            w = np.exp(log_w - np.max(log_w)) * wts
+            values.append(float(np.dot(w, q) / np.sum(w)))
+            i += wts.size
+        return values
 
     return _checked_rule("level-mixture", hi, (ev.b, ev.c, *kinks),
                          0.25 * math.sqrt(min(ev.u, t - ev.u)), MIX_NODES, integral)
@@ -356,12 +364,15 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
 
 def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) -> float:
     """One fixed Gauss-Legendre pass over [0, hi], cut at ``cuts`` and with
-    every piece at most ``width`` wide; integral(y, wts, k) sums the
-    integrand at the nodes y with the weights wts of k nodes per piece.
+    every piece at most ``width`` wide.  integral(levels) sums the integrand
+    at each level of a list of (y, wts, k), the nodes y with the weights wts
+    of k nodes per piece, and returns their values in that order.
 
     The levels n, 2n, ... double the nodes up to MAX_REFINE times past the
     first gap: the first level within MIX_TOL of the one before it is the
-    value, and a last gap above MIX_TOL, or not finite, raises.
+    value, and a last gap above MIX_TOL, or not finite, raises.  Levels n and
+    2n go to one call; each later level has a call of its own, made only
+    after a failed gap.
     """
     # a cut below the smallest normal float would round first-piece nodes to y = 0
     cuts = np.asarray(cuts, dtype=float)
@@ -377,12 +388,14 @@ def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) ->
 
     def level(k):
         nodes, weights = gauss_legendre(k)
-        return integral((lo + span * nodes).ravel(), (span * weights).ravel(), k)
+        return (lo + span * nodes).ravel(), (span * weights).ravel(), k
 
-    k, value = n, level(n)
-    for _ in range(MAX_REFINE + 1):
-        k, last = 2 * k, value
-        value = level(k)
+    k = 2 * n
+    last, value = integral([level(n), level(k)])
+    for refine in range(MAX_REFINE + 1):
+        if refine:
+            k, last = 2 * k, value
+            (value,) = integral([level(k)])
         gap = abs(value - last)
         if gap <= MIX_TOL:
             return value
@@ -405,7 +418,9 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
 
     g takes the x block as an (m, k) array, one row per s-node, and s as its
     (m, 1) column, so it must broadcast; its factors in s alone then run once
-    per s-node, and it may return an (m, 1) array or a scalar.  The outer
+    per s-node, and it may return an (m, 1) array or a scalar.  A block holds
+    at most EVENT_BLOCK states, so g runs ceil(m / (EVENT_BLOCK // k)) times
+    on a level of m s-nodes.  The outer
     integral over s runs ``_checked_rule`` from EVENT_NODES nodes per piece
     at most sqrt(u) wide, cut at b, at ``points`` and at the bends of the
     cap: every jump or kink of g in s must be in ``points``.  At k s-nodes
@@ -427,25 +442,37 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     reach = GAUSS_CUT * root_u
     band = []
 
-    def integral(s_all, s_wts, n):
-        total = band_mass = abs_mass = 0.0
-        n_w = W_PER_S * n
-        w_nodes, w_weights = gauss_legendre(n_w)
-        step = EVENT_BLOCK // n_w
-        for i in range(0, s_all.size, step):
-            # one row per s-node: s is a column, so s-only work in g runs once a row
-            s = s_all[i:i + step, None]
-            w0 = 2.0 * s - np.minimum(b, s)
+    def integral(levels):
+        values = []
+        for s_all, s_wts, n in levels:
+            total = band_mass = abs_mass = 0.0
+            n_w = W_PER_S * n
+            w_nodes, w_weights = gauss_legendre(n_w)
+            # one row per s-node: s is a column, so s-only work in g runs once a row;
+            # each row's window edge w0, span and weight span s_wt, for the whole level
+            s_col = s_all[:, None]
+            w0 = 2.0 * s_col - np.minimum(b, s_col)
             span = np.maximum(np.minimum(w0 + reach, w_max) - w0, 0.0)
-            w = w0 + span * w_nodes
-            f = (g(2.0 * s - w, s) * pref * w * np.exp(-w * w / (2.0 * u))
-                 * (span * s_wts[i:i + step, None] * w_weights))
-            total += float(np.sum(f))
-            f = np.abs(f)
-            abs_mass += float(np.sum(f))
-            band_mass += float(np.sum(f[w > reach - root_u]))
-        band.append((band_mass, abs_mass))
-        return total
+            row_wts = span * s_wts[:, None]
+            step = EVENT_BLOCK // n_w
+            for i in range(0, s_all.size, step):
+                rows = slice(i, i + step)
+                s = s_col[rows]
+                w = w0[rows] + span[rows] * w_nodes
+                gauss = -w
+                gauss *= w
+                gauss /= 2.0 * u
+                np.exp(gauss, out=gauss)
+                f = g(2.0 * s - w, s) * pref * w
+                f *= gauss
+                f *= row_wts[rows] * w_weights
+                total += float(np.sum(f))
+                np.abs(f, out=f)
+                abs_mass += float(np.sum(f))
+                band_mass += float(np.sum(f[w > reach - root_u]))
+            band.append((band_mass, abs_mass))
+            values.append(total)
+        return values
 
     for _ in range(MAX_DOUBLINGS + 1):
         # w = 2s - x >= s on the support, so the cap on w caps s as well

@@ -142,7 +142,8 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
 
     th = lam + 2.0 * mu
     nu = lam + mu
-    d_hi = np.maximum(cap - x, d)
+    # the capped pieces' upper end; uncapped, nothing reads it
+    d_hi = np.maximum(cap - x, d) if math.isfinite(cap) else None
     pieces = []
     if th == 0.0 or nu != 0.0:
         # on the diagonal th = 0 (lam = -2 mu) the coefficient tends to 2
