@@ -7,6 +7,8 @@ order lambda^2 * t / 2 with t up to ~10^3).
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from scipy import special
 
@@ -113,6 +115,16 @@ def log_gauss_tail_e(alpha):
         if np.any(alpha < 0.0):
             out = np.logaddexp(out, np.log(np.maximum(-alpha, 0.0)))
     return float(out) if out.ndim == 0 else out
+
+
+def log_each(v):
+    """math.log of a float, or of each element of a (small) array: the libm
+    rounding a float gets, so a value stacked over horizons equals its
+    float-horizon values bit for bit (np.log rounds a few values in 10^5
+    differently)."""
+    if np.ndim(v) == 0:
+        return math.log(v)
+    return np.array([math.log(e) for e in np.ravel(v)]).reshape(np.shape(v))
 
 
 def two_product(a, b):

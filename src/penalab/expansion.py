@@ -89,13 +89,15 @@ def phi_series_value(phi: DensitySpec, ev: RectEvent, t: float) -> float:
     """Exact penalized probability at horizon t for the phi(S_t) weight.
 
     The phi-mixture ``q_phi_finite``; ``finite_t_value(PhiOfMax(phi), ...)``,
-    which integrates the ``g_phi_hat`` kernel, is its oracle partner.
+    which integrates the ``g_phi_hat`` kernel, is its oracle partner.  An
+    array of horizons is one ladder and gives an array.
     """
     return q_phi_finite(phi, ev, t)
 
 
 def kennedy_series_value(lam: float, psi: DensitySpec, ev: RectEvent, t: float) -> float:
-    """Exact penalized probability at horizon t for the Kennedy weight."""
+    """Exact penalized probability at horizon t for the Kennedy weight (an
+    array of horizons is one ladder of ``finite_t_value``)."""
     return finite_t_value(KennedyWeight(lam, psi), ev, t)
 
 
@@ -113,7 +115,8 @@ def f1_coefficient_check(phi: DensitySpec, ev: RectEvent,
     u = ev.u
     if not np.isfinite(phi.moment(5)):
         raise ValueError("the first-order expansion needs a finite fifth moment")
-    series = [(t, phi_series_value(phi, ev, t)) for t in t_list]
+    # one ladder: the phi-mixture of phi_series_value at every horizon at once
+    series = list(zip(t_list, q_phi_finite(phi, ev, np.asarray(t_list, dtype=float)).tolist()))
     fit = fit_rate(series, model="poly")
     target = expect_on_event(ev, lambda x, s: f1_phi_xs(x, s, u, phi), points=phi.kinks)
     limit = q_phi_limit(phi, ev)
@@ -140,7 +143,9 @@ def f1_kennedy_check(lam: float, psi: DensitySpec, ev: RectEvent,
                      t_list: Sequence[float] = DEFAULT_DISCOUNTED_WINDOW) -> dict:
     """Same pipeline for the discounted (Kennedy) expansion."""
     u = ev.u
-    series = [(t, kennedy_series_value(lam, psi, ev, t)) for t in t_list]
+    # one ladder: kennedy_series_value at every horizon at once
+    series = list(zip(t_list, finite_t_value(KennedyWeight(lam, psi), ev,
+                                             np.asarray(t_list, dtype=float)).tolist()))
     fit = fit_rate(series, model="discounted", lam=lam)
     target = expect_on_event(ev, lambda x, s: f1_lambda_phi_xs(x, s, u, lam, psi),
                              points=psi.kinks)

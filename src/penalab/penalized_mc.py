@@ -35,7 +35,7 @@ from .exact_laws import (
     p_max,
 )
 from .martingales import m_bar_xs
-from .quadrature import RectEvent, expect_on_event
+from .quadrature import RectEvent, _Unresolved, expect_on_event
 from .samplers import CHUNK, RngStream, exact_bm_state, exact_two_time_state
 from .weights import log_g_explinear, log_g_kennedy, log_g_phi
 
@@ -125,8 +125,9 @@ class BivariateF:
 
 
 # A penalty kind provides log_terminal(xt, st) = log F_t, log_kernel(x, s, r) =
-# log E[F_t | X_u = x, S_u = s] at r = t - u (None for a kind with no kernel),
-# and kinks, the s where that kernel bends.
+# log E[F_t | X_u = x, S_u = s] at r = t - u (None for a kind with no kernel;
+# an array r of shape (H, 1, 1) stacks the kernels of H horizons), and kinks,
+# the s where that kernel bends.
 PenaltyKind = PhiOfMax | BivariateF | ExpLinear | KennedyWeight
 
 
@@ -261,7 +262,7 @@ def penalized_estimate(pen: PenaltyKind, ev, t: float, n: int, rng: RngStream) -
     return Estimate(r, se, n, (rng.seed, rng.stream_id), ess)
 
 
-def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = math.inf) -> float:
+def finite_t_value(pen: PenaltyKind, ev: RectEvent, t, w_max: float = math.inf):
     """Exact penalized probability E[1_G F_t] / E[F_t] at horizon t, on the
     event further restricted to {2 S_u - X_u <= w_max}.
 
@@ -271,28 +272,55 @@ def finite_t_value(pen: PenaltyKind, ev: RectEvent, t: float, w_max: float = mat
     cap), and stops at the last, where the weight's support ends
     (``_support_end``).  For a phi weight this is the kernel partner of
     ``quadrature.q_phi_finite``.  A tilt so strong that the kernel ratio
-    leaves the float range (e.g. lam = 20 at u = 4) raises FloatingPointError.
+    leaves the float range (e.g. lam = 20 at u = 4) raises FloatingPointError
+    naming the horizon.
+
+    A 1-D array of horizons t is one ladder: the kernel runs once per block
+    on the stack of its H horizons (``log_kernel`` with an array r), one
+    checked rule integrates them all on the same nodes, and the value is the
+    array of the H probabilities.  The rule settles when every horizon has,
+    and an unresolved ladder names its worst horizon.
     """
     u = ev.u
-    if t <= u:
+    ladder = np.ndim(t) > 0
+    if ladder:
+        t = np.asarray(t, dtype=float)
+    if np.any(t <= u) if ladder else t <= u:
         raise ValueError("horizon must exceed the event time")
     kernel = pen.log_kernel
     if kernel is None:
         raise TypeError(f"no conditional kernel for {pen!r}")
-    log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
+    if ladder:
+        # the horizons down a leading axis of every (m, k) block
+        r = (t - u)[:, None, None]
+        log_den = kernel(np.zeros(1), np.zeros(1), t[:, None])[:, :, None]
+    else:
+        r = t - u
+        log_den = float(kernel(np.zeros(1), np.zeros(1), t)[0])
     support = RectEvent(u, ev.b, min(ev.c, _support_end(pen)))
 
     def ratio(x, s):
-        log_ratio = kernel(x, s, t - u) - log_den
+        log_ratio = kernel(x, s, r) - log_den
         with np.errstate(over="raise"):
             try:
                 return np.exp(log_ratio)
             except FloatingPointError:
+                worst = np.nanmax(log_ratio.reshape(np.size(t), -1), axis=1)
+                h = int(np.argmax(worst))
                 raise FloatingPointError(
-                    f"kernel ratio g(x, s, t - u) / g(0, 0, t) overflows at u = {u}, t = {t}: "
-                    f"its log reaches {np.nanmax(log_ratio):.6g}") from None
+                    f"kernel ratio g(x, s, t - u) / g(0, 0, t) overflows at u = {u}, "
+                    f"t = {t[h] if ladder else t}: its log reaches {worst[h]:.6g}") from None
 
-    return expect_on_event(support, ratio, w_max=w_max, points=pen.kinks)
+    if ladder:
+        ratio.height = t.size     # so that even the first block holds EVENT_BLOCK states
+    try:
+        value = expect_on_event(support, ratio, w_max=w_max, points=pen.kinks)
+    except _Unresolved as err:
+        if err.component is None:
+            raise
+        raise FloatingPointError(f"{err.reason} at horizon t = {t[err.component]}") from None
+    # an empty event is 0.0 for every horizon
+    return np.zeros(t.shape) + value if ladder else value
 
 
 def max_conditional(g: Callable, y: float, u: float, n: int, rng: RngStream) -> Estimate:
@@ -398,6 +426,9 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
     limits = {b: expect_on_event(RectEvent(u), g, w_max=b) for b in b_levels}
     pen = bessel_weight(lam, mu, trivial)
     label = "exp(-R) 1{J <= 1}" if trivial else f"exp({mu} R + {lam} J)"
+    # the exact values, one ladder over t_list for each b
+    targets = {b: finite_t_value(pen, RectEvent(u), np.asarray(t_list, dtype=float),
+                                 w_max=b).tolist() for b in b_levels}
 
     rows = []
     for k, t in enumerate(t_list):
@@ -406,7 +437,7 @@ def bessel_penalization_check(lam: float, mu: float, u: float, t_list: Sequence[
             pen, (u, lambda x, s: np.stack([2.0 * s - x <= b for b in b_levels])), t, n,
             rng.substream(7000 + k))
         for b, value, stderr in zip(b_levels, est.value.tolist(), est.stderr.tolist()):
-            target = finite_t_value(pen, RectEvent(u), t, w_max=b)
+            target = targets[b][k]
             tol = 3.0 * stderr
             rows.append({
                 "penalty": label, "event": (u, b), "t": t, "b": b,

@@ -13,8 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._stable import (GAUSS_CUT, gauss_legendre, gauss_tail_e, log_gauss_tail_e, log_norm_cdf,
-                      log_norm_sf, norm_cdf, norm_sf)
+from ._stable import (GAUSS_CUT, gauss_legendre, gauss_tail_e, log_each, log_gauss_tail_e,
+                      log_norm_cdf, log_norm_sf, norm_cdf, norm_sf)
 from .exact_laws import DensitySpec, h_cdf
 from .martingales import m_phi_xs
 
@@ -107,6 +107,12 @@ def _cond_mean_block(u: float, y, b: float):
             + 2.0 * norm_sf(w0 / math.sqrt(u)))
 
 
+def _check_horizons(t, u: float) -> None:
+    """Raise ValueError unless the horizon t, or every horizon of an array, exceeds u."""
+    if (t <= u) if np.ndim(t) == 0 else np.any(np.asarray(t) <= u):
+        raise ValueError("horizon t must exceed the observation time u")
+
+
 def _check_levels(y, name: str) -> np.ndarray:
     y = np.asarray(y, dtype=float)
     if np.any(y <= 0.0):
@@ -134,9 +140,12 @@ def q_y_limit(y: float, ev: RectEvent) -> float:
 def q_y_finite(y: float, ev: RectEvent, t: float) -> float:
     """P0(event | S_t = y) at a finite horizon t > u, in closed form.
 
-    Vectorized in y (an array y gives an array).  With r = t - u the maximum
-    is either reached by time u (S_u = y, the pinned part, only on {y <= c})
-    or after it (S_u < y, the free part).  Integrating the reflection-principle
+    Vectorized in y and t: an array y gives an array, and an array of
+    horizons t that broadcasts against y (e.g. shape (H, 1) for an array y)
+    gives the H laws stacked, each bit for bit its float-t value.  With
+    r = t - u the maximum is either reached by time u (S_u = y, the pinned
+    part, only on {y <= c}) or after it (S_u < y, the free part).
+    Integrating the reflection-principle
     densities over X_u (Borodin & Salminen) leaves normal CDFs: with
     sigma = sqrt(u r / t), c' = min(c, y), m = min(b, c') and w0 = 2y - min(b, y),
 
@@ -148,17 +157,16 @@ def q_y_finite(y: float, ev: RectEvent, t: float) -> float:
     """
     y = _check_levels(y, "q_y_finite")
     u, b, c = ev.u, ev.b, ev.c
-    if t <= u:
-        raise ValueError("horizon t must exceed the observation time u")
+    _check_horizons(t, u)
     r = t - u
-    sigma = math.sqrt(u * r / t)
+    sigma = np.sqrt(u * r / t)
     cprime = np.minimum(c, y)
     m = np.minimum(b, cprime)
     free = (norm_cdf((m - y * u / t) / sigma)
             - np.exp(2.0 * cprime * (y - cprime) / t
                      + log_norm_cdf((m - (2.0 * cprime * r + y * u) / t) / sigma)))
     w0 = 2.0 * y - np.minimum(b, y)
-    pinned = (math.sqrt(t / u) * np.exp(y * y / (2.0 * t) - w0 * w0 / (2.0 * u)) * h_cdf(r, w0 - y)
+    pinned = (np.sqrt(t / u) * np.exp(y * y / (2.0 * t) - w0 * w0 / (2.0 * u)) * h_cdf(r, w0 - y)
               + 2.0 * norm_sf((w0 - y * u / t) / sigma))
     out = free + np.where(y <= c, pinned, 0.0)
     return float(out) if out.ndim == 0 else out
@@ -213,7 +221,7 @@ def q_ay_limit(a: float, y: float, ev: RectEvent, route: str = "direct") -> floa
 def q_ay_finite(a: float, y: float, ev: RectEvent, t: float) -> float:
     """P0(event | X_t = a, S_t = y) at a finite horizon t > u, in closed form.
 
-    Vectorized in y (an array y gives an array).  With r = t - u, M = 2y - a,
+    Vectorized in y and t, as ``q_y_finite``.  With r = t - u, M = 2y - a,
     sigma^2 = u r / t and c' = min(c, y), the maximum is reached by time u
     (S_u = y, pinned, only on {y <= c}) or after it (free).  Each part
     integrates a linear factor times Gaussians in the reflected variable v
@@ -232,19 +240,19 @@ def q_ay_finite(a: float, y: float, ev: RectEvent, t: float) -> float:
     if np.any(y <= np.maximum(a, 0.0)):
         raise ValueError("q_ay_finite requires y > max(a, 0): p_joint(t, a, y) is 0 at y = a")
     u, b, c = ev.u, ev.b, ev.c
-    if t <= u:
-        raise ValueError("horizon t must exceed the observation time u")
+    _check_horizons(t, u)
     if b == -math.inf:
-        out = np.zeros_like(y)
+        out = np.zeros(np.broadcast_shapes(y.shape, np.shape(t)))
         return float(out) if out.ndim == 0 else out
     r = t - u
     m_top = 2.0 * y - a
-    sigma = math.sqrt(u * r / t)
+    sigma = np.sqrt(u * r / t)
+    log_sigma = log_each(sigma)
 
     def k(m, v_lo, v1):
         z = (v_lo - m * v1 / t) / sigma
         return np.exp((m_top * m_top - m * m) / (2.0 * t)
-                      + np.logaddexp(math.log(sigma) + log_gauss_tail_e(z),
+                      + np.logaddexp(log_sigma + log_gauss_tail_e(z),
                                      np.log(v_lo) + log_norm_sf(z)))
 
     cprime = np.minimum(c, y)
@@ -283,7 +291,7 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
         # weight is 0 and q_ay_limit is evaluated at a+ only to stay defined
         return _level_mixture(ev, lambda z: q_ay_limit(a, np.maximum(z, ap), ev),
                               lambda z: _log(np.where(z > ap, (2.0 * z - a) * phi.pdf(z), 0.0)),
-                              hi, kinks)
+                              hi, kinks, scale=_length_scale(phi))
     if route != "single":
         raise ValueError("route must be 'single' or 'bridge'")
 
@@ -292,7 +300,8 @@ def q_a_phi_limit(a: float, phi: DensitySpec, ev: RectEvent, route: str = "singl
         # the levels below them, weight P(Y > max(z, a+)); the weights total denom
         return _log(np.where(z > ap, (z - a) * phi.pdf(z), 0.0) + phi.tail(np.maximum(z, ap)))
 
-    return _level_mixture(ev, lambda z: q_y_limit(z, ev), log_weight, hi, kinks)
+    return _level_mixture(ev, lambda z: q_y_limit(z, ev), log_weight, hi, kinks,
+                          scale=_length_scale(phi))
 
 
 def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> float:
@@ -308,7 +317,7 @@ def q_phi_limit(phi: DensitySpec, ev: RectEvent, route: str = "mixture") -> floa
     if route != "mixture":
         raise ValueError("route must be 'mixture' or 'martingale'")
     return _level_mixture(ev, lambda y: q_y_limit(y, ev), lambda y: _log(phi.pdf(y)),
-                          phi.effective_upper(1e-13), phi.kinks)
+                          phi.effective_upper(1e-13), phi.kinks, scale=_length_scale(phi))
 
 
 def q_phi_finite(phi: DensitySpec, ev: RectEvent, t: float) -> float:
@@ -324,18 +333,33 @@ def q_phi_finite(phi: DensitySpec, ev: RectEvent, t: float) -> float:
     weight e^{-y^2/2t} is below e^{-40} e^{-y0^2/2t}: the mass left out is
     under e^{-40} (4e-18) of the normaliser, and q <= 1 moves the value by no
     more.  A short horizon then does not spread the pieces over all of phi.
+
+    A 1-D array of horizons t is one ladder: a single mixture whose pieces
+    are cut for the smallest horizon and reach the largest horizon's end,
+    integrating the stack of the H laws, and an array of the H values.
     """
-    if t <= ev.u:
-        raise ValueError("horizon t must exceed the observation time u")
+    _check_horizons(t, ev.u)
+    if np.ndim(t) == 0:
+        t_lo = t_hi = t
+    else:
+        # a ladder's horizons down the rows, so every law and weight is an (H, m) stack
+        t = np.asarray(t, dtype=float)[:, None]
+        t_lo, t_hi = float(np.min(t)), float(np.max(t))
     y0 = 2.0 * phi.moment(1) / phi.mass()
     return _level_mixture(ev, lambda y: q_y_finite(y, ev, t),
                           lambda y: _log(phi.pdf(y)) - y * y / (2.0 * t),
-                          min(phi.effective_upper(1e-13), math.sqrt(y0 * y0 + 80.0 * t)),
-                          phi.kinks, t)
+                          min(phi.effective_upper(1e-13), math.sqrt(y0 * y0 + 80.0 * t_hi)),
+                          phi.kinks, t_lo, _length_scale(phi))
+
+
+def _length_scale(phi: DensitySpec) -> float:
+    """The scale 1/rate on which an exponential phi changes; +inf for the
+    others, whose kinks cut their pieces."""
+    return 1.0 / phi.rate if phi.family == "exponential" else math.inf
 
 
 def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
-                   t: float = math.inf) -> float:
+                   t: float = math.inf, scale: float = math.inf) -> float:
     """Mixture of the single-max law q(y) over levels y in (0, hi] at horizon
     t (t = inf for the limit laws): the integral of q(y) w(y) divided by the
     integral of w(y), with log w(y) = log_weight(y) for an array y.
@@ -343,36 +367,65 @@ def _level_mixture(ev: RectEvent, q_of_y, log_weight, hi: float, kinks=(),
     The checked rule of ``_checked_rule`` with MIX_NODES nodes per piece, cut
     at the weight's kinks and at the kinks y = b and y = c of q, with every
     piece at most sqrt(min(u, t - u))/4 wide (q varies on the scale
-    sqrt(u (t - u) / t)).  q_of_y and log_weight run once on the nodes of all
-    the levels of a call; each level's weights are normalised on the log
-    scale by that level's own largest.
+    sqrt(u (t - u) / t)) and at most ``scale`` wide, the weight's own scale
+    (1/rate for an exponential phi, ``_length_scale``).  q_of_y and
+    log_weight run once on the nodes of all the levels of a call; each
+    level's weights are normalised on the log scale by that level's own
+    largest.
+
+    A stack of H laws (q_of_y gives an (H, m) array for m levels, and
+    log_weight an (H, m) or an (m,) one) gives the array of the H mixtures,
+    each row summed as a single law is; the rule settles when every row has.
     """
     def integral(levels):
         y = np.concatenate([nodes for nodes, _, _ in levels])
         log_w_all, q_all = log_weight(y), q_of_y(y)
         values, i = [], 0
         for _, wts, _ in levels:
-            log_w, q = log_w_all[i:i + wts.size], q_all[i:i + wts.size]
-            w = np.exp(log_w - np.max(log_w)) * wts
-            values.append(float(np.dot(w, q) / np.sum(w)))
+            log_w, q = log_w_all[..., i:i + wts.size], q_all[..., i:i + wts.size]
+            if q.ndim == 1 and log_w.ndim == 1:
+                w = np.exp(log_w - np.max(log_w)) * wts
+                values.append(float(np.dot(w, q) / np.sum(w)))
+            else:
+                log_w, q = np.broadcast_arrays(log_w, q)
+                w = np.exp(log_w - np.max(log_w, axis=-1, keepdims=True)) * wts
+                values.append(np.array([np.dot(w_h, q_h) / np.sum(w_h) for w_h, q_h in zip(w, q)]))
             i += wts.size
         return values
 
     return _checked_rule("level-mixture", hi, (ev.b, ev.c, *kinks),
-                         0.25 * math.sqrt(min(ev.u, t - ev.u)), MIX_NODES, integral)
+                         min(0.25 * math.sqrt(min(ev.u, t - ev.u)), scale), MIX_NODES, integral)
+
+
+class _Unresolved(FloatingPointError):
+    """A checked rule or event window that did not settle, for ``reason``.
+    ``component`` is the worst entry of an integrand stack, None for a
+    single integrand."""
+
+    def __init__(self, reason: str, component: int | None = None):
+        super().__init__(reason if component is None else f"{reason} at component {component}")
+        self.reason, self.component = reason, component
+
+
+def _worst(excess):
+    """The index of the largest entry of a stack's array, a NaN first."""
+    return int(np.argmax(np.where(np.isnan(excess), np.inf, excess)))
 
 
 def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) -> float:
     """One fixed Gauss-Legendre pass over [0, hi], cut at ``cuts`` and with
     every piece at most ``width`` wide.  integral(levels) sums the integrand
     at each level of a list of (y, wts, k), the nodes y with the weights wts
-    of k nodes per piece, and returns their values in that order.
+    of k nodes per piece, and returns their values in that order: floats,
+    or 1-D arrays for an integrand stack, one entry per integrand.
 
     The levels n, 2n, ... double the nodes up to MAX_REFINE times past the
     first gap: the first level within MIX_TOL of the one before it is the
-    value, and a last gap above MIX_TOL, or not finite, raises.  Levels n and
-    2n go to one call; each later level has a call of its own, made only
-    after a failed gap.
+    value, and a last gap above MIX_TOL, or not finite, raises.  A stack
+    takes a level only when every entry is within MIX_TOL, so one entry that
+    needs a finer level refines them all, and it raises naming its worst
+    entry.  Levels n and 2n go to one call; each later level has a call of
+    its own, made only after a failed gap.
     """
     # a cut below the smallest normal float would round first-piece nodes to y = 0
     cuts = np.asarray(cuts, dtype=float)
@@ -392,15 +445,19 @@ def _checked_rule(name: str, hi: float, cuts, width: float, n: int, integral) ->
 
     k = 2 * n
     last, value = integral([level(n), level(k)])
+    worst = None
     for refine in range(MAX_REFINE + 1):
         if refine:
             k, last = 2 * k, value
             (value,) = integral([level(k)])
         gap = abs(value - last)
+        if isinstance(gap, np.ndarray):
+            worst = _worst(gap)
+            gap = gap[worst]
         if gap <= MIX_TOL:
             return value
-    raise FloatingPointError(f"{name} rule unresolved: {k // 2} and {k} "
-                             f"nodes per piece differ by {gap:.2e}")
+    raise _Unresolved(f"{name} rule unresolved: {k // 2} and {k} nodes per piece "
+                      f"differ by {gap:.2e}", worst)
 
 
 def _log(w):
@@ -418,21 +475,29 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
 
     g takes the x block as an (m, k) array, one row per s-node, and s as its
     (m, 1) column, so it must broadcast; its factors in s alone then run once
-    per s-node, and it may return an (m, 1) array or a scalar.  A block holds
-    at most EVENT_BLOCK states, so g runs ceil(m / (EVENT_BLOCK // k)) times
-    on a level of m s-nodes.  The outer
+    per s-node, and it may return an (m, 1) array or a scalar.  It may also
+    return a stack of H integrands on a leading axis, an (H, m, k) or
+    (H, m, 1) array, and the value is then the array of their H integrals on
+    the same nodes (a ladder of horizons; ``finite_t_value``).  A block holds
+    at most EVENT_BLOCK states across the stack, so g runs
+    ceil(m / (EVENT_BLOCK // (H k))) times on a level of m s-nodes.  A g that
+    knows its H says so in a ``height`` attribute; otherwise H is read from
+    g's first block, which is then sized for H = 1.  The outer
     integral over s runs ``_checked_rule`` from EVENT_NODES nodes per piece
     at most sqrt(u) wide, cut at b, at ``points`` and at the bends of the
     cap: every jump or kink of g in s must be in ``points``.  At k s-nodes
-    per piece the inner integral runs W_PER_S k Gauss-Legendre nodes in the
-    reflected variable w = 2s - x, so each level doubles the nodes in both
-    variables and the gap between levels checks the inner rule too.  The
-    inner window has reach R above the event's edge w0 = 2s - min(b, s),
-    capped at w_max.  Every state beyond it has w >= R, so when the nodes
-    with w > R - sqrt(u) carry more than MIX_TOL min(1, A), A the absolute
-    mass sum |f| of all nodes, R doubles, at most MAX_DOUBLINGS times, and
-    then raises: a g that tilts the mass past the window fails loudly
-    instead of returning the window's small share of it.
+    per piece the inner integral runs Gauss-Legendre nodes in the reflected
+    variable w = 2s - x, W_PER_S k of them on a window of length R, so each
+    level doubles the nodes in both variables and the gap between levels
+    checks the inner rule too.  The inner window has reach R above the
+    event's edge w0 = 2s - min(b, s), capped at w_max; a window that w_max
+    cuts to a length L < R (its longest, at s = 0) has the same density,
+    max(k, ceil(W_PER_S k L / R)) nodes.  Every state beyond it has w >= R,
+    so when the nodes with w > R - sqrt(u) carry more than MIX_TOL min(1, A),
+    A the absolute mass sum |f| of all nodes, R doubles, at most
+    MAX_DOUBLINGS times, and then raises: a g that tilts the mass past the
+    window fails loudly instead of returning the window's small share of
+    it.  A stack passes the window when every integrand does.
     """
     u, b, c = ev.u, ev.b, ev.c
     if b == -math.inf:
@@ -440,13 +505,18 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
     root_u = math.sqrt(u)
     pref = math.sqrt(2.0 / (math.pi * u ** 3))
     reach = GAUSS_CUT * root_u
+    # the longest window w_max leaves, at s = 0, where w0 = max(-b, 0)
+    longest = w_max + min(b, 0.0)
+    height = getattr(g, "height", 1)
     band = []
 
     def integral(levels):
+        nonlocal height
         values = []
         for s_all, s_wts, n in levels:
             total = band_mass = abs_mass = 0.0
-            n_w = W_PER_S * n
+            n_w = (W_PER_S * n if longest >= reach
+                   else max(n, math.ceil(W_PER_S * n * longest / reach)))
             w_nodes, w_weights = gauss_legendre(n_w)
             # one row per s-node: s is a column, so s-only work in g runs once a row;
             # each row's window edge w0, span and weight span s_wt, for the whole level
@@ -454,9 +524,9 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
             w0 = 2.0 * s_col - np.minimum(b, s_col)
             span = np.maximum(np.minimum(w0 + reach, w_max) - w0, 0.0)
             row_wts = span * s_wts[:, None]
-            step = EVENT_BLOCK // n_w
-            for i in range(0, s_all.size, step):
-                rows = slice(i, i + step)
+            i = 0
+            while i < s_all.size:
+                rows = slice(i, i + max(EVENT_BLOCK // (n_w * height), 1))
                 s = s_col[rows]
                 w = w0[rows] + span[rows] * w_nodes
                 gauss = -w
@@ -466,10 +536,19 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
                 f = g(2.0 * s - w, s) * pref * w
                 f *= gauss
                 f *= row_wts[rows] * w_weights
-                total += float(np.sum(f))
+                i += s.shape[0]
+                if f.ndim < 3:
+                    total += float(np.sum(f))
+                    np.abs(f, out=f)
+                    abs_mass += float(np.sum(f))
+                    band_mass += float(np.sum(f[w > reach - root_u]))
+                    continue
+                # a stack: each integrand's sums over its flattened block
+                height = f.shape[0]
+                total = total + np.sum(f.reshape(height, -1), axis=1)
                 np.abs(f, out=f)
-                abs_mass += float(np.sum(f))
-                band_mass += float(np.sum(f[w > reach - root_u]))
+                abs_mass = abs_mass + np.sum(f.reshape(height, -1), axis=1)
+                band_mass = band_mass + np.sum(f[:, w > reach - root_u], axis=1)
             band.append((band_mass, abs_mass))
             values.append(total)
         return values
@@ -483,9 +562,14 @@ def expect_on_event(ev: RectEvent, g, w_max: float = math.inf, points=()) -> flo
         val = _checked_rule("event", s_hi, (b, *points, w_max - reach, (w_max - reach + b) / 2.0),
                             root_u, EVENT_NODES, integral)
         band_mass, abs_mass = band[-1]
+        worst = None
+        if isinstance(band_mass, np.ndarray):
+            # a stack: the integrand furthest past its bound
+            worst = _worst(band_mass - MIX_TOL * np.minimum(1.0, abs_mass))
+            band_mass, abs_mass = band_mass[worst], abs_mass[worst]
         if band_mass <= MIX_TOL * min(1.0, abs_mass):
             return val
         reach *= 2.0
-    raise FloatingPointError(f"event window unresolved: {band_mass:.2e} of the integrand's "
-                             f"absolute mass {abs_mass:.2e} lies within sqrt(u) of its reach "
-                             f"{reach / 2.0:.3g}")
+    raise _Unresolved(f"event window unresolved: {band_mass:.2e} of the integrand's "
+                      f"absolute mass {abs_mass:.2e} lies within sqrt(u) of its reach "
+                      f"{reach / 2.0:.3g}", worst)

@@ -15,6 +15,10 @@ tabulated psi's flat part is the G1 piece of ``log_g_explinear``
 (``_log_g1``).  Every ``log_g_*`` returns the full log g, so the exact
 finite-horizon law integrates g(., r = t - u) / g(0, 0, t) for any weight;
 the large factors (e.g. exp(mu^2 r / 2)) stay on the log scale.
+Every kernel takes r as a float or as an array of horizons that broadcasts
+against (x, s), e.g. of shape (H, 1, 1) for an (m, k) block, and then
+returns the H kernels stacked on the leading axis, each bit for bit its
+float-r value.
 ``g_phi_hat`` is the linear-scale phi kernel without its known factor, and
 ``g_kennedy_bar`` the Kennedy kernel without e^{lam^2 r/2}, read back from
 ``log_g_kennedy``.
@@ -26,7 +30,7 @@ import math
 
 import numpy as np
 
-from ._stable import log_gauss_tail_e, log_norm_cdf, log_norm_sf
+from ._stable import log_each, log_gauss_tail_e, log_norm_cdf, log_norm_sf
 from .exact_laws import DensitySpec, h_cdf
 
 __all__ = [
@@ -36,6 +40,14 @@ __all__ = [
     "g_kennedy_bar",
     "log_g_kennedy",
 ]
+
+
+def _per_horizon(kernel, r, x, s):
+    """The float-r kernels kernel(x, s, r_h) of an array r of shape
+    (H, 1, ..., 1), stacked in the shape r broadcasts to with (x, s)."""
+    out = np.stack([kernel(x, s, float(v)) for v in np.ravel(r)])
+    return out.reshape(np.broadcast_shapes(np.shape(r), out.shape[1:]))
+
 
 # ---------------------------------------------------------------------------
 # phi(S_t) weights
@@ -52,18 +64,21 @@ def g_phi_hat(x, s, r: float, phi: DensitySpec):
     phi = C on [0, A] the two parts add up to C sqrt(pi r/2) P(S_r < A - x)
     on s <= A, and 0 above.
     """
+    if phi.family == "tabulated" and np.ndim(r):
+        # the table's panel count depends on r
+        return _per_horizon(lambda x, s, r: g_phi_hat(x, s, r, phi), r, x, s)
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
-    half_line = math.sqrt(0.5 * math.pi * r)     # int_0^inf e^{-z^2/2r} dz
+    half_line = np.sqrt(0.5 * math.pi * r)     # int_0^inf e^{-z^2/2r} dz
     if phi.family == "uniform":
         A = phi.upper
         return np.where(s <= A, phi.scale * half_line * h_cdf(r, np.maximum(A - x, 0.0)), 0.0)
     if phi.family == "exponential":
         dlt = phi.rate
-        sr = math.sqrt(r)
+        sr = np.sqrt(r)
         # log-stable: C e^{-dlt x + dlt^2 r/2} sqrt(2 pi r) Q((s - x + dlt r)/sqrt(r))
         logtail = (math.log(phi.scale) - dlt * x + dlt * dlt * r / 2.0
-                   + 0.5 * math.log(2.0 * math.pi * r)
+                   + 0.5 * log_each(2.0 * math.pi * r)
                    + log_norm_sf((s - x + dlt * r) / sr))
         tail = np.exp(logtail)
         phi_s = phi.pdf(s)
@@ -76,13 +91,13 @@ def _log_times(g, log_factor: float):
     """log(g) + log_factor, -inf where g <= 0."""
     out = np.full(np.shape(g), -np.inf)
     np.log(g, out=out, where=g > 0.0)
-    out += log_factor
+    out += log_factor     # a float, or one per horizon of a stack
     return out
 
 
 def log_g_phi(x, s, r: float, phi: DensitySpec):
     """log E[phi(S_t) | X_u = x, S_u = s], r = t - u."""
-    return _log_times(g_phi_hat(x, s, r, phi), 0.5 * math.log(2.0 / (math.pi * r)))
+    return _log_times(g_phi_hat(x, s, r, phi), 0.5 * log_each(2.0 / (math.pi * r)))
 
 
 # ---------------------------------------------------------------------------
@@ -105,7 +120,7 @@ def _log_g1(lead, d, r: float, mu: float):
     log_g_explinear), and log Q(a2), which G2 takes too.  G1 is one
     non-negative piece, log Phi(a1) + log(1 - e^{2 mu d} Q(a2)/Phi(a1)): its two
     terms cancel as d -> 0, and they do so before e^{lead} multiplies them."""
-    sr = math.sqrt(r)
+    sr = np.sqrt(r)
     log_q = log_norm_sf((d + mu * r) / sr)
     log_p = log_norm_cdf((d - mu * r) / sr)
     # e^{2 mu d} Q / Phi is at most 1, and 1 at d = 0, where G1 = 0 (log -inf);
@@ -135,7 +150,7 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
     """
     x, s = np.broadcast_arrays(np.asarray(x, dtype=float), np.asarray(s, dtype=float))
     d = s - x
-    sr = math.sqrt(r)
+    sr = np.sqrt(r)
     # log_q is the mu-piece's tail at d and, uncapped on the diagonal, where
     # nu = -mu exactly, the interval's
     g1, log_q = _log_g1(lam * s + mu * x + mu * mu * r / 2.0, d, r, mu)
@@ -164,7 +179,7 @@ def log_g_explinear(x, s, r: float, lam: float, mu: float, cap: float = math.inf
                 pieces.append((nu * x + math.log(abs(2.0 * mu / th)) + th * dd + mu * mu * r / 2.0
                                + tail, sign * math.copysign(1.0, mu / th)))
             else:
-                pieces.append((nu * x + math.log(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
+                pieces.append((nu * x + log_each(2.0 * abs(mu) * sr) + mu * mu * r / 2.0
                                + log_gauss_tail_e((dd + mu * r) / sr), sign * math.copysign(1.0, -mu)))
     pieces.append((g1, 1.0))
 
@@ -209,6 +224,9 @@ def log_g_kennedy(x, s, r: float, lam: float, psi: DensitySpec):
     if psi.family != "tabulated":
         return math.log(psi.scale) + log_g_explinear(x, s, r, lam - psi.rate, -lam,
                                                      cap=max(psi.kinks, default=math.inf))
+    if np.ndim(r):
+        # the table's panel count depends on r
+        return _per_horizon(lambda x, s, r: log_g_kennedy(x, s, r, lam, psi), r, x, s)
     x = np.asarray(x, dtype=float)
     s = np.asarray(s, dtype=float)
     d = s - x

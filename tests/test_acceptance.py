@@ -15,7 +15,7 @@ import pytest
 from scipy import stats
 
 import penalab
-from penalab import acceptance
+from penalab import acceptance, expansion, penalized_mc
 from penalab.report import abs_verdict
 from penalab.samplers import RngStream, exact_bm_state
 
@@ -87,3 +87,41 @@ def test_criterion_10_holds_its_normals_not_every_state():
         if started:
             tracemalloc.stop()
     assert peak - before < 16 * 2 ** 20
+
+
+def _count_calls(monkeypatch, modules, name):
+    """Wrap ``name`` in every module of ``modules`` that binds it; the list
+    the wrapper appends to on each call."""
+    calls = []
+    orig = getattr(modules[0], name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return orig(*args, **kwargs)
+
+    for module in modules:
+        monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+def test_criterion_11_runs_one_ladder_per_branch_and_b():
+    # 2 limits, one ladder over t_list per b in bessel_penalization_check and
+    # one over the rate horizons per b, for each branch: 12 rules (32 when
+    # every horizon was a rule of its own)
+    with pytest.MonkeyPatch.context() as m:
+        calls = _count_calls(m, [penalized_mc, acceptance], "expect_on_event")
+        acceptance.criterion_11_bessel_penalization(SEED, 0.06)
+    assert len(calls) == 12
+
+
+@pytest.mark.parametrize("criterion,module,name,count", [
+    (acceptance.criterion_5_finite_t_convergence, acceptance, "q_y_finite", 1),
+    (acceptance.criterion_5_finite_t_convergence, acceptance, "q_ay_finite", 1),
+    (acceptance.criterion_8_expansion_coefficient, expansion, "q_phi_finite", 1),
+    (acceptance.criterion_9_kennedy_expansion, expansion, "finite_t_value", 1),
+], ids=["5-q_y_finite", "5-q_ay_finite", "8-q_phi_finite", "9-finite_t_value"])
+def test_rate_criteria_take_each_series_as_one_ladder(criterion, module, name, count):
+    with pytest.MonkeyPatch.context() as m:
+        calls = _count_calls(m, [module], name)
+        criterion(SEED, 1.0)
+    assert len(calls) == count

@@ -34,7 +34,7 @@ from penalab.penalized_mc import (
     terminal_conditional,
 )
 from penalab.quadrature import RectEvent, expect_on_event, q_ay_finite, q_y_finite
-from penalab import weights
+from penalab import quadrature, weights
 from penalab._stable import log_gauss_tail_e, log_norm_sf, norm_cdf, norm_sf
 from penalab.samplers import RngStream
 from penalab.weights import g_kennedy_bar, log_g_explinear, log_g_kennedy
@@ -1325,3 +1325,82 @@ class TestKernelFormsAreBitIdentical:
             block, t_block = table.gauss_tail(x, np.repeat(s, 48, axis=1), r, lam)
             assert np.array_equal(column, block)
             assert np.array_equal(np.repeat(t_s, 48, axis=1), t_block)
+
+
+TABULATED_PHI = DensitySpec.tabulated(np.linspace(0.0, 1.5, 41), 0.3 + np.linspace(0.0, 1.5, 41) ** 2)
+LADDER_KINDS = pytest.mark.parametrize("pen", [
+    PhiOfMax(UNIFORM), PhiOfMax(DensitySpec.exponential(1.5)), PhiOfMax(TABULATED_PHI),
+    ExpLinear(-2.0, 1.0), ExpLinear(1.0, 1.0), ExpLinear(0.0, -1.0), ExpLinear(0.5, 0.25, cap=1.2),
+    KennedyWeight(1.0, PSI), KennedyWeight(1.0, DensitySpec.exponential(1.5, laplace_lambda=1.0)),
+    KennedyWeight(1.0, TABULATED_PSI)],
+    ids=["phi-uniform", "phi-exponential", "phi-tabulated", "R1-diagonal", "R2", "R3", "capped-R2",
+         "kennedy-uniform", "kennedy-exponential", "kennedy-tabulated"])
+
+
+class TestHorizonLadder:
+    # finite_t_value over an array of horizons: one checked rule, the kernel
+    # once per block on the stack of its horizons
+
+    @LADDER_KINDS
+    def test_log_kernel_stacks_bit_for_bit(self, pen):
+        x, s = _random_states(50, 4.0, 1.3, n=600)
+        x, s = x.reshape(20, 30), s.reshape(20, 30)[:, :1]
+        x = np.minimum(x, s)
+        rs = np.array([0.05, 1.0, 31.0, 500.0])
+        with np.errstate(divide="ignore"):
+            stacked = pen.log_kernel(x, s, rs[:, None, None])
+            assert np.array_equal(stacked, np.stack([pen.log_kernel(x, s, r) for r in rs]))
+            # at the origin, as finite_t_value's normaliser takes it
+            assert np.array_equal(pen.log_kernel(np.zeros(1), np.zeros(1), rs[:, None]),
+                                  np.stack([pen.log_kernel(np.zeros(1), np.zeros(1), r) for r in rs]))
+
+    @LADDER_KINDS
+    @pytest.mark.parametrize("w_max", [math.inf, 1.6], ids=["uncapped", "capped"])
+    def test_ladder_matches_its_horizons(self, pen, w_max):
+        ts = np.array([1.05, 1.7, 4.0, 32.0, 256.0])
+        for ev in (EV, RectEvent(1.0, 0.9, 1.2)):
+            ladder = finite_t_value(pen, ev, ts, w_max=w_max)
+            assert ladder.shape == ts.shape
+            assert np.max(np.abs(ladder - [finite_t_value(pen, ev, t, w_max=w_max) for t in ts])) <= 1e-13
+
+    def test_a_late_horizon_refines_the_whole_ladder(self, monkeypatch):
+        # the R2 tilt doubles the window once; on the wider window the first
+        # two levels differ by 3.8e-8 at the first horizon, the third settles
+        # it, and the ladder takes it for both
+        pen, ev = ExpLinear(1.0, 1.0), RectEvent(4.1046)
+        ts = np.array([4.1046 + 0.0577, 8.0])
+        handed = []
+        rule = quadrature._checked_rule
+
+        def recording_rule(name, hi, cuts, width, n, integral):
+            def recording(levels):
+                handed.append([k for _, _, k in levels])
+                return integral(levels)
+            return rule(name, hi, cuts, width, n, recording)
+
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_checked_rule", recording_rule)
+            ladder = finite_t_value(pen, ev, ts)
+        assert handed == [[8, 16], [8, 16], [32]]
+        assert ladder == pytest.approx([finite_t_value(pen, ev, t) for t in ts], abs=quadrature.MIX_TOL)
+        monkeypatch.setattr(quadrature, "MAX_REFINE", 0)
+        with pytest.raises(FloatingPointError, match=r"^event rule unresolved: 8 and 16 nodes per piece "
+                                                     r"differ by 3\.79e-08 at horizon t = 4\.16229"):
+            finite_t_value(pen, ev, ts[::-1])
+
+    @pytest.mark.parametrize("psi", [DensitySpec.uniform(1.0, laplace_lambda=20.0),
+                                     DensitySpec.exponential(1.0, laplace_lambda=20.0)],
+                             ids=["uniform", "exponential"])
+    def test_an_overflowing_ratio_names_its_horizon(self, psi):
+        # as test_a_ratio_beyond_the_float_range_raises_by_name, on a ladder
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FloatingPointError,
+                               match=r"^kernel ratio .* overflows at u = 4\.0, t = 8\.0: its log reaches 2173"):
+                finite_t_value(KennedyWeight(20.0, psi), RectEvent(4.0), np.array([64.0, 8.0]))
+
+    def test_an_empty_event_is_zero_at_every_horizon(self):
+        ladder = finite_t_value(ExpLinear(1.0, 1.0), RectEvent(1.0, -math.inf), np.array([2.0, 4.0]))
+        assert np.array_equal(ladder, [0.0, 0.0])
+        with pytest.raises(ValueError):
+            finite_t_value(ExpLinear(1.0, 1.0), EV, np.array([4.0, 1.0]))

@@ -12,7 +12,7 @@ from penalab import quadrature
 from penalab.exact_laws import DensitySpec, p_joint, p_max
 from penalab.expansion import phi_series_value
 from penalab._stable import GAUSS_CUT, gauss_legendre
-from penalab.martingales import f1_phi_xs, m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
+from penalab.martingales import f1_phi_xs, m_bar_xs, m_kennedy_xs, m_mu_lambda_xs, m_phi_xs
 from penalab.penalized_mc import ExpLinear, KennedyWeight, PhiOfMax, finite_t_value
 from penalab.quadrature import (
     RectEvent,
@@ -861,9 +861,24 @@ def _random_event(gen):
 
 _TAB201_GRID = np.linspace(0.0, 1.5, 201)
 TABULATED_201 = DensitySpec.tabulated(_TAB201_GRID, 0.2 + 1.3 * _TAB201_GRID ** 2)
-# on EV_STEEP the first two levels of this phi's mixtures differ by more than
-# MIX_TOL, and the third settles them
-EXP_STEEP, EV_STEEP = DensitySpec.exponential(50.0), RectEvent(1.0, 0.0, 0.5)
+EV_STEEP = RectEvent(1.0, 0.0, 0.5)
+
+
+def _bump(sd):
+    """The log of a Gaussian weight of standard deviation sd about y = 0.37,
+    narrower than the mixtures' pieces (0.25 wide at u = 1) and not cut: on
+    EV_STEEP the first two levels differ by more than MIX_TOL, and at sd =
+    0.04 the third level settles them, at sd = 0.02 it does not."""
+    return lambda y: -0.5 * ((y - 0.37) / sd) ** 2
+
+
+def _bump_mixture(route, sd):
+    """The level mixture of q_y_limit (route "limit") or q_y_finite at t = 2
+    (route "finite") over (0, 1] on EV_STEEP, with the weight ``_bump(sd)``."""
+    if route == "limit":
+        return quadrature._level_mixture(EV_STEEP, lambda y: q_y_limit(y, EV_STEEP), _bump(sd), 1.0)
+    return quadrature._level_mixture(EV_STEEP, lambda y: q_y_finite(y, EV_STEEP, 2.0), _bump(sd),
+                                     1.0, (), 2.0)
 
 
 class TestPairedLevels:
@@ -888,8 +903,7 @@ class TestPairedLevels:
 
     @pytest.mark.parametrize("route", ["limit", "finite"])
     def test_a_late_gap_takes_the_4n_level(self, monkeypatch, route):
-        value = ((lambda: q_phi_limit(EXP_STEEP, EV_STEEP)) if route == "limit"
-                 else (lambda: q_phi_finite(EXP_STEEP, EV_STEEP, 2.0)))
+        value = lambda: _bump_mixture(route, 0.04)
         handed = []
         rule = quadrature._checked_rule
 
@@ -906,12 +920,11 @@ class TestPairedLevels:
         assert paired == _per_level(monkeypatch, value)
 
     def test_an_unresolved_mixture_raises_the_per_level_message(self, monkeypatch):
-        # 16 and 32 nodes per piece still differ by 3.6e-10 on so steep a phi
-        phi = DensitySpec.exponential(300.0)
+        # 16 and 32 nodes per piece still differ by 2.6e-7 on so narrow a weight
         with pytest.raises(FloatingPointError) as paired:
-            q_phi_limit(phi, EV_STEEP)
+            _bump_mixture("limit", 0.02)
         with pytest.raises(FloatingPointError) as per_level:
-            _per_level(monkeypatch, lambda: q_phi_limit(phi, EV_STEEP))
+            _per_level(monkeypatch, lambda: _bump_mixture("limit", 0.02))
         assert str(paired.value) == str(per_level.value)
         assert str(paired.value).startswith("level-mixture rule unresolved: 16 and 32 nodes")
 
@@ -926,17 +939,16 @@ def _counting(f, sizes):
 class TestIntegrandCalls:
     # each check reaches its integrand in as few calls as its levels allow
 
-    @pytest.mark.parametrize("phi,ev,late", [(UNIFORM, EV, False), (TABULATED_201, FULL, False),
-                                             (EXP_STEEP, EV_STEEP, True)],
-                             ids=["uniform", "tabulated-201", "late-gap"])
-    def test_mixture_evaluates_both_first_levels_in_one_call(self, phi, ev, late):
+    @pytest.mark.parametrize("log_weight,kinks,hi,ev,late", [
+        (lambda y: quadrature._log(UNIFORM.pdf(y)), UNIFORM.kinks, 1.0, EV, False),
+        (lambda y: quadrature._log(TABULATED_201.pdf(y)), TABULATED_201.kinks, 1.5, FULL, False),
+        (_bump(0.04), (), 1.0, EV_STEEP, True)], ids=["uniform", "tabulated-201", "late-gap"])
+    def test_mixture_evaluates_both_first_levels_in_one_call(self, log_weight, kinks, hi, ev, late):
         q_sizes, w_sizes = [], []
-        hi = phi.effective_upper(1e-13)
         quadrature._level_mixture(ev, _counting(lambda y: q_y_limit(y, ev), q_sizes),
-                                  _counting(lambda y: quadrature._log(phi.pdf(y)), w_sizes),
-                                  hi, phi.kinks)
+                                  _counting(log_weight, w_sizes), hi, kinks)
         # m nodes at level n: n and 2n together, then 4n only after a failed gap
-        m = rule_nodes(hi, (ev.b, ev.c, *phi.kinks), 0.25 * math.sqrt(ev.u),
+        m = rule_nodes(hi, (ev.b, ev.c, *kinks), 0.25 * math.sqrt(ev.u),
                        quadrature.MIX_NODES)[0].size
         assert q_sizes == w_sizes == ([3 * m, 4 * m] if late else [3 * m])
 
@@ -979,11 +991,17 @@ class TestIntegrandCalls:
         # 1.5 MiB for the 301-knot martingale route (0.3 MiB at 4096 states,
         # 1.1 at 16384) and 3 MiB for the tabulated Kennedy finite-t value
         # (0.5 and 2.2 MiB)
+        # a ladder of 7 horizons, whose closed-form kernel stacks its
+        # temporaries over the horizons, keeps the Kennedy bound (1.5 MiB;
+        # 1.9 MiB for one horizon, and 0.6 MiB for the tabulated psi's ladder)
         grid = np.linspace(0.0, 2.0, 41)
         psi = DensitySpec.tabulated(grid, np.exp(-grid), laplace_lambda=5.0)
+        ladder = np.array([5.0, 6.0, 8.0, 12.0, 16.0, 24.0, 32.0])
+        stacked = KennedyWeight(5.0, DensitySpec.exponential(0.5, laplace_lambda=5.0))
         for value, bound in ((lambda: q_phi_limit(TABULATED, FULL, route="martingale"), 1.5),
                              (lambda: finite_t_value(KennedyWeight(5.0, psi), RectEvent(4.0), 8.0),
-                              3.0)):
+                              3.0),
+                             (lambda: finite_t_value(stacked, RectEvent(4.0), ladder), 3.0)):
             value()     # tables and node caches built outside the measure
             started = not tracemalloc.is_tracing()
             if started:
@@ -997,3 +1015,189 @@ class TestIntegrandCalls:
                 if started:
                     tracemalloc.stop()
             assert peak - before < bound * 2 ** 20
+
+
+def _dense_mixture(phi, ev, rate_pieces=8, nodes=32):
+    """q_phi_limit's mixture by one fixed composite Gauss-Legendre rule: pieces
+    1/(rate_pieces rate) wide over [0, 40/rate], cut at b and c, with ``nodes``
+    nodes each."""
+    top = 40.0 / phi.rate
+    cuts = np.unique([0.0, top, *(p for p in (ev.b, ev.c) if 0.0 < p < top)])
+    edges = np.unique(np.concatenate([np.linspace(lo, up, 1 + math.ceil((up - lo) * rate_pieces * phi.rate))
+                                      for lo, up in zip(cuts[:-1], cuts[1:])]))
+    x, w = np.polynomial.legendre.leggauss(nodes)
+    half = np.diff(edges)[:, None] / 2.0
+    y = (edges[:-1, None] + half * (x + 1.0)).ravel()
+    wts = (half * w).ravel() * phi.pdf(y)
+    return float(np.dot(wts, q_y_limit(y, ev)) / np.sum(wts))
+
+
+class TestSteepPhiPieces:
+    # an exponential phi's mixture pieces are at most 1/rate wide: at rate 300
+    # on EV_STEEP the pieces sqrt(u)/4 wide raised FloatingPointError (16 and
+    # 32 nodes differed by 3.6e-10), and so did the bridge route at a = -0.3
+
+    @pytest.mark.parametrize("rate", [300.0, 1000.0, 3000.0])
+    def test_steep_exponential_phi_is_resolved(self, rate):
+        phi = DensitySpec.exponential(rate)
+        limit = q_phi_limit(phi, EV_STEEP)
+        assert limit == pytest.approx(_dense_mixture(phi, EV_STEEP), abs=1e-14)
+        assert q_a_phi_limit(-0.3, phi, EV_STEEP, route="bridge") == pytest.approx(
+            q_a_phi_limit(-0.3, phi, EV_STEEP), abs=1e-14)
+        # 1.2e-13 from the limit at rate 300
+        assert q_phi_finite(phi, EV_STEEP, 1e6) == pytest.approx(limit, abs=1e-12)
+
+    @pytest.mark.parametrize("rate", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("u", [0.5, 1.0, 2.0])
+    def test_gentle_rates_keep_their_pieces(self, monkeypatch, rate, u):
+        # where 1/rate is at least sqrt(min(u, t - u))/4 the cap leaves every
+        # piece, and so every value, as it was
+        phi, ev = DensitySpec.exponential(rate), RectEvent(u, 0.3, 1.1)
+        values = (lambda: q_phi_limit(phi, ev), lambda: q_a_phi_limit(-0.2, phi, ev),
+                  lambda: q_a_phi_limit(-0.2, phi, ev, route="bridge"),
+                  lambda: q_phi_finite(phi, ev, u + 3.0))
+        capped = [value() for value in values]
+        monkeypatch.setattr(quadrature, "_length_scale", lambda phi: math.inf)
+        assert capped == [value() for value in values]
+
+
+def _ladder_ts(u):
+    return np.array([u + 0.05, u + 0.7, u + 3.0, 32.0, 512.0, 2048.0])
+
+
+class TestHorizonLadders:
+    # an array of horizons is one ladder: closed forms elementwise, mixtures
+    # as one checked rule on shared nodes
+
+    @pytest.mark.parametrize("ev", [EV, RectEvent(0.7, 0.3, 1.4), FULL, RectEvent(2.0, -0.4)],
+                             ids=["EV", "ev2", "FULL", "ev3"])
+    def test_closed_forms_stack_bit_for_bit(self, ev):
+        ts = _ladder_ts(ev.u)
+        y = np.array([0.3, 0.5, 1.2, 2.5])
+        assert np.array_equal(q_y_finite(y, ev, ts[:, None]),
+                              np.stack([q_y_finite(y, ev, t) for t in ts]))
+        assert np.array_equal(q_ay_finite(-0.2, y, ev, ts[:, None]),
+                              np.stack([q_ay_finite(-0.2, y, ev, t) for t in ts]))
+        assert np.array_equal(q_y_finite(1.0, ev, ts), [q_y_finite(1.0, ev, t) for t in ts])
+        assert np.array_equal(q_ay_finite(0.0, 1.0, ev, ts), [q_ay_finite(0.0, 1.0, ev, t) for t in ts])
+
+    def test_closed_forms_reject_a_horizon_at_u(self):
+        ts = np.array([4.0, EV.u])
+        for value in (lambda: q_y_finite(1.0, EV, ts), lambda: q_ay_finite(0.0, 1.0, EV, ts),
+                      lambda: q_phi_finite(UNIFORM, EV, ts)):
+            with pytest.raises(ValueError):
+                value()
+
+    @pytest.mark.parametrize("phi", [UNIFORM, EXP1, TABULATED_201, DensitySpec.exponential(5.0)],
+                             ids=["uniform", "exponential", "tabulated-201", "exponential-5"])
+    @pytest.mark.parametrize("ev", [EV, RectEvent(0.7, 0.3, 1.4), RectEvent(1.5), RectEvent(2.0, 1.0)],
+                             ids=["EV", "ev2", "full-1.5", "ev3"])
+    def test_phi_mixture_ladder_matches_its_horizons(self, phi, ev):
+        # one mixture cut for the smallest horizon and reaching the largest's end
+        ts = _ladder_ts(ev.u)
+        assert np.max(np.abs(q_phi_finite(phi, ev, ts)
+                             - [q_phi_finite(phi, ev, t) for t in ts])) <= 1e-13
+
+    def test_a_stack_takes_a_level_only_when_every_entry_does(self, monkeypatch):
+        # entry 1 is the late-gap mixture, entry 0 settles at the first two levels
+        handed = []
+        rule = quadrature._checked_rule
+
+        def recording_rule(name, hi, cuts, width, n, integral):
+            def recording(levels):
+                handed.append([k for _, _, k in levels])
+                return integral(levels)
+            return rule(name, hi, cuts, width, n, recording)
+
+        stack = lambda y: np.stack([_bump(0.2)(y), _bump(0.04)(y)])
+        with monkeypatch.context() as m:
+            m.setattr(quadrature, "_checked_rule", recording_rule)
+            both = quadrature._level_mixture(EV_STEEP, lambda y: q_y_limit(y, EV_STEEP), stack, 1.0)
+        assert handed == [[8, 16], [32]]
+        assert both[1] == _bump_mixture("limit", 0.04)
+        assert both[0] == pytest.approx(quadrature._level_mixture(
+            EV_STEEP, lambda y: q_y_limit(y, EV_STEEP), _bump(0.2), 1.0), abs=quadrature.MIX_TOL)
+
+    def test_an_unresolved_stack_names_its_worst_entry(self):
+        stack = lambda y: np.stack([_bump(0.2)(y), _bump(0.02)(y), _bump(0.04)(y)])
+        with pytest.raises(FloatingPointError, match=r"^level-mixture rule unresolved: 16 and 32 "
+                                                     r"nodes per piece differ by .* at component 1$"):
+            quadrature._level_mixture(EV_STEEP, lambda y: q_y_limit(y, EV_STEEP), stack, 1.0)
+
+    @pytest.mark.parametrize("ev", [EV, FULL, RectEvent(0.7, 0.9, 1.2)], ids=["EV", "FULL", "ev2"])
+    def test_event_stack_matches_its_integrands(self, ev):
+        gs = [lambda x, s: m_phi_xs(x, s, UNIFORM), lambda x, s: m_mu_lambda_xs(x, s, ev.u, -2.0, 1.0),
+              lambda x, s: np.ones_like(s)]
+        stack = expect_on_event(ev, lambda x, s: np.stack(np.broadcast_arrays(*(g(x, s) for g in gs))),
+                                points=(1.0,))
+        assert np.max(np.abs(stack - [expect_on_event(ev, g, points=(1.0,)) for g in gs])) <= 1e-14
+
+    def test_a_declared_height_bounds_every_block(self):
+        # a block holds at most EVENT_BLOCK states across the stack; without a
+        # height attribute the first block is sized for one integrand
+        height, states = 7, []
+
+        def g(x, s):
+            states.append(height * x.size)
+            return np.stack([np.ones_like(x)] * height)
+
+        undeclared = expect_on_event(FULL, g)
+        assert states[0] > quadrature.EVENT_BLOCK >= max(states[1:])
+        states.clear()
+        g.height = height
+        assert np.array_equal(expect_on_event(FULL, g), undeclared)
+        assert max(states) <= quadrature.EVENT_BLOCK
+
+    def test_one_tilted_integrand_widens_the_window_for_the_stack(self, monkeypatch):
+        # the R2 tilt at lam = mu = 4 needs a wider window than GAUSS_CUT sqrt(u)
+        stack = lambda x, s: np.stack([np.ones_like(x), m_mu_lambda_xs(x, s, 1.0, 4.0, 4.0)])
+        assert expect_on_event(FULL, stack) == pytest.approx([1.0, 1.0], abs=1e-10)
+        monkeypatch.setattr(quadrature, "MAX_DOUBLINGS", 0)
+        with pytest.raises(FloatingPointError, match=r"^event window unresolved: .* at component 1$"):
+            expect_on_event(FULL, stack)
+
+
+def _bessel_ratio(pen, t):
+    """finite_t_value's integrand for ``pen`` at u = 1 and horizon t."""
+    log_den = float(pen.log_kernel(np.zeros(1), np.zeros(1), t)[0])
+    return lambda x, s: np.exp(pen.log_kernel(x, s, t - 1.0) - log_den)
+
+
+class TestCappedWindowDensity:
+    # a window that w_max cuts to L < reach has max(n, ceil(W_PER_S n L / reach))
+    # w-nodes, the density of a full window
+
+    @pytest.mark.parametrize("b", [0.8, 1.6, 3.0])
+    @pytest.mark.parametrize("pen", [ExpLinear(-3.0, 1.0), ExpLinear(-2.0, 1.0, cap=1.0)],
+                             ids=["branch1", "trivial"])
+    def test_capped_values_match_the_full_density(self, pen, b):
+        # criterion 11's weights and horizons, against the rule at W_PER_S n
+        # nodes on every window; the largest move is 3.7e-11, at b = 1.6 and
+        # t = 2048.  At b = 3.0 and t = 2048 the branch-1 kernel's own noise
+        # (a full-event mass of 1 - 2.6e-9, levels that jitter by 1e-10)
+        # makes either rule raise or pass by chance, so that pair stops at 1024
+        top = 1024.0 if b == 3.0 and pen.cap == math.inf else 2048.0
+        for t in (32.0, 256.0, top):
+            g = _bessel_ratio(pen, t)
+            ref = reference_expect_on_event(RectEvent(1.0, c=pen.cap), g, w_max=b, points=pen.kinks)
+            assert finite_t_value(pen, FULL, t, w_max=b) == pytest.approx(ref, abs=quadrature.MIX_TOL)
+        limit = lambda x, s: m_bar_xs(2.0 * s - x, 1.0, -1.0, -1.0)
+        assert expect_on_event(FULL, limit, w_max=b) == pytest.approx(
+            reference_expect_on_event(FULL, limit, w_max=b), abs=quadrature.MIX_TOL)
+
+    @pytest.mark.parametrize("ev,w_max,k", [(FULL, 0.8, [8, 16]), (FULL, 1.6, [9, 17]),
+                                            (FULL, 3.0, [16, 31]), (RectEvent(1.0, -0.5), 2.0, [8, 16]),
+                                            (FULL, 20.0, [48, 96]), (FULL, math.inf, [48, 96])])
+    def test_w_nodes_per_level(self, ev, w_max, k):
+        blocks = []
+
+        def g(x, s):
+            blocks.append(x.shape[1])
+            return np.ones_like(x)
+
+        expect_on_event(ev, g, w_max=w_max)
+        assert sorted(set(blocks)) == k
+
+    def test_a_window_the_cap_leaves_is_bit_identical(self):
+        g = lambda x, s: m_mu_lambda_xs(x, s, 1.0, -2.0, 1.0)
+        assert expect_on_event(FULL, g, w_max=20.0) == reference_expect_on_event(FULL, g, w_max=20.0)
